@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet lint test race bench bench-smoke allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline litmus waivers waivers-baseline clean
+.PHONY: tier1 build vet lint test race bench bench-smoke bench-test allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline litmus waivers waivers-baseline clean
 
 # tier1 is the gate every change must pass.
 tier1: vet lint build race allocbudget
@@ -36,6 +36,13 @@ bench:
 # a measurement — plus the allocation-budget gate.
 bench-smoke: allocbudget
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# bench-test: vet and test the fusionperf benchmark module (bench/, its own
+# Go module, so the root ./... patterns never reach it). Its smoke test runs
+# every workload, checking outputs against the committed bench/golden files.
+bench-test:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # allocbudget: regenerate the budgeted artifacts and fail if any one's
 # allocs/op or bytes/op exceeds BENCH_BUDGET.json by more than its

@@ -221,6 +221,15 @@ func (t *Tile) DumpState() string {
 	return b.String()
 }
 
+// ForwardedBlocks sums the Dx forwards every L0X of the tile has sent.
+func (t *Tile) ForwardedBlocks() int64 {
+	var n int64
+	for _, l0 := range t.L0Xs {
+		n += l0.cFwdOut.Value()
+	}
+	return n
+}
+
 // Outstanding sums in-flight transactions across the tile.
 func (t *Tile) Outstanding() int {
 	n := t.L1X.Outstanding()

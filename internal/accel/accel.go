@@ -10,9 +10,22 @@
 // iterations overlap. Memory-level parallelism is bounded by MLP
 // outstanding requests — the knob that reproduces Table 1's per-function
 // MLP spread (1.0–5.7).
+//
+// The datapath is event-driven. The in-flight window is a ring of
+// PipelineDepth slots whose stages (loads to issue, compute pending,
+// computing, stores to issue, complete) are bitmaps indexed by age, and
+// compute is an absolute finish cycle rather than a per-cycle countdown.
+// While every in-flight iteration waits on a memory completion, the MLP
+// cap or a compute finish cycle, the accelerator reports itself idle and
+// the engine fast-forwards; per-cycle accounting (busy cycles, MLP samples)
+// is then settled lazily, so every reported number equals per-cycle
+// stepping.
 package accel
 
 import (
+	"math"
+	"math/bits"
+
 	"fusion/internal/energy"
 	"fusion/internal/mem"
 	"fusion/internal/sim"
@@ -33,8 +46,12 @@ type Config struct {
 	FPUs          int // floating-point ops retired per cycle
 	MemPorts      int // memory ops issued per cycle
 	MLP           int // max outstanding memory requests
-	PipelineDepth int // iterations in flight
+	PipelineDepth int // iterations in flight, 1..MaxPipelineDepth
 }
+
+// MaxPipelineDepth bounds Config.PipelineDepth: each pipeline stage is one
+// 64-bit bitmap over the in-flight window.
+const MaxPipelineDepth = 64
 
 // DefaultConfig is an aggressive fixed-function datapath: the paper assumes
 // "an aggressive non-blocking interface to memory" (Section 4), which the
@@ -44,15 +61,18 @@ func DefaultConfig() Config {
 	return Config{IntALUs: 4, FPUs: 2, MemPorts: 4, MLP: 6, PipelineDepth: 16}
 }
 
-// iterState tracks one in-flight iteration. Retired states recycle through
-// a free list (every callback referencing one has fired by retirement).
+// iterState tracks one in-flight iteration in its ring slot. A slot is
+// reused once its iteration retires (every callback referencing it has
+// fired by then).
 type iterState struct {
 	idx          int
+	it           *trace.Iteration
 	loadsIssued  int
 	loadsDone    int
-	computeLeft  int // cycles of compute remaining once loads complete
 	storesIssued int
 	storesDone   int
+	compute      uint64 // cycles of compute once the loads complete
+	computeEnd   uint64 // cycle whose tick finishes compute (while computing)
 }
 
 // memCb is a pooled completion callback for one memory access: it replaces
@@ -66,18 +86,29 @@ type memCb struct {
 	fn   func(now uint64)
 }
 
-func (cb *memCb) done(uint64) {
+func (cb *memCb) done(now uint64) {
+	a, st := cb.a, cb.st
+	// Charge the cycles skipped since the last tick at the outstanding
+	// count they saw, before this completion changes it.
+	a.settle(now)
+	bit := a.bit(st)
 	if cb.load {
-		cb.st.loadsDone++
+		st.loadsDone++
+		if st.loadsDone == len(st.it.Loads) {
+			a.ready |= bit
+		}
 	} else {
-		cb.st.storesDone++
+		st.storesDone++
+		if st.storesDone == len(st.it.Stores) {
+			a.complete |= bit
+		}
 	}
-	a := cb.a
 	a.release(cb.line)
 	a.freeCbs = append(a.freeCbs, cb)
 }
 
-// Accelerator executes invocations against a MemPort. It is a sim.Ticker.
+// Accelerator executes invocations against a MemPort. It is a sim.Ticker,
+// a sim.IdleTicker and a sim.Waker.
 type Accelerator struct {
 	name string
 	cfg  Config
@@ -87,10 +118,25 @@ type Accelerator struct {
 	port   MemPort
 	onDone func(now uint64)
 
-	inflight  []*iterState
-	freeIters []*iterState
-	freeCbs   []*memCb
-	nextIter  int
+	// slots is the in-flight ring: iteration i lives in slots[i%depth].
+	// head is the oldest in-flight iteration and count the window's
+	// occupancy; iterations are admitted and retired in order.
+	slots    []iterState
+	head     int
+	count    int
+	nextIter int
+	freeCbs  []*memCb
+
+	// Stage bitmaps over the in-flight window, bit k = iteration head+k.
+	issueLd   uint64 // loads left to issue
+	issueSt   uint64 // compute done, stores left to issue
+	mlpWait   uint64 // next access blocked by the MLP cap
+	ready     uint64 // loads done, compute not started
+	computing uint64 // compute running until computeEnd
+	computed  uint64 // compute done (Serial admission gate)
+	complete  uint64 // loads, compute and stores all done
+	nextEnd   uint64 // earliest computeEnd among computing, MaxUint64 if none
+
 	// outstanding tracks in-flight memory requests at cache-line
 	// granularity: several word accesses to one line count as a single
 	// outstanding request (they merge in the cache's MSHR), matching how
@@ -99,6 +145,9 @@ type Accelerator struct {
 	outstanding []lineCount
 
 	startCycle uint64
+	// chargeFrom is the first cycle whose busy-cycle and MLP accounting is
+	// still owed; MaxUint64 until the invocation's first tick.
+	chargeFrom uint64
 
 	model energy.Model
 	meter *energy.Meter
@@ -145,7 +194,12 @@ func (a *Accelerator) outInc(line uint64) {
 // New builds an accelerator and registers it with the engine.
 func New(eng *sim.Engine, name string, cfg Config,
 	model energy.Model, meter *energy.Meter, st *stats.Set) *Accelerator {
+	if cfg.PipelineDepth < 1 || cfg.PipelineDepth > MaxPipelineDepth {
+		sim.Failf(name, eng.Now(), "", "PipelineDepth %d outside 1..%d",
+			cfg.PipelineDepth, MaxPipelineDepth)
+	}
 	a := &Accelerator{name: name, cfg: cfg, eng: eng, model: model, meter: meter,
+		slots:        make([]iterState, cfg.PipelineDepth),
 		cInvocations: st.Counter(name + ".invocations"),
 		cIntOps:      st.Counter(name + ".int_ops"),
 		cFPOps:       st.Counter(name + ".fp_ops"),
@@ -164,10 +218,31 @@ func (a *Accelerator) Name() string { return a.name }
 // Busy reports whether an invocation is running.
 func (a *Accelerator) Busy() bool { return a.inv != nil }
 
-// Idle implements sim.IdleTicker: with no invocation loaded, Tick returns
-// without touching any state, so the engine may fast-forward across the
-// DMA-bound and drain stretches where the datapath sits unused.
-func (a *Accelerator) Idle() bool { return a.inv == nil }
+// Idle implements sim.IdleTicker. The datapath is idle with no invocation
+// loaded, and also while stalled: nothing can be admitted, every in-flight
+// iteration waits on a memory completion, the MLP cap or a compute finish
+// cycle, and the oldest cannot retire. A stalled Tick only counts busy
+// cycles and MLP samples, which settle lazily.
+func (a *Accelerator) Idle() bool {
+	if a.inv == nil {
+		return true
+	}
+	if a.count == 0 || a.ready != 0 || (a.issueLd|a.issueSt)&^a.mlpWait != 0 ||
+		a.complete&1 != 0 {
+		return false
+	}
+	return !a.canAdmit()
+}
+
+// WakeAt implements sim.Waker: a fast-forward must stop at the earliest
+// compute finish cycle, whose tick issues the iteration's stores; the
+// engine steps that cycle even though Idle still reports true.
+func (a *Accelerator) WakeAt(uint64) (uint64, bool) {
+	if a.inv == nil || a.computing == 0 {
+		return 0, false
+	}
+	return a.nextEnd, true
+}
 
 // Start launches an invocation. onDone fires the cycle the last operation
 // retires. The accelerator must be idle.
@@ -178,26 +253,59 @@ func (a *Accelerator) Start(inv *trace.Invocation, port MemPort, onDone func(now
 	a.inv = inv
 	a.port = port
 	a.onDone = onDone
-	a.nextIter = 0
-	a.inflight = a.inflight[:0]
+	a.head, a.count, a.nextIter = 0, 0, 0
+	a.issueLd, a.issueSt, a.mlpWait, a.ready = 0, 0, 0, 0
+	a.computing, a.computed, a.complete = 0, 0, 0
+	a.nextEnd = math.MaxUint64
 	a.outstanding = a.outstanding[:0]
 	a.startCycle = a.eng.Now()
+	a.chargeFrom = math.MaxUint64
 	a.cInvocations.Inc()
 }
 
-// getIter returns a zeroed iterState, reusing a retired one if possible.
-func (a *Accelerator) getIter(idx, computeLeft int) *iterState {
-	var st *iterState
-	if n := len(a.freeIters); n > 0 {
-		st = a.freeIters[n-1]
-		a.freeIters[n-1] = nil
-		a.freeIters = a.freeIters[:n-1]
-		*st = iterState{}
-	} else {
-		st = &iterState{}
+// bit returns st's age bit in the stage bitmaps.
+func (a *Accelerator) bit(st *iterState) uint64 { return 1 << uint(st.idx-a.head) }
+
+// slot returns the iteration at age position k of the window.
+func (a *Accelerator) slot(k int) *iterState {
+	return &a.slots[(a.head+k)%len(a.slots)]
+}
+
+// canAdmit reports whether the next iteration may enter the pipeline. A
+// Serial invocation admits it only once every in-flight iteration's compute
+// has finished (its stores may still be draining).
+func (a *Accelerator) canAdmit() bool {
+	if a.count == len(a.slots) || a.nextIter == len(a.inv.Iterations) {
+		return false
 	}
-	st.idx, st.computeLeft = idx, computeLeft
-	return st
+	return !a.inv.Serial || a.computed == 1<<uint(a.count)-1
+}
+
+// settle charges the owed cycles before end at the current outstanding
+// count: the ticks the engine skipped saw exactly that count, since only a
+// tick or a completion changes it and both settle first.
+func (a *Accelerator) settle(end uint64) {
+	if end <= a.chargeFrom {
+		return
+	}
+	n := end - a.chargeFrom
+	a.busyCycles += n
+	// MLP is averaged over cycles with memory outstanding (the standard
+	// definition; idle-memory compute cycles do not dilute it).
+	if k := uint64(len(a.outstanding)); k > 0 {
+		a.mlpSamples += n
+		a.mlpSum += n * k
+	}
+	a.chargeFrom = end
+}
+
+// owed returns the cycles before the engine's current cycle whose
+// accounting has not been settled yet.
+func (a *Accelerator) owed() uint64 {
+	if now := a.eng.Now(); a.inv != nil && now > a.chargeFrom {
+		return now - a.chargeFrom
+	}
+	return 0
 }
 
 // getCb returns a ready-to-issue completion callback from the pool.
@@ -216,8 +324,8 @@ func (a *Accelerator) getCb(st *iterState, line uint64, load bool) *memCb {
 }
 
 // computeCycles returns how many cycles the compute phase of it occupies,
-// given the datapath widths, and accounts its energy.
-func (a *Accelerator) computeCycles(it *trace.Iteration) int {
+// given the datapath widths.
+func (a *Accelerator) computeCycles(it *trace.Iteration) uint64 {
 	ci := (it.IntOps + a.cfg.IntALUs - 1) / a.cfg.IntALUs
 	cf := 0
 	if it.FPOps > 0 {
@@ -230,116 +338,77 @@ func (a *Accelerator) computeCycles(it *trace.Iteration) int {
 	if c == 0 {
 		c = 1
 	}
-	return c
+	return uint64(c)
 }
 
-// Tick advances the pipeline one cycle.
+// Tick advances the pipeline one cycle: admit, issue loads (oldest
+// iteration first), start and finish compute, issue stores of iterations
+// whose compute is done, retire in order.
 func (a *Accelerator) Tick(now uint64) {
 	if a.inv == nil {
 		return
 	}
-	a.busyCycles++
-	// MLP is averaged over cycles with memory outstanding (the standard
-	// definition; idle-memory compute cycles do not dilute it).
-	if n := len(a.outstanding); n > 0 {
-		a.mlpSamples++
-		a.mlpSum += uint64(n)
+	if a.chargeFrom > now {
+		a.chargeFrom = now // first tick of the invocation
 	}
+	a.settle(now + 1)
 
-	// Admit new iterations into the pipeline. A Serial invocation admits
-	// the next iteration only once every in-flight iteration's compute has
-	// finished (its stores may still be draining).
-	for len(a.inflight) < a.cfg.PipelineDepth && a.nextIter < len(a.inv.Iterations) {
-		if a.inv.Serial && !a.computeDrained() {
-			break
-		}
+	for a.canAdmit() {
 		it := &a.inv.Iterations[a.nextIter]
-		st := a.getIter(a.nextIter, a.computeCycles(it))
+		st := a.slot(a.count)
+		*st = iterState{idx: a.nextIter, it: it, compute: a.computeCycles(it)}
 		if a.meter != nil {
 			a.meter.Add(energy.CatCompute,
 				float64(it.IntOps)*a.model.IntOp+float64(it.FPOps)*a.model.FPOp)
 		}
 		a.cIntOps.Add(int64(it.IntOps))
 		a.cFPOps.Add(int64(it.FPOps))
-		a.inflight = append(a.inflight, st)
+		if len(it.Loads) > 0 {
+			a.issueLd |= 1 << uint(a.count)
+		} else {
+			a.ready |= 1 << uint(a.count)
+		}
+		a.count++
 		a.nextIter++
 	}
 
-	memIssued := 0
+	ports := a.cfg.MemPorts
+	ports -= a.issueStage(&a.issueLd, true, ports)
 
-	// Issue loads (oldest iteration first), then advance compute, then
-	// issue stores of iterations whose compute is done.
-	for _, st := range a.inflight {
-		if memIssued >= a.cfg.MemPorts {
-			break // ports exhausted; no younger iteration can issue
-		}
-		it := &a.inv.Iterations[st.idx]
-		for st.loadsIssued < len(it.Loads) && memIssued < a.cfg.MemPorts {
-			addr := it.Loads[st.loadsIssued]
-			line := uint64(addr) >> 6
-			if a.outFind(line) < 0 && len(a.outstanding) >= a.cfg.MLP {
-				break // a fresh line would exceed the MLP cap
-			}
-			cb := a.getCb(st, line, true)
-			if !a.port.Access(mem.Load, addr, cb.fn) {
-				a.freeCbs = append(a.freeCbs, cb)
-				break // port back-pressure; retry next cycle
-			}
-			a.outInc(line)
-			st.loadsIssued++
-			memIssued++
-			a.cLoads.Inc()
+	// Compute starts the tick that sees the loads done and finishes the
+	// tick compute-1 cycles later, where the stores may issue.
+	for r := a.ready; r != 0; r &= r - 1 {
+		st := a.slot(bits.TrailingZeros64(r))
+		st.computeEnd = now + st.compute - 1
+		if st.computeEnd < a.nextEnd {
+			a.nextEnd = st.computeEnd
 		}
 	}
-
-	for _, st := range a.inflight {
-		it := &a.inv.Iterations[st.idx]
-		if st.loadsDone == len(it.Loads) && st.computeLeft > 0 {
-			st.computeLeft--
-		}
+	a.computing |= a.ready
+	a.ready = 0
+	if a.nextEnd <= now {
+		a.finishCompute(now)
 	}
 
-	for _, st := range a.inflight {
-		if memIssued >= a.cfg.MemPorts {
-			break // ports exhausted; no younger iteration can issue
-		}
-		it := &a.inv.Iterations[st.idx]
-		if st.loadsDone < len(it.Loads) || st.computeLeft > 0 {
-			continue
-		}
-		for st.storesIssued < len(it.Stores) && memIssued < a.cfg.MemPorts {
-			addr := it.Stores[st.storesIssued]
-			line := uint64(addr) >> 6
-			if a.outFind(line) < 0 && len(a.outstanding) >= a.cfg.MLP {
-				break
-			}
-			cb := a.getCb(st, line, false)
-			if !a.port.Access(mem.Store, addr, cb.fn) {
-				a.freeCbs = append(a.freeCbs, cb)
-				break
-			}
-			a.outInc(line)
-			st.storesIssued++
-			memIssued++
-			a.cStores.Inc()
-		}
-	}
+	a.issueStage(&a.issueSt, false, ports)
 
 	// Retire completed iterations from the head of the pipeline (in order).
-	for len(a.inflight) > 0 {
-		st := a.inflight[0]
-		it := &a.inv.Iterations[st.idx]
-		if st.loadsDone == len(it.Loads) && st.computeLeft == 0 &&
-			st.storesDone == len(it.Stores) {
-			a.inflight = a.inflight[1:]
-			a.freeIters = append(a.freeIters, st)
+	if n := bits.TrailingZeros64(^a.complete); n > 0 {
+		for i := 0; i < n; i++ {
 			a.eng.Progress() // an iteration retiring is forward progress
-			continue
 		}
-		break
+		a.head += n
+		a.count -= n
+		a.issueLd >>= uint(n)
+		a.issueSt >>= uint(n)
+		a.mlpWait >>= uint(n)
+		a.ready >>= uint(n)
+		a.computing >>= uint(n)
+		a.computed >>= uint(n)
+		a.complete >>= uint(n)
 	}
 
-	if len(a.inflight) == 0 && a.nextIter == len(a.inv.Iterations) && len(a.outstanding) == 0 {
+	if a.count == 0 && a.nextIter == len(a.inv.Iterations) && len(a.outstanding) == 0 {
 		done := a.onDone
 		a.cCycles.Add(int64(now - a.startCycle))
 		// Emergent MLP in thousandths — the measured counterpart of
@@ -352,19 +421,75 @@ func (a *Accelerator) Tick(now uint64) {
 	}
 }
 
-// computeDrained reports whether every in-flight iteration has finished its
-// loads and compute (Serial admission gate).
-func (a *Accelerator) computeDrained() bool {
-	for _, st := range a.inflight {
-		it := &a.inv.Iterations[st.idx]
-		if st.loadsDone < len(it.Loads) || st.computeLeft > 0 {
-			return false
+// issueStage issues the accesses of the iterations in *stage, oldest
+// first, until ports accesses have gone out, and returns how many did. An
+// iteration stops at port back-pressure (retried next cycle) or at the MLP
+// cap, which parks it in mlpWait until a line retires. The walk re-reads
+// the bitmaps after every iteration, as a completion may run inside Access.
+func (a *Accelerator) issueStage(stage *uint64, load bool, ports int) int {
+	issued := 0
+	for k := 0; issued < ports; k++ {
+		m := (*stage &^ a.mlpWait) >> uint(k)
+		if m == 0 {
+			break
+		}
+		k += bits.TrailingZeros64(m)
+		st := a.slot(k)
+		addrs, next, kind, c := st.it.Stores, &st.storesIssued, mem.Store, a.cStores
+		if load {
+			addrs, next, kind, c = st.it.Loads, &st.loadsIssued, mem.Load, a.cLoads
+		}
+		for *next < len(addrs) && issued < ports {
+			addr := addrs[*next]
+			line := uint64(addr) >> 6
+			if a.outFind(line) < 0 && len(a.outstanding) >= a.cfg.MLP {
+				a.mlpWait |= 1 << uint(k) // a fresh line would exceed the MLP cap
+				break
+			}
+			cb := a.getCb(st, line, load)
+			if !a.port.Access(kind, addr, cb.fn) {
+				a.freeCbs = append(a.freeCbs, cb)
+				break // port back-pressure; retry next cycle
+			}
+			a.outInc(line)
+			*next++
+			issued++
+			c.Inc()
+		}
+		if *next == len(addrs) {
+			*stage &^= 1 << uint(k)
 		}
 	}
-	return true
+	return issued
 }
 
-// release retires one access against its line's outstanding count.
+// finishCompute moves every iteration whose compute ends by now on to its
+// stores (or to complete when it has none) and recomputes nextEnd.
+func (a *Accelerator) finishCompute(now uint64) {
+	a.nextEnd = math.MaxUint64
+	for c := a.computing; c != 0; c &= c - 1 {
+		k := bits.TrailingZeros64(c)
+		st := a.slot(k)
+		if st.computeEnd > now {
+			if st.computeEnd < a.nextEnd {
+				a.nextEnd = st.computeEnd
+			}
+			continue
+		}
+		bit := uint64(1) << uint(k)
+		a.computing &^= bit
+		a.computed |= bit
+		if len(st.it.Stores) > 0 {
+			a.issueSt |= bit
+		} else {
+			a.complete |= bit
+		}
+	}
+}
+
+// release retires one access against its line's outstanding count. A line
+// leaving the window frees an MLP slot, so every iteration parked on the
+// cap may try again.
 func (a *Accelerator) release(line uint64) {
 	i := a.outFind(line)
 	a.outstanding[i].count--
@@ -372,16 +497,23 @@ func (a *Accelerator) release(line uint64) {
 		last := len(a.outstanding) - 1
 		a.outstanding[i] = a.outstanding[last]
 		a.outstanding = a.outstanding[:last]
+		a.mlpWait = 0
 	}
 }
 
 // AvgMLP returns the observed mean outstanding memory requests while busy.
 func (a *Accelerator) AvgMLP() float64 {
-	if a.mlpSamples == 0 {
+	samples, sum := a.mlpSamples, a.mlpSum
+	if k := uint64(len(a.outstanding)); k > 0 {
+		n := a.owed()
+		samples += n
+		sum += n * k
+	}
+	if samples == 0 {
 		return 0
 	}
-	return float64(a.mlpSum) / float64(a.mlpSamples)
+	return float64(sum) / float64(samples)
 }
 
 // BusyCycles returns the cycles spent executing invocations.
-func (a *Accelerator) BusyCycles() uint64 { return a.busyCycles }
+func (a *Accelerator) BusyCycles() uint64 { return a.busyCycles + a.owed() }

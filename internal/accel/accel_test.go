@@ -130,6 +130,12 @@ func TestStoresWaitForLoadsAndCompute(t *testing.T) {
 	if doneAt < 50+2 {
 		t.Fatalf("completed at %d; store must wait for load (50) + compute (2)", doneAt)
 	}
+	// Exactly: the load issues at 0 and returns at 50, compute occupies the
+	// ticks of 50 and 51, the store issues at 51 and returns at 101, where
+	// the iteration retires.
+	if doneAt != 101 {
+		t.Fatalf("completed at %d, want 101", doneAt)
+	}
 }
 
 func TestPipelineOverlapsIterations(t *testing.T) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 )
 
 // PrintTable1 renders the accelerator-characteristics table.
@@ -236,6 +237,7 @@ func (r *Runner) Print(w io.Writer, name string) error {
 		}
 		return nil
 	}
+	var names []string
 	for _, e := range r.All() {
 		if e.Name == name {
 			if err := r.Prefetch(name); err != nil {
@@ -243,6 +245,7 @@ func (r *Runner) Print(w io.Writer, name string) error {
 			}
 			return e.Print(w)
 		}
+		names = append(names, e.Name)
 	}
-	return fmt.Errorf("unknown experiment %q (try: table1 table3 fig6a fig6b fig6c fig6d fig6e table4 table5 fig7 table6 ablate-lease ablate-dma ablate-tiles, or all)", name)
+	return fmt.Errorf("unknown experiment %q (try: %s, or all)", name, strings.Join(names, " "))
 }

@@ -34,8 +34,21 @@ func TestPrintAllExperiments(t *testing.T) {
 
 func TestPrintUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := sharedRunner.Print(&sb, "nope"); err == nil {
+	err := sharedRunner.Print(&sb, "nope")
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	// The hint must offer every artifact Print accepts.
+	offered := map[string]bool{}
+	for _, f := range strings.FieldsFunc(err.Error(), func(r rune) bool {
+		return strings.ContainsRune(" ,():", r)
+	}) {
+		offered[f] = true
+	}
+	for _, e := range sharedRunner.All() {
+		if !offered[e.Name] {
+			t.Errorf("error %q does not offer %q", err, e.Name)
+		}
 	}
 }
 

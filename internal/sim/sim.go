@@ -32,11 +32,15 @@ type Ticker interface {
 
 // IdleTicker is optionally implemented by Tickers that can prove their Tick
 // is a no-op until some scheduled event changes their state. While Idle
-// reports true, Tick must neither mutate state nor observe the passage of
-// cycles (no counters, no timeouts) — the engine is then free to skip the
-// ticker's Tick calls entirely during a quiescence fast-forward. Tickers
-// that do not implement the interface conservatively count as always busy,
-// which disables fast-forwarding for the whole engine.
+// reports true, Tick must not change any state another component can
+// observe — the engine is then free to skip the ticker's Tick calls
+// entirely during a quiescence fast-forward. An idle ticker may still owe
+// per-cycle accounting (a busy-cycle count, an occupancy sample), provided
+// it settles the skipped cycles itself before its state next changes — in
+// its next Tick or in the event callback that changes it — so the totals
+// equal per-cycle stepping. Tickers that do not implement the interface
+// conservatively count as always busy, which disables fast-forwarding for
+// the whole engine.
 type IdleTicker interface {
 	Idle() bool
 }

@@ -404,8 +404,13 @@ func Run(b *workloads.Benchmark, cfg Config) (*Result, error) {
 // or sim.ComponentDeadline, carrying the context error as its cause and the
 // watchdog's diagnostic dump (when one is armed) as its state.
 func RunCtx(ctx context.Context, b *workloads.Benchmark, cfg Config) (*Result, error) {
+	return runOn(ctx, newMachine(), b, cfg)
+}
+
+// runOn is RunCtx on a fresh machine that tests may have fitted with extra
+// tickers (a step-counting probe) before the run assembles the system.
+func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) (*Result, error) {
 	cfg = cfg.normalize()
-	m := newMachine()
 	m.eng.SetIdleSkip(!cfg.NoIdleSkip)
 	if cfg.Scheduler != "" {
 		m.eng.SetScheduler(cfg.Scheduler)
@@ -500,15 +505,6 @@ func RunCtx(ctx context.Context, b *workloads.Benchmark, cfg Config) (*Result, e
 	res.Cycles = m.eng.Now()
 	res.DMABytes = 64 * (m.st.Get("dma.reads") + m.st.Get("dma.writes"))
 	res.DMATransfers = m.st.Get("dma.reads") + m.st.Get("dma.writes")
-	for t := 0; t < 4; t++ {
-		prefix := ""
-		if t > 0 {
-			prefix = fmt.Sprintf("t%d.", t)
-		}
-		for i := 0; i < 8; i++ {
-			res.ForwardedBlocks += m.st.Get(fmt.Sprintf("%sl0x.%d.fwd_out", prefix, i))
-		}
-	}
 
 	// Capture final versions of every program line — including preloaded
 	// inputs no phase touched — for verification.
@@ -978,6 +974,9 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	}
 	if err := m.run(cfg.MaxCycles, outstanding); err != nil {
 		return err
+	}
+	for _, tile := range tiles {
+		res.ForwardedBlocks += tile.ForwardedBlocks()
 	}
 	return drainHost(m, cfg)
 }

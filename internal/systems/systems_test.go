@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"strings"
 	"testing"
 
 	"fusion/internal/workloads"
@@ -83,6 +84,32 @@ func TestDxForwardsBlocks(t *testing.T) {
 		t.Fatal("FUSION-Dx forwarded nothing on FFT")
 	}
 	verifyGolden(t, "fft", res)
+}
+
+// TestForwardedBlocksCountsEveryL0X ties Result.ForwardedBlocks to the
+// counters: it must equal the sum of every L0X's fwd_out, whatever tile or
+// slot the L0X sits in.
+func TestForwardedBlocksCountsEveryL0X(t *testing.T) {
+	for _, tiles := range []int{1, 2} {
+		for _, name := range workloads.Names() {
+			cfg := DefaultConfig(FusionDx)
+			cfg.Tiles = tiles
+			res, err := Run(workloads.Get(name), cfg)
+			if err != nil {
+				t.Fatalf("%s at %d tiles: %v", name, tiles, err)
+			}
+			var sum int64
+			res.Stats.ForEach(func(n string, v int64) {
+				if strings.HasSuffix(n, ".fwd_out") {
+					sum += v
+				}
+			})
+			if res.ForwardedBlocks != sum {
+				t.Errorf("%s at %d tiles: ForwardedBlocks = %d, fwd_out counters sum to %d",
+					name, tiles, res.ForwardedBlocks, sum)
+			}
+		}
+	}
 }
 
 func TestMultiTileSplitIsCorrectAndWorse(t *testing.T) {
