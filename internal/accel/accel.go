@@ -91,7 +91,7 @@ func (cb *memCb) done(now uint64) {
 	// Charge the cycles skipped since the last tick at the outstanding
 	// count they saw, before this completion changes it.
 	a.settle(now)
-	bit := a.bit(st)
+	bit := uint64(1) << uint(st.idx-a.head)
 	if cb.load {
 		st.loadsDone++
 		if st.loadsDone == len(st.it.Loads) {
@@ -262,9 +262,6 @@ func (a *Accelerator) Start(inv *trace.Invocation, port MemPort, onDone func(now
 	a.chargeFrom = math.MaxUint64
 	a.cInvocations.Inc()
 }
-
-// bit returns st's age bit in the stage bitmaps.
-func (a *Accelerator) bit(st *iterState) uint64 { return 1 << uint(st.idx-a.head) }
 
 // slot returns the iteration at age position k of the window.
 func (a *Accelerator) slot(k int) *iterState {
