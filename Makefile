@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet lint test race bench bench-smoke bench-test allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline litmus waivers waivers-baseline clean
+.PHONY: tier1 build vet lint test race bench bench-smoke bench-test allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline results-golden litmus waivers waivers-baseline clean
 
 # tier1 is the gate every change must pass.
 tier1: vet lint build race allocbudget
@@ -86,6 +86,12 @@ cover:
 cover-baseline:
 	$(GO) test -count=1 -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covergate -profile cover.out -baseline COVERAGE_BASELINE -write
+
+# results-golden: refresh internal/systems/testdata/results.golden, the
+# SHA-256 of every system's full report on the paper benchmarks that plain
+# `go test` checks (TestResultsGolden), after a deliberate result change.
+results-golden:
+	$(GO) test ./internal/systems -run '^TestResultsGolden$$' -count=1 -update
 
 # litmus: the directed coherence litmus suite via the CLI (the same cases
 # run as tests in internal/litmus; this prints the per-run table).

@@ -41,7 +41,6 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		benchOt = flag.String("benchout", "", "time each artifact's regeneration and write a JSON report to this file")
 		budget  = flag.String("allocbudget", "", "compare each artifact's allocs/op and bytes/op against this budget JSON; exit nonzero above tolerance")
-		sched   = flag.String("scheduler", "", "event-queue implementation: heap or wheel (default: wheel); artifacts are byte-identical either way")
 	)
 	flag.Parse()
 
@@ -64,13 +63,12 @@ func main() {
 
 	var err error
 	if *budget != "" {
-		err = checkAllocBudget(*budget, *workers, *sched)
+		err = checkAllocBudget(*budget, *workers)
 	} else if *benchOt != "" {
-		err = writeBenchReport(*benchOt, *workers, *sched)
+		err = writeBenchReport(*benchOt, *workers)
 	} else {
 		r := fusion.NewExperiments()
 		r.SetWorkers(*workers)
-		r.SetScheduler(*sched)
 		if *jsonOut {
 			err = r.PrintJSON(os.Stdout, *exp)
 		} else {
@@ -123,14 +121,13 @@ type benchReport struct {
 
 // measureArtifact cold-regenerates one artifact (a fresh runner, so nothing
 // is memoized across entries) and reports its wall clock and heap cost.
-func measureArtifact(name string, workers int, scheduler string) (benchEntry, error) {
+func measureArtifact(name string, workers int) (benchEntry, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	r := fusion.NewExperiments()
 	r.SetWorkers(workers)
-	r.SetScheduler(scheduler)
 	if err := r.Print(io.Discard, name); err != nil {
 		return benchEntry{}, fmt.Errorf("%s: %w", name, err)
 	}
@@ -148,7 +145,7 @@ func measureArtifact(name string, workers int, scheduler string) (benchEntry, er
 // writeBenchReport measures every artifact's cold regeneration cost plus
 // the full-set cost and writes the JSON report. Wall-clock numbers depend
 // on -j and the host; the artifact bytes themselves never do.
-func writeBenchReport(path string, workers int, scheduler string) error {
+func writeBenchReport(path string, workers int) error {
 	report := benchReport{
 		Date:       time.Now().Format("2006-01-02"),
 		GoVersion:  runtime.Version(),
@@ -156,7 +153,7 @@ func writeBenchReport(path string, workers int, scheduler string) error {
 		Workers:    workers,
 	}
 	for _, name := range append(fusion.ExperimentNames(), "all") {
-		e, err := measureArtifact(name, workers, scheduler)
+		e, err := measureArtifact(name, workers)
 		if err != nil {
 			return err
 		}
@@ -192,7 +189,7 @@ type budgetEntry struct {
 // measured allocs/op or bytes/op exceed the budget by more than the
 // tolerance. An improvement well under budget passes (with a hint to
 // ratchet the budget down via -benchout).
-func checkAllocBudget(path string, workers int, scheduler string) error {
+func checkAllocBudget(path string, workers int) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -219,7 +216,7 @@ func checkAllocBudget(path string, workers int, scheduler string) error {
 	tol := 1 + b.TolerancePct/100
 	var failures []string
 	for _, want := range b.Entries {
-		got, err := measureArtifact(want.Name, workers, scheduler)
+		got, err := measureArtifact(want.Name, workers)
 		if err != nil {
 			return err
 		}

@@ -76,7 +76,6 @@ func main() {
 		verify    = flag.Bool("verify", true, "check final memory state against sequential semantics")
 		paranoid  = flag.Bool("paranoid", false, "check protocol invariants every 64 cycles (slower)")
 		watchdog  = flag.Uint64("watchdog", 1_000_000, "halt with a diagnostic dump after this many cycles without forward progress (0 disables)")
-		scheduler = flag.String("scheduler", "", "event-queue implementation: heap or wheel (default: wheel); results are identical either way")
 		deadline  = flag.Duration("deadline", 0, "abort with a structured timeout + diagnostic dump after this much wall time (0 disables)")
 		maxCycles = flag.Uint64("maxcycles", 0, "abort with a structured budget error after this many simulated cycles (0: default budget)")
 		faultSeed = flag.Uint64("faultseed", 0, "inject a random fault plan derived from this seed (0 disables)")
@@ -114,7 +113,7 @@ func main() {
 	}()
 
 	if *litmusArg != "" {
-		runLitmus(*litmusArg, *scheduler)
+		runLitmus(*litmusArg)
 		return
 	}
 
@@ -136,7 +135,6 @@ func main() {
 		cfg.WriteThrough = *wt
 		cfg.Paranoid = *paranoid
 		cfg.WatchdogCycles = *watchdog
-		cfg.Scheduler = *scheduler
 		if *maxCycles > 0 {
 			cfg.MaxCycles = *maxCycles
 		}
@@ -272,12 +270,8 @@ func main() {
 // prints its structured report — every visibility-model violation names
 // the agent, line, cycle, and the write it should have observed — and the
 // process exits 1.
-func runLitmus(name, scheduler string) {
-	var tune []func(*fusion.Config)
-	if scheduler != "" {
-		tune = append(tune, func(cfg *fusion.Config) { cfg.Scheduler = scheduler })
-	}
-	reps, err := fusion.RunLitmus(name, tune...)
+func runLitmus(name string) {
+	reps, err := fusion.RunLitmus(name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "litmus: %v\n", err)
 		os.Exit(2)

@@ -284,8 +284,7 @@ func LitmusCaseNames() []string { return litmus.CaseNames() }
 
 // RunLitmus runs the directed litmus case `name` (or "all") on each of its
 // declared systems, value-checking every recorded load and store against
-// the system's visibility model (see internal/litmus). An optional tune is
-// applied to every run's Config (the CLI's A/B knobs ride in here).
-func RunLitmus(name string, tune ...func(*Config)) ([]*LitmusReport, error) {
-	return litmus.RunNamed(name, tune...)
+// the system's visibility model (see internal/litmus).
+func RunLitmus(name string) ([]*LitmusReport, error) {
+	return litmus.RunNamed(name)
 }

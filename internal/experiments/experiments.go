@@ -51,9 +51,6 @@ func NewRunner() *Runner {
 type Runner struct {
 	// workers bounds the Prefetch worker pool (<=0: GOMAXPROCS).
 	workers int
-	// scheduler overrides the engine event-queue implementation ("" keeps
-	// the default); see SetScheduler.
-	scheduler string
 
 	mu      sync.Mutex
 	results map[string]*runEntry   //guard: mu
@@ -67,12 +64,6 @@ type Runner struct {
 // execution, <=0 restores the GOMAXPROCS default. The choice affects
 // wall-clock time only, never the output.
 func (r *Runner) SetWorkers(n int) { r.workers = n }
-
-// SetScheduler selects the engine event-queue implementation for every run
-// this runner executes (sim.SchedulerHeap or sim.SchedulerWheel; "" keeps
-// the default). The choice affects wall-clock time only, never the output —
-// asserted by systems.TestSchedulerInvariant.
-func (r *Runner) SetScheduler(s string) { r.scheduler = s }
 
 // SimRuns reports how many simulations the runner has actually executed
 // (memoized hits excluded).
@@ -109,9 +100,6 @@ func runKey(name string, cfg systems.Config) string {
 // share one execution. Failures carry the originating cell's short label
 // ("bench/system") as a *systems.SweepError wrapping the underlying error.
 func (r *Runner) Run(name string, cfg systems.Config) (*systems.Result, error) {
-	if r.scheduler != "" && cfg.Scheduler == "" {
-		cfg.Scheduler = r.scheduler
-	}
 	key := runKey(name, cfg)
 	r.mu.Lock()
 	e, ok := r.results[key]

@@ -142,9 +142,7 @@ func report(name string, kind systems.Kind, b *workloads.Benchmark,
 
 // RunNamed runs the directed case `name` (or every case for "all") on each
 // of its declared systems and returns one report per (case, system) pair.
-// An optional tune is applied to every run's config (after the case's own
-// Tune) — the CLI's A/B knobs, e.g. the scheduler choice, ride in here.
-func RunNamed(name string, tune ...func(*systems.Config)) ([]*Report, error) {
+func RunNamed(name string) ([]*Report, error) {
 	var cases []*Case
 	if name == "all" {
 		cases = Cases()
@@ -155,15 +153,10 @@ func RunNamed(name string, tune ...func(*systems.Config)) ([]*Report, error) {
 		}
 		cases = []*Case{c}
 	}
-	mutate := func(cfg *systems.Config) {
-		for _, t := range tune {
-			t(cfg)
-		}
-	}
 	var out []*Report
 	for _, c := range cases {
 		for _, kind := range c.Systems {
-			rep, err := RunCase(c, kind, mutate)
+			rep, err := RunCase(c, kind, nil)
 			if err != nil {
 				return out, err
 			}

@@ -93,9 +93,9 @@ func TestZeroDelayFIFODuringEventPhase(t *testing.T) {
 // after an event runs, no backing array (heap slots or wheel buckets)
 // still references its closure.
 func TestPopZeroesSlot(t *testing.T) {
-	for _, kind := range []string{SchedulerHeap, SchedulerWheel} {
+	for _, sc := range schedulers {
 		e := NewEngine()
-		e.SetScheduler(kind)
+		e.sched = sc.new()
 		for i := 0; i < 4; i++ {
 			e.Schedule(0, func(uint64) {})
 		}
@@ -103,7 +103,7 @@ func TestPopZeroesSlot(t *testing.T) {
 		checkSlice := func(q []event, where string) {
 			for i := range q[:cap(q)] {
 				if ev := q[:cap(q)][i]; ev.fn != nil {
-					t.Fatalf("%s: %s slot %d still references a retired closure", kind, where, i)
+					t.Fatalf("%s: %s slot %d still references a retired closure", sc.name, where, i)
 				}
 			}
 		}

@@ -165,30 +165,10 @@ type Engine struct {
 	interruptErr   error
 }
 
-// NewEngine returns an engine with the clock at cycle 0, using the default
-// time-wheel scheduler (see SetScheduler).
+// NewEngine returns an engine with the clock at cycle 0, using the
+// time-wheel scheduler (O(1) push/pop through a calendar of cycle buckets).
 func NewEngine() *Engine {
 	return &Engine{sched: newWheelScheduler()}
-}
-
-// SetScheduler selects the event-queue implementation: SchedulerWheel (the
-// default — O(1) push/pop through a calendar of cycle buckets) or
-// SchedulerHeap (the reference binary heap). The two are observationally
-// identical; the knob exists for A/B validation and as an escape hatch.
-// It must be called before any event is scheduled.
-func (e *Engine) SetScheduler(kind string) {
-	if e.sched.len() != 0 {
-		Failf("sim.engine", e.now, "", "SetScheduler(%q) with %d events pending", kind, e.sched.len())
-	}
-	switch kind {
-	case SchedulerHeap:
-		e.sched = &heapScheduler{}
-	case SchedulerWheel:
-		e.sched = newWheelScheduler()
-	default:
-		Failf("sim.engine", e.now, "", "unknown scheduler %q (want %q or %q)", kind, SchedulerHeap, SchedulerWheel)
-	}
-	e.sched.advance(e.now)
 }
 
 // Now returns the current cycle.
@@ -311,7 +291,7 @@ func (e *Engine) Progress() {
 // manual Step loops retain strict per-cycle semantics.
 func (e *Engine) Step() {
 	// Let the scheduler catch up with the clock (the wheel promotes
-	// overflow events that entered the near horizon; the heap ignores it).
+	// overflow events that entered the near horizon).
 	e.sched.advance(e.now)
 	// Event phase: drain everything scheduled for the current cycle,
 	// including events scheduled with zero delay while draining.

@@ -2,11 +2,11 @@ package sim
 
 import "math/bits"
 
-// scheduler is the event-queue abstraction behind the engine. Two
-// implementations exist: the monomorphic binary heap (SchedulerHeap) and a
-// hierarchical time-wheel (SchedulerWheel, the default). Both order events
-// by (at, seq) — absolute cycle, then schedule order — so they are
-// observationally identical; the A/B knob exists to prove it.
+// scheduler is the event-queue abstraction behind the engine: the
+// hierarchical time-wheel below. It orders events by (at, seq) — absolute
+// cycle, then schedule order. The interface is the seam that lets the
+// differential tests swap in the reference binary heap (heapScheduler, in
+// heap_test.go) and require identical firing logs.
 type scheduler interface {
 	// push inserts an event. ev.at must not be in the past (the engine's
 	// Schedule* entry points enforce this).
@@ -23,38 +23,6 @@ type scheduler interface {
 	// decreases across calls.
 	advance(now uint64)
 }
-
-// Scheduler knob values accepted by Engine.SetScheduler.
-const (
-	SchedulerHeap  = "heap"
-	SchedulerWheel = "wheel"
-)
-
-// heapScheduler adapts the monomorphic eventHeap to the scheduler
-// interface. It is the reference implementation: O(log n) push/pop, O(1)
-// peek, no notion of a clock (advance is a no-op).
-type heapScheduler struct {
-	h eventHeap
-}
-
-func (s *heapScheduler) push(ev event) { s.h.push(ev) }
-
-func (s *heapScheduler) popDue(now uint64) (event, bool) {
-	if len(s.h) == 0 || s.h[0].at > now {
-		return event{}, false
-	}
-	return s.h.pop(), true
-}
-
-func (s *heapScheduler) next() (uint64, bool) {
-	if len(s.h) == 0 {
-		return 0, false
-	}
-	return s.h[0].at, true
-}
-
-func (s *heapScheduler) len() int       { return len(s.h) }
-func (s *heapScheduler) advance(uint64) {}
 
 // Time-wheel geometry. The near wheel covers wheelSize consecutive cycles
 // at one bucket per cycle; events at or beyond the horizon wait in a

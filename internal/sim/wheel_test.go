@@ -180,18 +180,18 @@ func (d *diffTicker) schedule(now uint64, depth int) {
 func TestHeapWheelDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		logs := map[string][]string{}
-		for _, kind := range []string{SchedulerHeap, SchedulerWheel} {
+		for _, sc := range schedulers {
 			e := NewEngine()
-			e.SetScheduler(kind)
+			e.sched = sc.new()
 			var log []string
 			e.Register(&diffTicker{eng: e, rng: rand.New(rand.NewSource(seed)), log: &log})
 			e.Run(20*wheelSize, nil)
 			if e.Pending() != 0 {
-				t.Fatalf("seed %d %s: %d events still pending", seed, kind, e.Pending())
+				t.Fatalf("seed %d %s: %d events still pending", seed, sc.name, e.Pending())
 			}
-			logs[kind] = log
+			logs[sc.name] = log
 		}
-		h, w := logs[SchedulerHeap], logs[SchedulerWheel]
+		h, w := logs["heap"], logs["wheel"]
 		if len(h) == 0 {
 			t.Fatalf("seed %d: empty firing log", seed)
 		}

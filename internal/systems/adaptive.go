@@ -21,7 +21,6 @@ package systems
 
 import (
 	"fmt"
-	"sort"
 
 	"fusion/internal/acc"
 	"fusion/internal/energy"
@@ -130,58 +129,19 @@ func runAdaptive(m *machine, b *workloads.Benchmark, cfg Config, res *Result) er
 	if err != nil {
 		return err
 	}
-	n := b.Program.NumAXCs()
 
 	// One tile collocating every AXC (the paper's placement; the Tiles
 	// knob is a FUSION-specific ablation and is ignored here).
-	var tcfg acc.TileConfig
-	spadCfg := scratchpad.Config{SizeBytes: 4 << 10, AccessLat: 1,
-		AccessPJ: m.model.ScratchSmall}
-	if cfg.Large {
-		tcfg = acc.LargeTileConfig(n, m.model)
-		spadCfg = scratchpad.Config{SizeBytes: 8 << 10, AccessLat: 1,
-			AccessPJ: m.model.ScratchLarge}
-	} else {
-		tcfg = acc.SmallTileConfig(n, m.model)
-	}
-	tcfg.Agent = tileAgent
-	tcfg.PID = m.pid
-	tcfg.L0X.WriteThrough = cfg.WriteThrough
-	tcfg.Injector = m.inj
-	tile := acc.NewTile(m.eng, m.fab, m.pt, tcfg, m.model, m.mt, m.st)
-	if cfg.Tracer != nil {
-		tile.SetTracer(cfg.Tracer)
-	}
-	if cfg.Observer != nil {
-		tile.SetObserver(cfg.Observer)
-	}
-	if cfg.AccMutations != nil {
-		tile.SetMutations(cfg.AccMutations)
-	}
-	if m.paranoid != nil {
-		m.paranoid.tiles = []*acc.Tile{tile}
-	}
-	if m.wd != nil {
-		m.wd.AddDump("tile0", tile.DumpState)
-	}
-
+	tile := newTile(m, cfg, 0, b.Program.NumAXCs())
 	dma := scratchpad.NewDMA(m.fab, dmaAgent, cfg.DMAOutstanding, cfg.DMAGap, m.st)
 	axcs := accelFor(m, b)
-	ids := make([]int, 0, len(axcs))
-	for axc := range axcs {
-		ids = append(ids, axc)
-	}
-	sort.Ints(ids)
-	pads := make(map[int]*scratchpad.Scratchpad)
-	ports := make(map[int]*uncachedPort)
+	pads := newPads(m, cfg, axcs)
+	live := newLiveSet(b)
+	ports := make([]*uncachedPort, len(axcs))
 	cUncached := m.st.Counter("adaptive.uncached.accesses")
-	for _, axc := range ids {
-		pads[axc] = scratchpad.New(m.eng, fmt.Sprintf("spad%d", axc), spadCfg, m.mt, m.st)
-		if cfg.Observer != nil {
-			pads[axc].SetObserver(cfg.Observer)
-		}
-		if cfg.PadMutations != nil {
-			pads[axc].SetMutations(cfg.PadMutations)
+	for axc, ax := range axcs {
+		if ax == nil {
+			continue
 		}
 		ports[axc] = &uncachedPort{m: m, dma: dma,
 			name:      fmt.Sprintf("uncached%d", axc),
@@ -197,113 +157,64 @@ func runAdaptive(m *machine, b *workloads.Benchmark, cfg Config, res *Result) er
 	}
 
 	// lastToucher feeds the sharing counter: which agent (AXC id, or the
-	// host) touched each line most recently in an earlier phase. live
-	// feeds the scratchpad oracle exactly as in runScratch.
+	// host) touched each line most recently in an earlier phase.
 	lastToucher := make(map[mem.VAddr]int)
-	live := make(map[mem.VAddr]bool)
 	for _, va := range b.InputLines {
 		lastToucher[va.LineAddr()] = hostToucher
-		live[va.LineAddr()] = true
-	}
-	markTouched := func(inv *trace.Invocation, who int) {
-		lines, w := inv.Lines()
-		for _, la := range lines {
-			lastToucher[la] = who
-		}
-		for la := range w {
-			live[la] = true
-		}
 	}
 
-	var sticky Placement
-	haveSticky := false
-
-	for i := range b.Program.Phases {
-		ph := &b.Program.Phases[i]
-		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
-		}
-		if ph.Kind == trace.PhaseHost {
-			if err := runHostPhase(m, &ph.Inv, cfg, res); err != nil {
-				return err
+	var (
+		prof       TaskProfile
+		place      Placement
+		sticky     Placement
+		haveSticky bool
+	)
+	err = runPhases(m, b, cfg, res, phaseHooks{
+		// The placement check is charged before the phase's marks, so a
+		// phase's energy excludes it.
+		prepare: func(inv *trace.Invocation) {
+			prof = profileTask(inv, cfg.DecisionWindow,
+				pads[inv.AXC].CapacityLines(), lastToucher)
+			place = pol.Place(prof)
+			if cfg.PolicyMutations != nil && cfg.PolicyMutations.StickyPlacement {
+				if haveSticky {
+					place = sticky
+				} else {
+					sticky, haveSticky = place, true
+				}
 			}
-			markTouched(&ph.Inv, hostToucher)
-			continue
-		}
-
-		ax := axcs[ph.Inv.AXC]
-		prof := profileTask(&ph.Inv, cfg.DecisionWindow,
-			pads[ph.Inv.AXC].CapacityLines(), lastToucher)
-		place := pol.Place(prof)
-		if cfg.PolicyMutations != nil && cfg.PolicyMutations.StickyPlacement {
-			if haveSticky {
-				place = sticky
-			} else {
-				sticky, haveSticky = place, true
+			m.mt.Add(energy.CatPolicy, m.model.PolicyCheck)
+			cPlace[place].Inc()
+		},
+		exec: func(_ int, inv *trace.Invocation) (uint64, error) {
+			ax := axcs[inv.AXC]
+			var err error
+			switch place {
+			case PlaceScratch:
+				return runScratchWindows(m, cfg, ax, pads[inv.AXC], dma, inv, live)
+			case PlaceUncached:
+				err = m.await(cfg.MaxCycles, func(done func(uint64)) { ax.Start(inv, ports[inv.AXC], done) })
+				if err != nil {
+					err = fmt.Errorf("%s uncached: %w", inv.Function, err)
+				}
+			case PlaceL0X:
+				err = runL0X(m, cfg, ax, tile.L0Xs[inv.AXC], inv)
 			}
-		}
-		m.mt.Add(energy.CatPolicy, m.model.PolicyCheck)
-		cPlace[place].Inc()
-
-		c0 := m.eng.Now()
-		e0 := m.mt.Total()
-		var dmaCycles uint64
-		switch place {
-		case PlaceScratch:
-			dc, err := runScratchWindows(m, cfg, ax, pads[ph.Inv.AXC], dma, &ph.Inv, live)
-			if err != nil {
-				return err
+			return 0, err
+		},
+		after: func(inv *trace.Invocation, r PhaseResult) {
+			if r.AXC >= 0 {
+				pol.Observe(prof, place, r.Cycles)
 			}
-			dmaCycles = dc
-		case PlaceUncached:
-			fired := false
-			ax.Start(&ph.Inv, ports[ph.Inv.AXC], func(uint64) { fired = true })
-			if err := m.run(cfg.MaxCycles, func() bool { return fired }); err != nil {
-				return fmt.Errorf("%s uncached: %w", ph.Inv.Function, err)
+			lines, _ := inv.Lines()
+			for _, la := range lines {
+				lastToucher[la] = r.AXC // hostToucher for a host phase
 			}
-		case PlaceL0X:
-			l0 := tile.L0Xs[ph.Inv.AXC]
-			l0.SetLeaseTime(scaleLease(ph.Inv.LeaseTime, cfg.LeaseScale))
-			l0.ClearForwards()
-			fired := false
-			ax.Start(&ph.Inv, l0, func(uint64) { fired = true })
-			if err := m.run(cfg.MaxCycles, func() bool { return fired }); err != nil {
-				return fmt.Errorf("%s: %w", ph.Inv.Function, err)
-			}
-			l0.Drain()
-		}
-		pol.Observe(prof, place, m.eng.Now()-c0)
-		markTouched(&ph.Inv, ph.Inv.AXC)
-		res.record(ph.Inv.Function, ph.Inv.AXC, m.eng.Now()-c0, dmaCycles,
-			m.mt.Total()-e0)
-	}
-
-	// Drain the tile completely: let leases lapse, flush the L1X — the
-	// same quiescence dance as runFusion.
-	tile.Drain()
-	outstanding := func() bool { return tile.Outstanding() == 0 }
-	if err := m.run(cfg.MaxCycles, outstanding); err != nil {
+			live.add(inv)
+		},
+	})
+	if err != nil {
 		return err
 	}
-	maxLease := uint64(0)
-	fns := make([]string, 0, len(b.LeaseTimes))
-	for fn := range b.LeaseTimes {
-		fns = append(fns, fn)
-	}
-	sort.Strings(fns)
-	for _, fn := range fns {
-		if lt := scaleLease(b.LeaseTimes[fn], cfg.LeaseScale); lt > maxLease {
-			maxLease = lt
-		}
-	}
-	idleUntil := m.eng.Now() + maxLease + 64
-	for m.eng.Now() < idleUntil {
-		m.eng.Progress()
-		m.eng.Step()
-	}
-	tile.L1X.FlushAll()
-	if err := m.run(cfg.MaxCycles, outstanding); err != nil {
-		return err
-	}
-	return drainHost(m, cfg)
+	return drainTiles(m, b, cfg, []*acc.Tile{tile})
 }

@@ -72,8 +72,7 @@ func runOnce(t *testing.T, name string, kind Kind) string {
 // enough" cannot pass — summation order differences change the bits.
 func TestRunsAreBitIdentical(t *testing.T) {
 	const bench = "adpcm"
-	for _, kind := range []Kind{Scratch, Shared, Fusion, FusionDx} {
-		kind := kind
+	for _, kind := range Kinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			first := runOnce(t, bench, kind)
 			second := runOnce(t, bench, kind)

@@ -24,15 +24,17 @@ func (p *stepProbe) Tick(uint64)  { p.steps++ }
 func (p *stepProbe) Idle() bool   { return true }
 
 // runProbed runs b under cfg with a stepProbe and returns the result and the
-// number of cycles the engine stepped.
-func runProbed(t *testing.T, b *workloads.Benchmark, cfg Config) (*Result, uint64) {
+// number of cycles the engine stepped. skip=false forces the engine to step
+// every cycle.
+func runProbed(t *testing.T, b *workloads.Benchmark, cfg Config, skip bool) (*Result, uint64) {
 	t.Helper()
 	m := newMachine()
+	m.eng.SetIdleSkip(skip)
 	p := &stepProbe{}
 	m.eng.Register(p)
 	res, err := runOn(context.Background(), m, b, cfg)
 	if err != nil {
-		t.Fatalf("%s on %v (NoIdleSkip=%v): %v", b.Program.Name, cfg.Kind, cfg.NoIdleSkip, err)
+		t.Fatalf("%s on %v (idle skip %v): %v", b.Program.Name, cfg.Kind, skip, err)
 	}
 	return res, p.steps
 }
@@ -48,17 +50,11 @@ func TestIdleSkipInvariant(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			for _, b := range benches {
 				t.Run(b.Program.Name, func(t *testing.T) {
-					skipped, skippedSteps := runProbed(t, b, DefaultConfig(kind))
-					cfg := DefaultConfig(kind)
-					cfg.NoIdleSkip = true
-					stepped, steps := runProbed(t, b, cfg)
+					skipped, skippedSteps := runProbed(t, b, DefaultConfig(kind), true)
+					stepped, steps := runProbed(t, b, DefaultConfig(kind), false)
 					if steps != stepped.Cycles {
 						t.Errorf("stepped run ticked %d of %d cycles", steps, stepped.Cycles)
 					}
-					// The configs differ only in the skip knob, which is not
-					// part of the simulated machine; blank it before comparing.
-					skipped.Config.NoIdleSkip = false
-					stepped.Config.NoIdleSkip = false
 					skip, step := renderResult(skipped), renderResult(stepped)
 					if skip != step {
 						t.Fatalf("idle-skip changed the %v report:\nskip:\n%s\nstep:\n%s",
@@ -76,7 +72,7 @@ func TestIdleSkipInvariant(t *testing.T) {
 // FUSION, disp's datapath spends most of its time waiting on L0X/L1X
 // completions, and the engine must jump those cycles rather than step them.
 func TestIdleSkipStalledDatapath(t *testing.T) {
-	res, steps := runProbed(t, workloads.Get("disp"), DefaultConfig(Fusion))
+	res, steps := runProbed(t, workloads.Get("disp"), DefaultConfig(Fusion), true)
 	if steps*2 > res.Cycles {
 		t.Fatalf("stepped %d of %d cycles; a stalled datapath must not pin the engine to stepping",
 			steps, res.Cycles)

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"fusion/internal/faults"
-	"fusion/internal/sim"
 	"fusion/internal/workloads"
 )
 
@@ -39,8 +38,6 @@ type Spec struct {
 	DMAOutstanding int          `json:"dma_outstanding,omitempty"`
 	DMAGap         uint64       `json:"dma_gap,omitempty"`
 	WatchdogCycles uint64       `json:"watchdog_cycles,omitempty"`
-	NoIdleSkip     bool         `json:"no_idle_skip,omitempty"`
-	Scheduler      string       `json:"scheduler,omitempty"`
 	Policy         string       `json:"policy,omitempty"`
 	DecisionWindow int          `json:"decision_window,omitempty"`
 	DeadlineCycles uint64       `json:"deadline_cycles,omitempty"`
@@ -84,8 +81,6 @@ func SpecOf(bench string, cfg Config) Spec {
 		DMAOutstanding: cfg.DMAOutstanding,
 		DMAGap:         cfg.DMAGap,
 		WatchdogCycles: cfg.WatchdogCycles,
-		NoIdleSkip:     cfg.NoIdleSkip,
-		Scheduler:      cfg.Scheduler,
 		Policy:         cfg.Policy,
 		DecisionWindow: cfg.DecisionWindow,
 		DeadlineCycles: cfg.DeadlineCycles,
@@ -123,14 +118,10 @@ func (s Spec) Normalized() Spec {
 	if out.DMAGap == 0 {
 		out.DMAGap = dmaControllerGap
 	}
-	// The scheduler knob does not change results, so the default stays
-	// implicit ("" rather than "wheel") and pre-knob spec hashes remain
-	// valid cache keys.
-	out.Scheduler = strings.ToLower(strings.TrimSpace(out.Scheduler))
-	// The adaptive/hydra knobs likewise stay implicit when defaulted
-	// ("" rather than "heuristic", 0 rather than DefaultDecisionWindow):
-	// their defaults are applied at the use site, so pre-knob spec hashes
-	// of the other systems remain valid cache keys.
+	// The adaptive/hydra knobs stay implicit when defaulted ("" rather
+	// than "heuristic", 0 rather than DefaultDecisionWindow): their
+	// defaults are applied at the use site, so pre-knob spec hashes of the
+	// other systems remain valid cache keys.
 	out.Policy = strings.ToLower(strings.TrimSpace(out.Policy))
 	if out.Faults != nil {
 		if !out.Faults.Enabled() {
@@ -143,18 +134,12 @@ func (s Spec) Normalized() Spec {
 	return out
 }
 
-// Validate reports whether the spec names a known benchmark, system,
-// scheduler, and policy.
+// Validate reports whether the spec names a known benchmark, system, and
+// policy.
 func (s Spec) Validate() error {
 	if _, ok := ParseKind(s.System); !ok {
 		return fmt.Errorf("spec: unknown system %q (valid: %s)",
 			s.System, strings.Join(KindNames(), ", "))
-	}
-	switch strings.ToLower(strings.TrimSpace(s.Scheduler)) {
-	case "", sim.SchedulerHeap, sim.SchedulerWheel:
-	default:
-		return fmt.Errorf("spec: unknown scheduler %q (valid: %s, %s)",
-			s.Scheduler, sim.SchedulerHeap, sim.SchedulerWheel)
 	}
 	switch strings.ToLower(strings.TrimSpace(s.Policy)) {
 	case "", "heuristic", "learned":
@@ -190,8 +175,6 @@ func (s Spec) Config() (Config, error) {
 		DMAOutstanding: n.DMAOutstanding,
 		DMAGap:         n.DMAGap,
 		WatchdogCycles: n.WatchdogCycles,
-		NoIdleSkip:     n.NoIdleSkip,
-		Scheduler:      n.Scheduler,
 		Policy:         n.Policy,
 		DecisionWindow: n.DecisionWindow,
 		DeadlineCycles: n.DeadlineCycles,

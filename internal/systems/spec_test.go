@@ -48,7 +48,6 @@ func TestSpecKeySeparatesDistinctRuns(t *testing.T) {
 		{Bench: "adpcm", System: "fusion", DMAOutstanding: 4},
 		{Bench: "adpcm", System: "fusion", DMAGap: 4},
 		{Bench: "adpcm", System: "fusion", WatchdogCycles: 99},
-		{Bench: "adpcm", System: "fusion", NoIdleSkip: true},
 		{Bench: "adpcm", System: "fusion",
 			Faults: func() *faults.Plan { p := faults.RandomPlan(7); return &p }()},
 	}

@@ -165,18 +165,6 @@ type Config struct {
 	// many cycles, the run halts with a diagnostic dump naming the stuck
 	// component. Zero disables the watchdog.
 	WatchdogCycles uint64
-	// NoIdleSkip forces per-cycle stepping, disabling the engine's
-	// quiescence fast-forward. Results are identical either way (asserted
-	// by TestIdleSkipInvariant); the knob exists for that A/B check and for
-	// benchmarking the skip itself.
-	NoIdleSkip bool
-	// Scheduler selects the engine's event-queue implementation:
-	// sim.SchedulerWheel (the default hierarchical time-wheel) or
-	// sim.SchedulerHeap (the reference binary heap). The two are
-	// observationally equivalent (asserted by TestSchedulerInvariant); the
-	// knob exists for that A/B check and for benchmarking the wheel itself.
-	// Empty means the default.
-	Scheduler string
 	// Policy selects the ADAPTIVE placement policy: "heuristic" (the
 	// default, also selected by "") or "learned". Other systems ignore it.
 	Policy string
@@ -411,10 +399,6 @@ func RunCtx(ctx context.Context, b *workloads.Benchmark, cfg Config) (*Result, e
 // tickers (a step-counting probe) before the run assembles the system.
 func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) (*Result, error) {
 	cfg = cfg.normalize()
-	m.eng.SetIdleSkip(!cfg.NoIdleSkip)
-	if cfg.Scheduler != "" {
-		m.eng.SetScheduler(cfg.Scheduler)
-	}
 	res := &Result{
 		Benchmark:   b.Program.Name,
 		System:      cfg.Kind.String(),
@@ -494,6 +478,14 @@ func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) 
 	default:
 		err = fmt.Errorf("unknown system %v", cfg.Kind)
 	}
+	if err == nil {
+		// The host L1 may cache output lines it wrote; flush it so
+		// FinalVersions see everything.
+		m.hostL1.FlushAll()
+		err = m.run(cfg.MaxCycles, func() bool {
+			return m.hostL1.Outstanding() == 0 && m.eng.Pending() == 0
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -541,30 +533,27 @@ func (res *Result) OnChipPJ() float64 {
 }
 
 // record appends a phase result and aggregates per function.
-func (res *Result) record(fn string, axc int, cycles, dmaCycles uint64, pj float64) {
-	res.Phases = append(res.Phases, PhaseResult{
-		Function: fn, AXC: axc, Cycles: cycles, EnergyPJ: pj, DMACycles: dmaCycles})
-	agg := res.PerFunction[fn]
+func (res *Result) record(r PhaseResult) {
+	res.Phases = append(res.Phases, r)
+	agg := res.PerFunction[r.Function]
 	if agg == nil {
-		agg = &PhaseResult{Function: fn, AXC: axc}
-		res.PerFunction[fn] = agg
+		agg = &PhaseResult{Function: r.Function, AXC: r.AXC}
+		res.PerFunction[r.Function] = agg
 	}
-	agg.Cycles += cycles
-	agg.EnergyPJ += pj
-	agg.DMACycles += dmaCycles
-	res.DMACycles += dmaCycles
+	agg.Cycles += r.Cycles
+	agg.EnergyPJ += r.EnergyPJ
+	agg.DMACycles += r.DMACycles
+	res.DMACycles += r.DMACycles
 }
 
 // accelFor builds one accelerator per AXC with the per-function MLP of
-// Table 1.
-func accelFor(m *machine, b *workloads.Benchmark) map[int]*accel.Accelerator {
-	out := make(map[int]*accel.Accelerator)
+// Table 1, indexed by AXC id (nil for an id no phase uses). Accelerators
+// are built in order of first use.
+func accelFor(m *machine, b *workloads.Benchmark) []*accel.Accelerator {
+	out := make([]*accel.Accelerator, b.Program.NumAXCs())
 	for i := range b.Program.Phases {
 		ph := &b.Program.Phases[i]
-		if ph.Kind != trace.PhaseAccel {
-			continue
-		}
-		if _, ok := out[ph.Inv.AXC]; ok {
+		if ph.Kind != trace.PhaseAccel || out[ph.Inv.AXC] != nil {
 			continue
 		}
 		cfg := accel.DefaultConfig()
@@ -581,40 +570,97 @@ func accelFor(m *machine, b *workloads.Benchmark) map[int]*accel.Accelerator {
 	return out
 }
 
-// runHostPhase executes a host phase to completion.
-func runHostPhase(m *machine, inv *trace.Invocation, cfg Config, res *Result) error {
-	e0 := m.mt.Total()
-	c0 := m.eng.Now()
-	fired := false
-	m.core.Start(inv, m.translate, func(uint64) { fired = true })
-	if err := m.run(cfg.MaxCycles, func() bool { return fired }); err != nil {
-		return fmt.Errorf("host phase %s: %w", inv.Function, err)
+// phaseHooks is what a system supplies to runPhases: where an accelerator
+// phase's data lives and how the phase runs. The system's state (ports,
+// pads, tiles, policy) lives in the closures. exec is required; prepare and
+// after are optional.
+type phaseHooks struct {
+	// prepare sets up an accelerator phase before its cycle and energy
+	// marks are taken, so work it charges is not part of the phase's result.
+	prepare func(inv *trace.Invocation)
+	// exec runs accelerator phase i to completion and returns the cycles it
+	// spent in DMA transfers.
+	exec func(i int, inv *trace.Invocation) (dmaCycles uint64, err error)
+	// after sees every completed phase, host (AXC -1) or accelerator, with
+	// its recorded result.
+	after func(inv *trace.Invocation, r PhaseResult)
+}
+
+// runPhases runs the program's phases in order on every system: it marks
+// each phase's epoch for the observer, runs host phases on the host core
+// and accelerator phases through h, and records every phase's cycles and
+// energy.
+func runPhases(m *machine, b *workloads.Benchmark, cfg Config, res *Result, h phaseHooks) error {
+	for i := range b.Program.Phases {
+		ph := &b.Program.Phases[i]
+		inv := &ph.Inv
+		if cfg.Observer != nil {
+			cfg.Observer.Epoch(i, m.eng.Now())
+		}
+		host := ph.Kind == trace.PhaseHost
+		if !host && h.prepare != nil {
+			h.prepare(inv)
+		}
+		r := PhaseResult{Function: inv.Function, AXC: -1}
+		c0, e0 := m.eng.Now(), m.mt.Total()
+		if host {
+			err := m.await(cfg.MaxCycles, func(done func(uint64)) { m.core.Start(inv, m.translate, done) })
+			if err != nil {
+				return fmt.Errorf("host phase %s: %w", inv.Function, err)
+			}
+		} else {
+			r.AXC = inv.AXC
+			var err error
+			if r.DMACycles, err = h.exec(i, inv); err != nil {
+				return err
+			}
+		}
+		r.Cycles, r.EnergyPJ = m.eng.Now()-c0, m.mt.Total()-e0
+		res.record(r)
+		if h.after != nil {
+			h.after(inv, r)
+		}
 	}
-	res.record(inv.Function, -1, m.eng.Now()-c0, 0, m.mt.Total()-e0)
 	return nil
+}
+
+// await calls start with a completion callback and runs the engine until
+// that callback fires.
+func (m *machine) await(max uint64, start func(done func(uint64))) error {
+	fired := false
+	start(func(uint64) { fired = true })
+	return m.run(max, func() bool { return fired })
 }
 
 // ---------------------------------------------------------------- SCRATCH
 
 func runScratch(m *machine, b *workloads.Benchmark, cfg Config, res *Result) error {
-	model := m.model
-	spadCfg := scratchpad.Config{SizeBytes: 4 << 10, AccessLat: 1,
-		AccessPJ: model.ScratchSmall}
-	if cfg.Large {
-		spadCfg = scratchpad.Config{SizeBytes: 8 << 10, AccessLat: 1,
-			AccessPJ: model.ScratchLarge}
-	}
 	dma := scratchpad.NewDMA(m.fab, dmaAgent, cfg.DMAOutstanding, cfg.DMAGap, m.st)
 	axcs := accelFor(m, b)
-	// Construct scratchpads in sorted AXC order so engine registration and
-	// stats insertion order are identical run to run.
-	ids := make([]int, 0, len(axcs))
-	for axc := range axcs {
-		ids = append(ids, axc)
+	pads := newPads(m, cfg, axcs)
+	live := newLiveSet(b)
+	return runPhases(m, b, cfg, res, phaseHooks{
+		exec: func(_ int, inv *trace.Invocation) (uint64, error) {
+			return runScratchWindows(m, cfg, axcs[inv.AXC], pads[inv.AXC], dma, inv, live)
+		},
+		after: func(inv *trace.Invocation, _ PhaseResult) { live.add(inv) },
+	})
+}
+
+// newPads builds a scratchpad for every accelerator in axcs, indexed like
+// it, and wires the run's observer and mutations into each.
+func newPads(m *machine, cfg Config, axcs []*accel.Accelerator) []*scratchpad.Scratchpad {
+	spadCfg := scratchpad.Config{SizeBytes: 4 << 10, AccessLat: 1,
+		AccessPJ: m.model.ScratchSmall}
+	if cfg.Large {
+		spadCfg = scratchpad.Config{SizeBytes: 8 << 10, AccessLat: 1,
+			AccessPJ: m.model.ScratchLarge}
 	}
-	sort.Ints(ids)
-	pads := make(map[int]*scratchpad.Scratchpad)
-	for _, axc := range ids {
+	pads := make([]*scratchpad.Scratchpad, len(axcs))
+	for axc, ax := range axcs {
+		if ax == nil {
+			continue
+		}
 		pads[axc] = scratchpad.New(m.eng, fmt.Sprintf("spad%d", axc), spadCfg, m.mt, m.st)
 		if cfg.Observer != nil {
 			pads[axc].SetObserver(cfg.Observer)
@@ -623,47 +669,28 @@ func runScratch(m *machine, b *workloads.Benchmark, cfg Config, res *Result) err
 			pads[axc].SetMutations(cfg.PadMutations)
 		}
 	}
+	return pads
+}
 
-	// live tracks lines holding earlier-produced data: the oracle must
-	// DMA-in a stored line when the store only partially overwrites it.
-	live := make(map[mem.VAddr]bool)
+// liveSet tracks lines holding earlier-produced data: the scratchpad oracle
+// must DMA-in a stored line when the store only partially overwrites it.
+type liveSet map[mem.VAddr]bool
+
+// newLiveSet starts with the program's preloaded inputs live.
+func newLiveSet(b *workloads.Benchmark) liveSet {
+	live := make(liveSet)
 	for _, va := range b.InputLines {
 		live[va.LineAddr()] = true
 	}
+	return live
+}
 
-	for i := range b.Program.Phases {
-		ph := &b.Program.Phases[i]
-		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
-		}
-		if ph.Kind == trace.PhaseHost {
-			if err := runHostPhase(m, &ph.Inv, cfg, res); err != nil {
-				return err
-			}
-			_, w := ph.Inv.Lines()
-			for la := range w {
-				live[la] = true
-			}
-			continue
-		}
-		ax := axcs[ph.Inv.AXC]
-		pad := pads[ph.Inv.AXC]
-		phaseStart := m.eng.Now()
-		e0 := m.mt.Total()
-		dmaCycles, err := runScratchWindows(m, cfg, ax, pad, dma, &ph.Inv, live)
-		if err != nil {
-			return err
-		}
-		_, w := ph.Inv.Lines()
-		for la := range w {
-			live[la] = true
-		}
-		res.record(ph.Inv.Function, ph.Inv.AXC, m.eng.Now()-phaseStart, dmaCycles,
-			m.mt.Total()-e0)
+// add marks every line a completed phase wrote as live.
+func (l liveSet) add(inv *trace.Invocation) {
+	_, w := inv.Lines()
+	for la := range w {
+		l[la] = true
 	}
-	// Host L1 may cache output lines it wrote; flush so FinalVersions see
-	// everything.
-	return drainHost(m, cfg)
 }
 
 // runScratchWindows executes one invocation through a scratchpad in
@@ -672,7 +699,7 @@ func runScratch(m *machine, b *workloads.Benchmark, cfg Config, res *Result) err
 // behind DMA. Shared by SCRATCH and by ADAPTIVE's scratchpad placement.
 func runScratchWindows(m *machine, cfg Config, ax *accel.Accelerator,
 	pad *scratchpad.Scratchpad, dma *scratchpad.DMA, inv *trace.Invocation,
-	live map[mem.VAddr]bool) (uint64, error) {
+	live liveSet) (uint64, error) {
 	windows := scratchpad.Windows(inv, pad.CapacityLines(), live)
 	var dmaCycles uint64
 	for _, w := range windows {
@@ -697,9 +724,7 @@ func runScratchWindows(m *machine, cfg Config, ax *accel.Accelerator,
 			AXC:        inv.AXC,
 			Iterations: inv.Iterations[w.Start:w.End],
 		}
-		fired := false
-		ax.Start(&sub, pad, func(uint64) { fired = true })
-		if err := m.run(cfg.MaxCycles, func() bool { return fired }); err != nil {
+		if err := m.await(cfg.MaxCycles, func(done func(uint64)) { ax.Start(&sub, pad, done) }); err != nil {
 			return dmaCycles, fmt.Errorf("%s window exec: %w", inv.Function, err)
 		}
 
@@ -754,14 +779,17 @@ func (p *sharedPort) Access(kind mem.AccessKind, va mem.VAddr, done func(uint64)
 		return p.client.Access(kind, pa, done)
 	}
 	// TLB miss: pay the walk, then access. The slot is consumed either way.
-	p.eng.Schedule(walk, func(uint64) {
-		for !p.client.Access(kind, pa, done) {
-			// Extremely rare: MSHR full right after a walk; spin via retry.
-			p.eng.Schedule(2, func(uint64) { p.Access(kind, va, done) })
-			return
-		}
-	})
+	p.eng.Schedule(walk, func(uint64) { p.issue(kind, pa, done) })
 	return true
+}
+
+// issue hands a translated access to the L1X after a TLB walk, retrying
+// every 2 cycles while its MSHRs are full. The access already paid for its
+// switch crossing and translation, so a retry repeats neither.
+func (p *sharedPort) issue(kind mem.AccessKind, pa mem.PAddr, done func(uint64)) {
+	if !p.client.Access(kind, pa, done) {
+		p.eng.Schedule(2, func(uint64) { p.issue(kind, pa, done) })
+	}
 }
 
 func runShared(m *machine, b *workloads.Benchmark, cfg Config, res *Result) error {
@@ -795,34 +823,21 @@ func runShared(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	}
 	axcs := accelFor(m, b)
 
-	for i := range b.Program.Phases {
-		ph := &b.Program.Phases[i]
-		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
-		}
-		if ph.Kind == trace.PhaseHost {
-			if err := runHostPhase(m, &ph.Inv, cfg, res); err != nil {
-				return err
+	err := runPhases(m, b, cfg, res, phaseHooks{
+		exec: func(_ int, inv *trace.Invocation) (uint64, error) {
+			err := m.await(cfg.MaxCycles, func(done func(uint64)) { axcs[inv.AXC].Start(inv, port, done) })
+			if err != nil {
+				return 0, fmt.Errorf("%s: %w", inv.Function, err)
 			}
-			continue
-		}
-		ax := axcs[ph.Inv.AXC]
-		c0 := m.eng.Now()
-		e0 := m.mt.Total()
-		fired := false
-		ax.Start(&ph.Inv, port, func(uint64) { fired = true })
-		if err := m.run(cfg.MaxCycles, func() bool { return fired }); err != nil {
-			return fmt.Errorf("%s: %w", ph.Inv.Function, err)
-		}
-		res.record(ph.Inv.Function, ph.Inv.AXC, m.eng.Now()-c0, 0, m.mt.Total()-e0)
-	}
-
-	// Flush the tile cache so outputs land in the LLC, then the host L1.
-	client.FlushAll()
-	if err := m.run(cfg.MaxCycles, func() bool { return client.Outstanding() == 0 }); err != nil {
+			return 0, nil
+		},
+	})
+	if err != nil {
 		return err
 	}
-	return drainHost(m, cfg)
+	// Flush the tile cache so outputs land in the LLC.
+	client.FlushAll()
+	return m.run(cfg.MaxCycles, func() bool { return client.Outstanding() == 0 })
 }
 
 // ---------------------------------------------------------------- FUSION
@@ -845,97 +860,106 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 			perTile[t] = localOf(axc) + 1
 		}
 	}
-
 	tiles := make([]*acc.Tile, nTiles)
-	for t := 0; t < nTiles; t++ {
-		var tcfg acc.TileConfig
-		if cfg.Large {
-			tcfg = acc.LargeTileConfig(perTile[t], m.model)
-		} else {
-			tcfg = acc.SmallTileConfig(perTile[t], m.model)
-		}
-		tcfg.Agent = tileAgent + mesi.AgentID(t)
-		tcfg.PID = m.pid
-		tcfg.EnableDx = cfg.Kind == FusionDx
-		tcfg.L0X.WriteThrough = cfg.WriteThrough
-		tcfg.Injector = m.inj
-		if t > 0 {
-			tcfg.StatPrefix = fmt.Sprintf("t%d.", t)
-			m.addTileRoutes(tcfg.Agent, fmt.Sprintf("hostlink.tile%d", t))
-		}
-		tiles[t] = acc.NewTile(m.eng, m.fab, m.pt, tcfg, m.model, m.mt, m.st)
-		if cfg.Kind == Hydra {
-			tiles[t].L1X.EnableBypassFilter(hydraBypassThreshold, m.model.PolicyCheck)
-		}
-		if cfg.Tracer != nil {
-			tiles[t].SetTracer(cfg.Tracer)
-		}
-		if cfg.Observer != nil {
-			tiles[t].SetObserver(cfg.Observer)
-		}
-		if cfg.AccMutations != nil {
-			tiles[t].SetMutations(cfg.AccMutations)
-		}
-	}
-	if m.paranoid != nil {
-		m.paranoid.tiles = tiles
-	}
-	if m.wd != nil {
-		for t, tile := range tiles {
-			tile := tile
-			m.wd.AddDump(fmt.Sprintf("tile%d", t), tile.DumpState)
-		}
+	for t := range tiles {
+		tiles[t] = newTile(m, cfg, t, perTile[t])
 	}
 	axcs := accelFor(m, b)
 
-	for i := range b.Program.Phases {
-		ph := &b.Program.Phases[i]
-		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
-		}
-		if ph.Kind == trace.PhaseHost {
-			if err := runHostPhase(m, &ph.Inv, cfg, res); err != nil {
-				return err
+	err := runPhases(m, b, cfg, res, phaseHooks{
+		exec: func(i int, inv *trace.Invocation) (uint64, error) {
+			tile := tiles[tileOf(inv.AXC)]
+			l0 := tile.L0Xs[localOf(inv.AXC)]
+
+			// HYDRA: arm the task deadline. Fills requested after it passes
+			// bypass L1X allocation (the deadline term of the filter).
+			if cfg.Kind == Hydra && cfg.DeadlineCycles > 0 {
+				tile.L1X.SetDeadline(m.eng.Now() + cfg.DeadlineCycles)
 			}
-			continue
-		}
-		ax := axcs[ph.Inv.AXC]
-		tile := tiles[tileOf(ph.Inv.AXC)]
-		l0 := tile.L0Xs[localOf(ph.Inv.AXC)]
-		l0.SetLeaseTime(scaleLease(ph.Inv.LeaseTime, cfg.LeaseScale))
 
-		// HYDRA: arm the task deadline. Fills requested after it passes
-		// bypass L1X allocation (the deadline term of the filter).
-		if cfg.Kind == Hydra && cfg.DeadlineCycles > 0 {
-			tile.L1X.SetDeadline(m.eng.Now() + cfg.DeadlineCycles)
-		}
-
-		// FUSION-Dx: install the trace-derived forwarding table for this
-		// producer phase (Section 3.2). Forwarding links exist only within
-		// a tile; cross-tile consumers fall back to the L1X writeback.
-		l0.ClearForwards()
-		if cfg.Kind == FusionDx {
-			if f, ok := b.Forwards[i]; ok && tileOf(f.Consumer) == tileOf(ph.Inv.AXC) {
-				for _, la := range f.Lines {
-					l0.MarkForward(la, acc.AXCID(localOf(f.Consumer)))
+			// FUSION-Dx: install the trace-derived forwarding table for this
+			// producer phase (Section 3.2). Forwarding links exist only within
+			// a tile; cross-tile consumers fall back to the L1X writeback.
+			l0.ClearForwards()
+			if cfg.Kind == FusionDx {
+				if f, ok := b.Forwards[i]; ok && tileOf(f.Consumer) == tileOf(inv.AXC) {
+					for _, la := range f.Lines {
+						l0.MarkForward(la, acc.AXCID(localOf(f.Consumer)))
+					}
 				}
 			}
-		}
-
-		c0 := m.eng.Now()
-		e0 := m.mt.Total()
-		fired := false
-		ax.Start(&ph.Inv, l0, func(uint64) { fired = true })
-		if err := m.run(cfg.MaxCycles, func() bool { return fired }); err != nil {
-			return fmt.Errorf("%s: %w", ph.Inv.Function, err)
-		}
-		// Invocation end: self-eviction drains dirty lines (and triggers
-		// any forwards).
-		l0.Drain()
-		res.record(ph.Inv.Function, ph.Inv.AXC, m.eng.Now()-c0, 0, m.mt.Total()-e0)
+			return 0, runL0X(m, cfg, axcs[inv.AXC], l0, inv)
+		},
+	})
+	if err != nil {
+		return err
 	}
+	if err := drainTiles(m, b, cfg, tiles); err != nil {
+		return err
+	}
+	for _, tile := range tiles {
+		res.ForwardedBlocks += tile.ForwardedBlocks()
+	}
+	return nil
+}
 
-	// Drain the tiles completely: let leases lapse, flush the L1Xs.
+// newTile builds tile t with nAXCs L0X slots and wires the run's tracer,
+// observer, mutations, paranoid checker and watchdog dump into it. Tiles
+// after the first get their own stat prefix and host routes.
+func newTile(m *machine, cfg Config, t, nAXCs int) *acc.Tile {
+	var tcfg acc.TileConfig
+	if cfg.Large {
+		tcfg = acc.LargeTileConfig(nAXCs, m.model)
+	} else {
+		tcfg = acc.SmallTileConfig(nAXCs, m.model)
+	}
+	tcfg.Agent = tileAgent + mesi.AgentID(t)
+	tcfg.PID = m.pid
+	tcfg.EnableDx = cfg.Kind == FusionDx
+	tcfg.L0X.WriteThrough = cfg.WriteThrough
+	tcfg.Injector = m.inj
+	if t > 0 {
+		tcfg.StatPrefix = fmt.Sprintf("t%d.", t)
+		m.addTileRoutes(tcfg.Agent, fmt.Sprintf("hostlink.tile%d", t))
+	}
+	tile := acc.NewTile(m.eng, m.fab, m.pt, tcfg, m.model, m.mt, m.st)
+	if cfg.Kind == Hydra {
+		tile.L1X.EnableBypassFilter(hydraBypassThreshold, m.model.PolicyCheck)
+	}
+	if cfg.Tracer != nil {
+		tile.SetTracer(cfg.Tracer)
+	}
+	if cfg.Observer != nil {
+		tile.SetObserver(cfg.Observer)
+	}
+	if cfg.AccMutations != nil {
+		tile.SetMutations(cfg.AccMutations)
+	}
+	if m.paranoid != nil {
+		m.paranoid.tiles = append(m.paranoid.tiles, tile)
+	}
+	if m.wd != nil {
+		m.wd.AddDump(fmt.Sprintf("tile%d", t), tile.DumpState)
+	}
+	return tile
+}
+
+// runL0X runs inv on ax through its L0X under the function's lease, then
+// self-evicts the L0X at invocation end, draining its dirty lines (and
+// triggering any forwards). Shared by the FUSION family and by ADAPTIVE's
+// L0X placement.
+func runL0X(m *machine, cfg Config, ax *accel.Accelerator, l0 *acc.L0X, inv *trace.Invocation) error {
+	l0.SetLeaseTime(scaleLease(inv.LeaseTime, cfg.LeaseScale))
+	if err := m.await(cfg.MaxCycles, func(done func(uint64)) { ax.Start(inv, l0, done) }); err != nil {
+		return fmt.Errorf("%s: %w", inv.Function, err)
+	}
+	l0.Drain()
+	return nil
+}
+
+// drainTiles empties the tiles at the end of a run: self-evict every L0X,
+// let every lease lapse, then flush the L1Xs so the LLC holds every output.
+func drainTiles(m *machine, b *workloads.Benchmark, cfg Config, tiles []*acc.Tile) error {
 	outstanding := func() bool {
 		for _, tile := range tiles {
 			if tile.Outstanding() > 0 {
@@ -972,13 +996,7 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	for _, tile := range tiles {
 		tile.L1X.FlushAll()
 	}
-	if err := m.run(cfg.MaxCycles, outstanding); err != nil {
-		return err
-	}
-	for _, tile := range tiles {
-		res.ForwardedBlocks += tile.ForwardedBlocks()
-	}
-	return drainHost(m, cfg)
+	return m.run(cfg.MaxCycles, outstanding)
 }
 
 // invariantChecker is the paranoid-mode ticker: it sweeps the ACC protocol
@@ -1029,14 +1047,6 @@ func scaleLease(lt uint64, scale float64) uint64 {
 		s = 1
 	}
 	return s
-}
-
-// drainHost flushes the host L1 and waits for quiescence.
-func drainHost(m *machine, cfg Config) error {
-	m.hostL1.FlushAll()
-	return m.run(cfg.MaxCycles, func() bool {
-		return m.hostL1.Outstanding() == 0 && m.eng.Pending() == 0
-	})
 }
 
 // ExpectedVersions computes the golden final version of every line under
