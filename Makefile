@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet lint test race bench bench-smoke bench-test allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline results-golden litmus waivers waivers-baseline clean
+.PHONY: tier1 build vet lint test race bench bench-smoke bench-test bench-pairs allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline results-golden litmus waivers waivers-baseline clean
 
 # tier1 is the gate every change must pass.
 tier1: vet lint build race allocbudget
@@ -43,6 +43,18 @@ bench-smoke: allocbudget
 bench-test:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# bench-pairs: measure the working tree against PARENT with fusionperf —
+# PAIRS alternating parent/change runs of WORKLOAD at SEED, each side built
+# in its own directory under $TMPDIR — and print `fusionperf -compare`.
+# The results files are kept under $TMPDIR; nothing is written in the
+# checkout.
+PARENT ?= HEAD
+WORKLOAD ?= fusion-cells
+SEED ?= 1
+PAIRS ?= 10
+bench-pairs:
+	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # allocbudget: regenerate the budgeted artifacts and fail if any one's
 # allocs/op or bytes/op exceeds BENCH_BUDGET.json by more than its

@@ -11,6 +11,9 @@
 package host
 
 import (
+	"math"
+	"math/bits"
+
 	"fusion/internal/mem"
 	"fusion/internal/mesi"
 	"fusion/internal/sim"
@@ -41,20 +44,11 @@ const (
 	opStore
 )
 
-type opState uint8
-
-const (
-	opWaiting opState = iota // dependencies not satisfied
-	opReady                  // may issue
-	opIssued                 // in flight
-	opDone
-)
-
 type hostOp struct {
-	kind  opKind
-	addr  mem.VAddr
-	iter  int
-	state opState
+	kind opKind
+	addr mem.VAddr
+	iter int
+	done bool
 }
 
 // Core HandleEvent opcodes.
@@ -76,10 +70,12 @@ type memCb struct {
 func (cb *memCb) done(uint64) {
 	c := cb.c
 	op := &c.ops[cb.idx]
-	op.state = opDone
+	op.done = true
 	if cb.load {
-		c.loadsLeft[op.iter]--
 		c.inLQ--
+		if c.loadsLeft[op.iter]--; c.loadsLeft[op.iter] == 0 {
+			c.loadsDone(op.iter)
+		}
 	} else {
 		c.inSQ--
 	}
@@ -104,13 +100,28 @@ type Core struct {
 	inLQ     int
 	inSQ     int
 
-	// iterLoads tracks outstanding loads per iteration for dependence.
+	// iterStart[i] is the index of iteration i's first op: its loads, then
+	// its int and FP ops, then its stores. loadsLeft and computeLeft track
+	// each iteration's outstanding dependences.
+	iterStart   []int
 	loadsLeft   []int
 	computeLeft []int
 
+	// ready holds one bit per op, set while the op is dispatched, not yet
+	// issued, and has its dependences met: a load once dispatched, an int
+	// or FP op once its iteration's loads are done, a store once its
+	// iteration's loads and compute are done. Every set bit lies in
+	// [head, dispatch). readyALU, readyLd and readySt count the set bits
+	// by kind.
+	ready                      []uint64
+	readyALU, readyLd, readySt int
+
 	freeCbs []*memCb
 
-	busy uint64
+	// busy counts the cycles a phase has been loaded; chargeFrom is the
+	// first cycle not yet counted, MaxUint64 until the phase's first tick.
+	busy       uint64
+	chargeFrom uint64
 
 	cPhases    *stats.Counter
 	cLoads     *stats.Counter
@@ -136,10 +147,22 @@ func (c *Core) Name() string { return c.name }
 // Busy reports whether a phase is executing.
 func (c *Core) Busy() bool { return c.inv != nil }
 
-// Idle implements sim.IdleTicker: with no phase loaded, Tick returns
-// without touching any state, so accelerator-phase and DMA stretches can
-// be fast-forwarded past the host core.
-func (c *Core) Idle() bool { return c.inv == nil }
+// Idle implements sim.IdleTicker. The core is idle with no phase loaded,
+// and also while stalled: nothing can dispatch, the head cannot commit, no
+// int or FP op is ready, and every ready load or store waits on a full LQ
+// or SQ. A ready access with queue room keeps the core busy, so L1 MSHR
+// back-pressure still retries every cycle. A stalled Tick only counts a
+// busy cycle, which settles lazily.
+func (c *Core) Idle() bool {
+	if c.inv == nil {
+		return true
+	}
+	if c.head == len(c.ops) || c.head < c.dispatch && c.ops[c.head].done ||
+		c.dispatch < len(c.ops) && c.inROB < c.cfg.ROB || c.readyALU > 0 {
+		return false
+	}
+	return (c.readyLd == 0 || c.inLQ >= c.cfg.LQ) && (c.readySt == 0 || c.inSQ >= c.cfg.SQ)
+}
 
 // Start begins executing a host phase. translate maps the program's virtual
 // addresses to physical ones (the host L1 is physically addressed). onDone
@@ -152,10 +175,12 @@ func (c *Core) Start(inv *trace.Invocation, translate func(mem.VAddr) mem.PAddr,
 	c.translate = translate
 	c.onDone = onDone
 	c.ops = c.ops[:0]
+	c.iterStart = resize(c.iterStart, len(inv.Iterations))
 	c.loadsLeft = resize(c.loadsLeft, len(inv.Iterations))
 	c.computeLeft = resize(c.computeLeft, len(inv.Iterations))
 	for i := range inv.Iterations {
 		it := &inv.Iterations[i]
+		c.iterStart[i] = len(c.ops)
 		for _, a := range it.Loads {
 			c.ops = append(c.ops, hostOp{kind: opLoad, addr: a, iter: i})
 		}
@@ -171,17 +196,21 @@ func (c *Core) Start(inv *trace.Invocation, translate func(mem.VAddr) mem.PAddr,
 		c.loadsLeft[i] = len(it.Loads)
 		c.computeLeft[i] = it.IntOps + it.FPOps
 	}
+	c.ready = resize(c.ready, (len(c.ops)+63)/64)
+	clear(c.ready)
+	c.readyALU, c.readyLd, c.readySt = 0, 0, 0
 	c.head, c.dispatch, c.inROB, c.inLQ, c.inSQ = 0, 0, 0, 0, 0
+	c.chargeFrom = math.MaxUint64
 	c.cPhases.Inc()
 }
 
 // resize returns s with length n, reusing capacity (contents undefined; the
 // caller overwrites every element).
-func resize(s []int, n int) []int {
+func resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int, n)
+	return make([]T, n)
 }
 
 // HandleEvent retires compute ops (closure-free events).
@@ -189,9 +218,77 @@ func (c *Core) HandleEvent(now uint64, op uint8, arg uint64) {
 	switch op {
 	case opHostComputeDone:
 		o := &c.ops[arg]
-		o.state = opDone
-		c.computeLeft[o.iter]--
+		o.done = true
+		if c.computeLeft[o.iter]--; c.computeLeft[o.iter] == 0 {
+			c.computeDone(o.iter)
+		}
 	}
+}
+
+// markReady sets the ready bits of the dispatched ops in [lo, hi) and
+// returns how many it set. Ops past the dispatch point get their bit when
+// they dispatch.
+func (c *Core) markReady(lo, hi int) int {
+	hi = min(hi, c.dispatch)
+	for i := lo; i < hi; i++ {
+		c.ready[i>>6] |= 1 << (i & 63)
+	}
+	return max(hi-lo, 0)
+}
+
+// loadsDone readies iteration it's compute ops, and its stores when it has
+// no compute, once its last load completes.
+func (c *Core) loadsDone(it int) {
+	its := &c.inv.Iterations[it]
+	ci := c.iterStart[it] + len(its.Loads)
+	n := its.IntOps + its.FPOps
+	c.readyALU += c.markReady(ci, ci+n)
+	if n == 0 {
+		c.computeDone(it)
+	}
+}
+
+// computeDone readies iteration it's stores once its loads and compute are
+// all done.
+func (c *Core) computeDone(it int) {
+	its := &c.inv.Iterations[it]
+	si := c.iterStart[it] + len(its.Loads) + its.IntOps + its.FPOps
+	c.readySt += c.markReady(si, si+len(its.Stores))
+}
+
+// dispatchOne moves op i into the ROB, setting its ready bit if its
+// dependences are already met.
+func (c *Core) dispatchOne(i int) {
+	op := &c.ops[i]
+	switch {
+	case op.kind == opLoad:
+		c.readyLd++
+	case c.loadsLeft[op.iter] != 0:
+		return
+	case op.kind == opStore:
+		if c.computeLeft[op.iter] != 0 {
+			return
+		}
+		c.readySt++
+	default:
+		c.readyALU++
+	}
+	c.ready[i>>6] |= 1 << (i & 63)
+}
+
+// nextReady returns the first ready op at index i or later, or dispatch if
+// there is none.
+func (c *Core) nextReady(i int) int {
+	for w := i >> 6; w<<6 < c.dispatch; w++ {
+		m := c.ready[w]
+		if w == i>>6 {
+			m &^= 1<<(i&63) - 1
+		}
+		if m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return c.dispatch
 }
 
 // getCb returns a ready-to-issue L1 completion callback from the pool.
@@ -209,58 +306,46 @@ func (c *Core) getCb(idx int, load bool) *memCb {
 	return cb
 }
 
-// ready reports whether op's dependencies are satisfied: loads are always
-// ready; compute waits on its iteration's loads; stores wait on loads and
-// compute.
-func (c *Core) ready(op *hostOp) bool {
-	switch op.kind {
-	case opLoad:
-		return true
-	case opInt, opFP:
-		return c.loadsLeft[op.iter] == 0
-	default:
-		return c.loadsLeft[op.iter] == 0 && c.computeLeft[op.iter] == 0
-	}
-}
-
 // Tick advances the pipeline.
 func (c *Core) Tick(now uint64) {
 	if c.inv == nil {
 		return
 	}
-	c.busy++
+	if c.chargeFrom > now {
+		c.chargeFrom = now // first tick of the phase
+	}
+	c.busy += now + 1 - c.chargeFrom
+	c.chargeFrom = now + 1
 
 	// Dispatch into the ROB.
 	for n := 0; n < c.cfg.Width && c.dispatch < len(c.ops) && c.inROB < c.cfg.ROB; n++ {
+		c.dispatchOne(c.dispatch)
 		c.dispatch++
 		c.inROB++
 	}
 
-	// Issue: walk the ROB window oldest-first, respecting per-cycle
+	// Issue: walk the ready ops oldest-first, respecting per-cycle
 	// functional-unit and queue limits.
 	alu, fpu, memOps := c.cfg.IntALUs, c.cfg.FPUs, c.cfg.Width
-	for i := c.head; i < c.dispatch; i++ {
-		if alu == 0 && fpu == 0 && memOps == 0 {
+	for i := c.head; alu != 0 || fpu != 0 || memOps != 0; i++ {
+		if i = c.nextReady(i); i == c.dispatch {
 			break
 		}
 		op := &c.ops[i]
-		if op.state != opWaiting || !c.ready(op) {
-			continue
-		}
 		switch op.kind {
 		case opInt:
 			if alu == 0 {
 				continue
 			}
 			alu--
-			op.state = opIssued
+			c.readyALU--
 			c.eng.ScheduleCall(1, c, opHostComputeDone, uint64(i))
 		case opFP:
 			if fpu == 0 {
 				continue
 			}
 			fpu--
-			op.state = opIssued
+			c.readyALU--
 			c.eng.ScheduleCall(3, c, opHostComputeDone, uint64(i))
 		case opLoad:
 			if memOps == 0 || c.inLQ >= c.cfg.LQ {
@@ -274,7 +359,7 @@ func (c *Core) Tick(now uint64) {
 			}
 			memOps--
 			c.inLQ++
-			op.state = opIssued
+			c.readyLd--
 			c.cLoads.Inc()
 		case opStore:
 			if memOps == 0 || c.inSQ >= c.cfg.SQ {
@@ -288,14 +373,15 @@ func (c *Core) Tick(now uint64) {
 			}
 			memOps--
 			c.inSQ++
-			op.state = opIssued
+			c.readySt--
 			c.cStores.Inc()
 		}
+		c.ready[i>>6] &^= 1 << (i & 63)
 	}
 
 	// Commit in order.
 	for n := 0; n < c.cfg.Width && c.head < c.dispatch; n++ {
-		if c.ops[c.head].state != opDone {
+		if !c.ops[c.head].done {
 			break
 		}
 		c.head++
@@ -313,5 +399,11 @@ func (c *Core) Tick(now uint64) {
 	}
 }
 
-// BusyCycles returns cycles spent executing host phases.
-func (c *Core) BusyCycles() uint64 { return c.busy }
+// BusyCycles returns cycles spent executing host phases, including the
+// cycles a stalled core was skipped over and has not counted yet.
+func (c *Core) BusyCycles() uint64 {
+	if now := c.eng.Now(); c.inv != nil && now > c.chargeFrom {
+		return c.busy + now - c.chargeFrom
+	}
+	return c.busy
+}

@@ -1,0 +1,211 @@
+package host
+
+// Equivalence of the ready-bitmap core under the engine's fast-forward: a
+// host phase run with eng.Run (which skips the cycles a stalled core
+// reports idle) must report exactly what a manual eng.Step loop (which
+// never skips) reports, refused L1 accesses included.
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"fusion/internal/dram"
+	"fusion/internal/energy"
+	"fusion/internal/mem"
+	"fusion/internal/mesi"
+	"fusion/internal/sim"
+	"fusion/internal/stats"
+	"fusion/internal/trace"
+	"fusion/internal/vm"
+)
+
+// randomIters builds n iterations of 0-4 loads over a few dozen lines, so
+// some hit and some merge in the L1's MSHRs, with 0-11 integer ops, 0-5
+// floating-point ops and 0-2 stores each.
+func randomIters(seed int64, n int) []trace.Iteration {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]trace.Iteration, n)
+	for i := range out {
+		for j := rng.Intn(5); j > 0; j-- {
+			out[i].Loads = append(out[i].Loads, mem.VAddr(rng.Intn(40)*64+rng.Intn(8)*8))
+		}
+		out[i].IntOps = rng.Intn(12)
+		out[i].FPOps = rng.Intn(6)
+		for j := rng.Intn(3); j > 0; j-- {
+			out[i].Stores = append(out[i].Stores, mem.VAddr((64+rng.Intn(24))*64))
+		}
+	}
+	return out
+}
+
+// fpIters builds n iterations of one load, fp floating-point ops and one
+// store.
+func fpIters(n, fp int) []trace.Iteration {
+	out := seqIters(n, 1, 0, 1)
+	for i := range out {
+		out[i].FPOps = fp
+	}
+	return out
+}
+
+// coreSampler is an always-idle ticker, registered ahead of the core, that
+// counts the cycles the engine steps and those it steps with a phase
+// loaded. Under per-cycle stepping the latter is an independent reference
+// for BusyCycles.
+type coreSampler struct {
+	c           *Core
+	steps, busy uint64
+}
+
+func (p *coreSampler) Name() string { return "sampler" }
+func (p *coreSampler) Idle() bool   { return true }
+
+func (p *coreSampler) Tick(uint64) {
+	p.steps++
+	if p.c.inv != nil {
+		p.busy++
+	}
+}
+
+// hostCase is one host phase, run twice (the second time over a warm L1),
+// on a core and L1 configuration.
+type hostCase struct {
+	name  string
+	cfg   Config
+	mshrs int // L1 MSHRs; 0 keeps the default
+	inv   trace.Invocation
+	skips bool // the fast-forward must skip at least half the first phase
+}
+
+// hostReport is everything the two phases expose.
+type hostReport struct {
+	doneAt, midBusy, busy [2]uint64 // per phase; midBusy read mid-phase
+	firstSteps            uint64    // cycles stepped during the first phase
+	refused               int64     // L1 accesses refused for a full MSHR
+	counters, pj          string
+	probe                 coreSampler
+}
+
+// runHost runs tc's phase twice, by eng.Run when skip is set and by a
+// manual Step loop otherwise, reading BusyCycles once mid-phase.
+func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
+	t.Helper()
+	const mid, limit = 41, 1 << 22
+	eng := sim.NewEngine()
+	probe := &coreSampler{}
+	eng.Register(probe)
+	st, mt, model := stats.NewSet(), energy.NewMeter(), energy.Default()
+	fab := mesi.NewFabric(eng, mt, st)
+	d := dram.New(eng, dram.DefaultConfig(), model, mt, st)
+	mesi.NewDirectory(fab, mesi.DefaultDirConfig(), d, model, mt, st)
+	l1cfg := mesi.DefaultHostL1Config(model)
+	if tc.mshrs > 0 {
+		l1cfg.MSHRs = tc.mshrs
+	}
+	l1 := mesi.NewClient(fab, 1, l1cfg, model, mt, st)
+	c := New(eng, "hostcore", tc.cfg, l1, st)
+	probe.c = c
+	pt := vm.NewPageTable()
+	translate := func(va mem.VAddr) mem.PAddr { return pt.Translate(1, va) }
+	advance := func(until uint64, pred func() bool) {
+		if skip {
+			eng.Run(until-eng.Now(), pred)
+			return
+		}
+		for eng.Now() < until && (pred == nil || !pred()) {
+			eng.Step()
+		}
+	}
+	var r hostReport
+	for ph := 0; ph < 2; ph++ {
+		fired := false
+		c.Start(&tc.inv, translate, func(now uint64) {
+			r.doneAt[ph], fired = now, true
+			if ph == 0 {
+				r.firstSteps = probe.steps
+			}
+		})
+		advance(eng.Now()+mid, nil)
+		r.midBusy[ph] = c.BusyCycles()
+		advance(limit, func() bool { return fired })
+		if !fired {
+			t.Fatalf("phase %d never completed (skip=%v)", ph, skip)
+		}
+		r.busy[ph] = c.BusyCycles()
+	}
+	r.refused = st.Get(l1cfg.Name + ".mshr_full")
+	var b strings.Builder
+	st.Dump(&b)
+	r.counters = b.String()
+	b.Reset()
+	mt.Dump(&b)
+	r.pj = b.String()
+	r.probe = *probe
+	return r
+}
+
+func TestSkipMatchesStepping(t *testing.T) {
+	with := func(f func(*Config)) Config {
+		cfg := DefaultConfig()
+		f(&cfg)
+		return cfg
+	}
+	inv := func(its []trace.Iteration) trace.Invocation { return trace.Invocation{Iterations: its} }
+	cases := []hostCase{
+		{name: "default", cfg: DefaultConfig(), inv: inv(seqIters(40, 2, 6, 1))},
+		{name: "rob-limited", cfg: with(func(c *Config) { c.ROB = 8 }), inv: inv(seqIters(30, 1, 4, 1)), skips: true},
+		{name: "lq-full", cfg: with(func(c *Config) { c.LQ = 2 }), inv: inv(seqIters(20, 4, 2, 0)), skips: true},
+		{name: "sq-full", cfg: with(func(c *Config) { c.SQ = 1 }), inv: inv(seqIters(20, 0, 1, 3)), skips: true},
+		{name: "mshr-1", cfg: DefaultConfig(), mshrs: 1, inv: inv(seqIters(20, 3, 2, 1))},
+		{name: "mshr-2-random", cfg: DefaultConfig(), mshrs: 2, inv: inv(randomIters(1, 60))},
+		{name: "zero-load", cfg: DefaultConfig(), inv: inv(seqIters(20, 0, 8, 2))},
+		{name: "zero-load-zero-store", cfg: DefaultConfig(), inv: inv(seqIters(10, 0, 5, 0))},
+		{name: "fp-heavy", cfg: DefaultConfig(), inv: inv(fpIters(24, 14)), skips: true},
+		{name: "fp-heavy-narrow", cfg: with(func(c *Config) { c.FPUs = 1; c.IntALUs = 1 }), inv: inv(fpIters(12, 9))},
+		{name: "stores-no-compute", cfg: DefaultConfig(), inv: inv(seqIters(20, 2, 0, 2))},
+		{name: "stores-only", cfg: with(func(c *Config) { c.SQ = 4 }), inv: inv(seqIters(16, 0, 0, 3)), skips: true},
+		{name: "no-iterations", cfg: DefaultConfig()},
+		{name: "empty-iterations", cfg: DefaultConfig(), inv: inv(make([]trace.Iteration, 5))},
+		{name: "random", cfg: DefaultConfig(), inv: inv(randomIters(2, 120)), skips: true},
+	}
+	for seed := int64(10); seed < 18; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{Width: 1 + rng.Intn(4), ROB: 4 + rng.Intn(60), LQ: 1 + rng.Intn(8),
+			SQ: 1 + rng.Intn(8), IntALUs: 1 + rng.Intn(4), FPUs: 1 + rng.Intn(2)}
+		cases = append(cases, hostCase{name: fmt.Sprintf("random-%d", seed), cfg: cfg,
+			mshrs: 1 + rng.Intn(4), inv: inv(randomIters(seed, 40+rng.Intn(40)))})
+	}
+	for i := range cases {
+		tc := &cases[i]
+		t.Run(tc.name, func(t *testing.T) {
+			skip, step := runHost(t, tc, true), runHost(t, tc, false)
+			if skip.doneAt != step.doneAt {
+				t.Errorf("commit cycles %v under skipping, %v stepping", skip.doneAt, step.doneAt)
+			}
+			if skip.busy != step.busy || skip.midBusy != step.midBusy {
+				t.Errorf("BusyCycles %v (mid %v) under skipping, %v (mid %v) stepping",
+					skip.busy, skip.midBusy, step.busy, step.midBusy)
+			}
+			if skip.counters != step.counters {
+				t.Errorf("counters differ:\nskip:\n%s\nstep:\n%s", skip.counters, step.counters)
+			}
+			if skip.pj != step.pj {
+				t.Errorf("energy differs:\nskip:\n%s\nstep:\n%s", skip.pj, step.pj)
+			}
+			// Per-cycle stepping charges exactly the cycles the sampler saw
+			// with a phase loaded.
+			if step.busy[1] != step.probe.busy {
+				t.Errorf("stepping charged %d busy cycles; the sampler saw %d", step.busy[1], step.probe.busy)
+			}
+			if tc.mshrs == 1 && step.refused == 0 {
+				t.Error("the 1-MSHR L1 refused no access; the case exercises no back-pressure")
+			}
+			if tc.skips && skip.firstSteps*2 > skip.doneAt[0] {
+				t.Errorf("stepped %d of %d cycles; the stalled core was not skipped",
+					skip.firstSteps, skip.doneAt[0])
+			}
+		})
+	}
+}

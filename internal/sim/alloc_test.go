@@ -6,29 +6,32 @@ package sim
 
 import "testing"
 
-type nopHandler struct{ fired int }
-
-func (h *nopHandler) HandleEvent(now uint64, op uint8, arg uint64) { h.fired++ }
-
+// TestScheduleCallZeroAlloc covers both dispatch shapes: ScheduleCall's
+// handler and Schedule's closure, which the engine wraps without
+// allocating because a func value is pointer-shaped.
 func TestScheduleCallZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	h := &nopHandler{}
+	closures := 0
+	fn := func(uint64) { closures++ }
 
-	// Warm the event heap so steady-state runs never grow it.
-	for i := 0; i < 64; i++ {
+	// Warm every bucket's backing array so steady-state runs never grow one.
+	for i := 0; i < wheelSize; i++ {
 		eng.ScheduleCall(1, h, 0, uint64(i))
+		eng.Schedule(1, fn)
+		eng.Step()
 	}
-	eng.Step()
 	eng.Step()
 
 	if avg := testing.AllocsPerRun(1000, func() {
 		eng.ScheduleCall(1, h, 0, 7)
+		eng.Schedule(1, fn)
 		eng.Step()
 		eng.Step()
 	}); avg != 0 {
-		t.Fatalf("ScheduleCall steady state allocated %.1f per op, want 0", avg)
+		t.Fatalf("ScheduleCall+Schedule steady state allocated %.1f per op, want 0", avg)
 	}
-	if h.fired == 0 {
-		t.Fatal("handler never fired")
+	if h.fired == 0 || closures != h.fired {
+		t.Fatalf("handler fired %d times, closure %d; want equal and nonzero", h.fired, closures)
 	}
 }

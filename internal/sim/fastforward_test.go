@@ -7,6 +7,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -192,5 +193,25 @@ func TestFastForwardHealthyWatchdogRun(t *testing.T) {
 	// Ticks only at event cycles (50,100,...,500), never in between.
 	if len(p.ticks) != 10 {
 		t.Fatalf("probe saw %d ticks, want 10 (one per heartbeat event)", len(p.ticks))
+	}
+}
+
+// TestFastForwardMaxWatchdogWindow: a window so wide that its deadline lies
+// past the last representable cycle must saturate, not wrap to a deadline
+// behind the clock that would pin the engine to per-cycle stepping.
+func TestFastForwardMaxWatchdogWindow(t *testing.T) {
+	e := NewEngine()
+	e.Step()
+	NewWatchdog(e, math.MaxUint64)
+	p := &idleProbe{name: "p"}
+	e.Register(p)
+	fired := false
+	e.Schedule(1000, func(uint64) { fired = true })
+	cycles, done, err := e.RunE(2000, func() bool { return fired })
+	if err != nil || !done || cycles != 1001 {
+		t.Fatalf("RunE = (%d,%v,%v), want (1001,true,nil)", cycles, done, err)
+	}
+	if len(p.ticks) != 1 {
+		t.Fatalf("probe stepped %d cycles, want 1 (only the event's cycle)", len(p.ticks))
 	}
 }

@@ -1,38 +1,51 @@
 package sim
 
-// heapScheduler is the test-only reference event queue: the monomorphic
-// eventHeap adapted to the scheduler interface. O(log n) push/pop, O(1)
-// peek, no notion of a clock (advance is a no-op). The differential tests
-// swap it in for the engine's time-wheel and require identical behavior.
-type heapScheduler struct {
-	h eventHeap
+// heapQueue is the test-only reference event queue: one overflowHeap
+// holding every event in (at, push order). It has no near wheel and no
+// notion of a clock (advance is a no-op); fire pops and dispatches every
+// event due. The differential tests drive it and the engine's wheel
+// through the same call sequence and require identical firing logs.
+type heapQueue struct{ h overflowHeap }
+
+func (q *heapQueue) push(at uint64, h EventHandler, op uint8, arg uint64) {
+	q.h.push(event{at: at, h: h, arg: arg, op: op})
 }
 
-func (s *heapScheduler) push(ev event) { s.h.push(ev) }
+func (q *heapQueue) advance(uint64) {}
 
-func (s *heapScheduler) popDue(now uint64) (event, bool) {
-	if len(s.h) == 0 || s.h[0].at > now {
-		return event{}, false
+func (q *heapQueue) fire(now uint64) {
+	for len(q.h.items) > 0 && q.h.items[0].at <= now {
+		ev := q.h.pop()
+		ev.h.HandleEvent(now, ev.op, ev.arg)
 	}
-	return s.h.pop(), true
 }
 
-func (s *heapScheduler) next() (uint64, bool) {
-	if len(s.h) == 0 {
+func (q *heapQueue) next() (uint64, bool) {
+	if len(q.h.items) == 0 {
 		return 0, false
 	}
-	return s.h[0].at, true
+	return q.h.items[0].at, true
 }
 
-func (s *heapScheduler) len() int       { return len(s.h) }
-func (s *heapScheduler) advance(uint64) {}
+func (q *heapQueue) len() int { return len(q.h.items) }
 
-// schedulers lists the implementations the differential tests compare: the
-// reference heap and the engine's default time-wheel.
-var schedulers = []struct {
+// queue is the call sequence Engine.Step and Engine.Run issue to their
+// event queue. Only the tests name it: the engine calls its
+// *wheelScheduler directly.
+type queue interface {
+	push(at uint64, h EventHandler, op uint8, arg uint64)
+	advance(now uint64)
+	fire(now uint64)
+	next() (uint64, bool)
+	len() int
+}
+
+// queues lists the implementations the differential tests compare: the
+// reference heap and the engine's time wheel.
+var queues = []struct {
 	name string
-	new  func() scheduler
+	new  func() queue
 }{
-	{"heap", func() scheduler { return &heapScheduler{} }},
-	{"wheel", func() scheduler { return newWheelScheduler() }},
+	{"heap", func() queue { return &heapQueue{} }},
+	{"wheel", func() queue { return newWheelScheduler() }},
 }

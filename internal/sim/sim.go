@@ -21,6 +21,8 @@
 // identical to per-cycle stepping.
 package sim
 
+import "math"
+
 // Ticker is a component that does work every cycle: drains its inbound
 // queues, advances its pipeline, and sends messages.
 type Ticker interface {
@@ -54,79 +56,29 @@ type Waker interface {
 	WakeAt(now uint64) (at uint64, ok bool)
 }
 
-// EventHandler is the closure-free event target. Hot components (link
-// delivery, fabric delivery, directory request intake, lease expiry)
-// implement it once; ScheduleCall then carries only an interface pointer, a
-// handler-private opcode, and one integer argument — no func allocation per
-// event. Cold paths keep using Schedule with closures.
+// EventHandler is an event target. Hot components (link delivery, fabric
+// delivery, directory request intake, lease expiry) implement it once;
+// ScheduleCall then carries only an interface pointer, a handler-private
+// opcode, and one integer argument — no func allocation per event. Cold
+// paths keep using Schedule with closures.
 type EventHandler interface {
 	HandleEvent(now uint64, op uint8, arg uint64)
 }
 
-// event is a scheduled callback: either a closure (fn) or a closure-free
-// handler dispatch (h/op/arg) — exactly one of fn and h is non-nil.
+// funcHandler adapts a Schedule closure to EventHandler. A func value is
+// pointer-shaped, so the conversion to the interface allocates nothing.
+type funcHandler func(now uint64)
+
+func (f funcHandler) HandleEvent(now uint64, _ uint8, _ uint64) { f(now) }
+
+// event is a scheduled dispatch, h.HandleEvent(at, op, arg). It carries no
+// sequence number: a wheel bucket is in schedule order by construction,
+// and only the overflow heap stamps its own tie-break.
 type event struct {
 	at  uint64
-	seq uint64 // tie-break: schedule order
-	fn  func(now uint64)
 	h   EventHandler
-	op  uint8
 	arg uint64
-}
-
-// eventHeap is a binary min-heap of events ordered by (at, seq). It is
-// monomorphic on purpose: the previous container/heap implementation boxed
-// every event into an interface{} on Push and Pop, which both allocated and
-// kept retired closures reachable. Pop zeroes the vacated slot so the
-// popped event's fn is collectable as soon as it has run.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !hh.less(i, parent) {
-			break
-		}
-		hh[i], hh[parent] = hh[parent], hh[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	hh := *h
-	top := hh[0]
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	hh[n] = event{} // zero the slot so the retired closure is GC-able
-	hh = hh[:n]
-	*h = hh
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && hh.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && hh.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		hh[i], hh[smallest] = hh[smallest], hh[i]
-		i = smallest
-	}
-	return top
+	op  uint8
 }
 
 // Engine is the simulation clock and event queue. It is not safe for
@@ -134,8 +86,7 @@ func (h *eventHeap) pop() event {
 // parallelizes across engines, never within one).
 type Engine struct {
 	now     uint64
-	seq     uint64
-	sched   scheduler
+	sched   *wheelScheduler
 	tickers []Ticker
 
 	// idlers[i] is tickers[i]'s IdleTicker view, nil if not implemented.
@@ -165,8 +116,8 @@ type Engine struct {
 	interruptErr   error
 }
 
-// NewEngine returns an engine with the clock at cycle 0, using the
-// time-wheel scheduler (O(1) push/pop through a calendar of cycle buckets).
+// NewEngine returns an engine with the clock at cycle 0 and an empty time
+// wheel (O(1) schedule and fire through a calendar of cycle buckets).
 func NewEngine() *Engine {
 	return &Engine{sched: newWheelScheduler()}
 }
@@ -192,25 +143,11 @@ func (e *Engine) Register(t Ticker) {
 // for A/B-validating that a skip never changes simulation results.
 func (e *Engine) SetIdleSkip(enabled bool) { e.noIdleSkip = !enabled }
 
-// bumpSeq returns the next event sequence number. seq only ever needs to
-// order events that coexist in the queue, so it rebases to zero whenever
-// the queue drains. Wraparound would otherwise (after 2^64 schedules)
-// violate the FIFO tie-break; with rebasing, a wrap requires 2^64 events
-// pending at once, which cannot be represented in memory. See
-// TestSeqRebasesWhenHeapDrains / TestSeqOrderingNearMax.
-func (e *Engine) bumpSeq() uint64 {
-	if e.sched.len() == 0 {
-		e.seq = 0
-	}
-	e.seq++
-	return e.seq
-}
-
 // Schedule runs fn delay cycles from now. A delay of zero runs fn later in
 // the current cycle's event phase if that phase is still draining, otherwise
 // at the start of the next cycle's event phase.
 func (e *Engine) Schedule(delay uint64, fn func(now uint64)) {
-	e.sched.push(event{at: e.now + delay, seq: e.bumpSeq(), fn: fn})
+	e.sched.push(e.now+delay, funcHandler(fn), 0, 0)
 }
 
 // ScheduleAt runs fn at absolute cycle at, which must not be in the past.
@@ -218,15 +155,15 @@ func (e *Engine) ScheduleAt(at uint64, fn func(now uint64)) {
 	if at < e.now {
 		Failf("sim.engine", e.now, "", "ScheduleAt(%d) is in the past", at)
 	}
-	e.sched.push(event{at: at, seq: e.bumpSeq(), fn: fn})
+	e.sched.push(at, funcHandler(fn), 0, 0)
 }
 
 // ScheduleCall runs h.HandleEvent(now, op, arg) delay cycles from now. It is
 // the closure-free twin of Schedule: the event carries no func value, so a
-// steady-state schedule allocates nothing once the heap's backing array has
-// warmed up. op and arg are opaque to the engine.
+// steady-state schedule allocates nothing once the wheel's backing arrays
+// have warmed up. op and arg are opaque to the engine.
 func (e *Engine) ScheduleCall(delay uint64, h EventHandler, op uint8, arg uint64) {
-	e.sched.push(event{at: e.now + delay, seq: e.bumpSeq(), h: h, op: op, arg: arg})
+	e.sched.push(e.now+delay, h, op, arg)
 }
 
 // ScheduleCallAt is ScheduleCall with an absolute cycle, which must not be
@@ -235,7 +172,7 @@ func (e *Engine) ScheduleCallAt(at uint64, h EventHandler, op uint8, arg uint64)
 	if at < e.now {
 		Failf("sim.engine", e.now, "", "ScheduleCallAt(%d) is in the past", at)
 	}
-	e.sched.push(event{at: at, seq: e.bumpSeq(), h: h, op: op, arg: arg})
+	e.sched.push(at, h, op, arg)
 }
 
 // Stop makes Run return at the end of the current cycle. A Stop issued
@@ -290,22 +227,12 @@ func (e *Engine) Progress() {
 // Step advances the clock by exactly one cycle. It never fast-forwards;
 // manual Step loops retain strict per-cycle semantics.
 func (e *Engine) Step() {
-	// Let the scheduler catch up with the clock (the wheel promotes
-	// overflow events that entered the near horizon).
+	// Let the wheel catch up with the clock (promoting overflow events
+	// that entered the near horizon), then run the event phase: everything
+	// scheduled for the current cycle, including events scheduled with
+	// zero delay while draining.
 	e.sched.advance(e.now)
-	// Event phase: drain everything scheduled for the current cycle,
-	// including events scheduled with zero delay while draining.
-	for {
-		ev, ok := e.sched.popDue(e.now)
-		if !ok {
-			break
-		}
-		if ev.fn != nil {
-			ev.fn(e.now)
-		} else {
-			ev.h.HandleEvent(e.now, ev.op, ev.arg)
-		}
-	}
+	e.sched.fire(e.now)
 	// Tick phase.
 	for _, t := range e.tickers {
 		t.Tick(e.now)
@@ -350,8 +277,9 @@ func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
 }
 
 // Run steps the clock until pred returns true, the engine is stopped, or
-// maxCycles elapse. It returns the number of cycles executed and whether the
-// predicate was satisfied. A stop requested before Run (or during it) is
+// maxCycles elapse (a budget reaching past the last representable cycle
+// runs to that cycle). It returns the number of cycles executed and whether
+// the predicate was satisfied. A stop requested before Run (or during it) is
 // consumed on return, so the engine is immediately runnable again.
 //
 // Quiescent stretches — every ticker idle, no event due — are
@@ -363,6 +291,9 @@ func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
 func (e *Engine) Run(maxCycles uint64, pred func() bool) (cycles uint64, done bool) {
 	start := e.now
 	limit := start + maxCycles
+	if limit < start {
+		limit = math.MaxUint64
+	}
 	for e.now < limit {
 		if pred != nil && pred() {
 			return e.now - start, true

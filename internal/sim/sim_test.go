@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -58,6 +59,11 @@ type tickFunc func(uint64)
 
 func (f tickFunc) Name() string    { return "tickFunc" }
 func (f tickFunc) Tick(now uint64) { f(now) }
+
+// nopHandler is an EventHandler that counts its events.
+type nopHandler struct{ fired int }
+
+func (h *nopHandler) HandleEvent(now uint64, op uint8, arg uint64) { h.fired++ }
 
 func TestScheduleDelivery(t *testing.T) {
 	e := NewEngine()
@@ -144,6 +150,20 @@ func TestRunMaxCycles(t *testing.T) {
 	cycles, done := e.Run(25, func() bool { return false })
 	if done || cycles != 25 {
 		t.Fatalf("Run = (%d,%v), want (25,false)", cycles, done)
+	}
+}
+
+// TestRunMaxBudgetPastCycleZero: a budget that reaches past the last
+// representable cycle saturates there instead of wrapping to a limit
+// behind the clock.
+func TestRunMaxBudgetPastCycleZero(t *testing.T) {
+	e := NewEngine()
+	e.Step()
+	hit := false
+	e.Schedule(10, func(uint64) { hit = true })
+	cycles, done := e.Run(math.MaxUint64, func() bool { return hit })
+	if !done || cycles != 11 {
+		t.Fatalf("Run(MaxUint64) from cycle 1 = (%d,%v), want (11,true)", cycles, done)
 	}
 }
 

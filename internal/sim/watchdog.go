@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -52,10 +53,14 @@ func (w *Watchdog) Idle() bool { return true }
 // at which the current silence would exceed the window, so a wedged run
 // trips at exactly the same cycle under skipping as under per-cycle
 // stepping. A heartbeat during the event phase moves the deadline forward
-// before the next skip is computed.
+// before the next skip is computed. A deadline past the last representable
+// cycle saturates there.
 func (w *Watchdog) WakeAt(uint64) (uint64, bool) {
 	if w.window == 0 {
 		return 0, false
+	}
+	if w.window >= math.MaxUint64-w.last {
+		return math.MaxUint64, true
 	}
 	return w.last + w.window + 1, true
 }

@@ -2,9 +2,9 @@ package sim
 
 // Tests for the time-wheel scheduler: FIFO among equal-cycle events,
 // far-future overflow promotion (including promotion into a bucket that
-// still holds stragglers for a previous lap), drain-rebase of the seq
-// counter, fast-forward jumps across empty buckets, and a randomized
-// heap-vs-wheel differential.
+// still holds stragglers for a previous lap), drain-rebase of the overflow
+// heap's seq counter, fast-forward jumps across empty buckets, and a
+// randomized heap-vs-wheel differential.
 
 import (
 	"fmt"
@@ -50,8 +50,8 @@ func TestWheelOverflowPromotion(t *testing.T) {
 	// Far-future events, scheduled out of cycle order.
 	e.ScheduleAt(3*wheelSize+5, func(now uint64) { fired["far2"] = now })
 	e.ScheduleAt(2*wheelSize+5, func(now uint64) { fired["far1"] = now })
-	if got := e.sched.(*wheelScheduler); len(got.overflow) != 2 {
-		t.Fatalf("overflow holds %d events, want 2", len(got.overflow))
+	if n := len(e.sched.overflow.items); n != 2 {
+		t.Fatalf("overflow holds %d events, want 2", n)
 	}
 	// A straggler for cycle 9, scheduled during cycle 9's tick phase (an
 	// event callback would drain in the same cycle; only a Ticker runs
@@ -74,12 +74,14 @@ func TestWheelOverflowPromotion(t *testing.T) {
 	}
 }
 
-// TestWheelDrainRebase is the wheel twin of TestSeqRebasesWhenHeapDrains:
-// the seq counter rebases when the wheel (including its overflow heap)
-// fully drains, and not while overflow events are still pending.
+// TestWheelDrainRebase: the overflow heap's seq counter does not rebase
+// while a far event is still pending, even once the wheel has drained, and
+// rebases when the overflow heap drains, even while wheel events are still
+// pending.
 func TestWheelDrainRebase(t *testing.T) {
 	e := NewEngine()
-	e.ScheduleAt(wheelSize*2, func(uint64) {}) // overflow resident
+	const far = 2 * wheelSize
+	e.ScheduleAt(far, func(uint64) {}) // overflow resident
 	for i := 0; i < 10; i++ {
 		e.Schedule(0, func(uint64) {})
 	}
@@ -87,17 +89,18 @@ func TestWheelDrainRebase(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want the one overflow event", e.Pending())
 	}
-	e.Schedule(1, func(uint64) {})
-	if e.seq == 1 {
-		t.Fatal("seq rebased while an overflow event was pending")
+	e.ScheduleAt(far+1, func(uint64) {})
+	if got := e.sched.overflow.seq; got != 2 {
+		t.Fatalf("overflow seq = %d with a far event pending, want 2 (no rebase)", got)
 	}
-	e.Run(wheelSize*2+2, nil)
+	e.Run(far+2, nil)
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after run, want 0", e.Pending())
 	}
-	e.Schedule(1, func(uint64) {})
-	if e.seq != 1 {
-		t.Fatalf("seq = %d after full drain, want rebase to 1", e.seq)
+	e.Schedule(1, func(uint64) {}) // wheel resident: the overflow stays empty
+	e.ScheduleAt(e.Now()+far, func(uint64) {})
+	if got := e.sched.overflow.seq; got != 1 {
+		t.Fatalf("overflow seq = %d after the overflow drained, want rebase to 1", got)
 	}
 }
 
@@ -107,14 +110,14 @@ func TestWheelDrainRebase(t *testing.T) {
 func TestWheelFastForwardJump(t *testing.T) {
 	e := NewEngine()
 	var fired []uint64
-	for _, at := range []uint64{7, 700, wheelSize + 3, 5 * wheelSize} {
+	for _, at := range []uint64{7, wheelSize - 24, wheelSize + 3, 5 * wheelSize} {
 		e.ScheduleAt(at, func(now uint64) { fired = append(fired, now) })
 	}
 	cycles, _ := e.Run(6*wheelSize, nil)
 	if cycles != 6*wheelSize {
 		t.Fatalf("ran %d cycles, want %d", cycles, 6*wheelSize)
 	}
-	want := []uint64{7, 700, wheelSize + 3, 5 * wheelSize}
+	want := []uint64{7, wheelSize - 24, wheelSize + 3, 5 * wheelSize}
 	if fmt.Sprint(fired) != fmt.Sprint(want) {
 		t.Fatalf("fired at %v, want %v", fired, want)
 	}
@@ -138,12 +141,12 @@ func (ts *tickScheduler) Tick(now uint64) {
 }
 
 // diffTicker drives the differential test below: each Tick it may schedule
-// events at pseudo-random delays (drawn from its own generator, so both
-// engines see the same sequence). Once its event budget is spent it goes
+// events at pseudo-random delays (drawn from its own generator, so every
+// queue sees the same sequence). Once its event budget is spent it goes
 // idle, so the tail of the run exercises fast-forwarding over the
 // far-future events it left behind.
 type diffTicker struct {
-	eng *Engine
+	at  func(at uint64, fn func(now uint64)) // schedules fn at cycle at
 	rng *rand.Rand
 	log *[]string
 	n   int
@@ -156,7 +159,7 @@ func (d *diffTicker) Tick(now uint64) {
 	if d.n >= 200 || d.rng.Intn(4) != 0 {
 		return
 	}
-	d.schedule(now, 0)
+	d.schedule(now, 0) // a zero delay here leaves a bucket straggler
 }
 
 func (d *diffTicker) schedule(now uint64, depth int) {
@@ -165,7 +168,7 @@ func (d *diffTicker) schedule(now uint64, depth int) {
 	// Delays cover same-cycle (0), near-wheel, bucket-collision (exactly
 	// one lap), and deep-overflow cases.
 	delay := [...]uint64{0, 1, 3, 50, wheelSize, wheelSize + 1, 3 * wheelSize}[d.rng.Intn(7)]
-	d.eng.Schedule(delay, func(at uint64) {
+	d.at(now+delay, func(at uint64) {
 		*d.log = append(*d.log, fmt.Sprintf("%d@%d", id, at))
 		if depth < 3 && d.rng.Intn(3) == 0 {
 			d.schedule(at, depth+1)
@@ -173,35 +176,73 @@ func (d *diffTicker) schedule(now uint64, depth int) {
 	})
 }
 
+// runQueue drives q through the call sequence Engine.Run issues to its
+// wheel: a quiescence jump to the next event while the ticker is idle and
+// nothing is due, otherwise advance, fire, tick, and the next cycle.
+func runQueue(q queue, d *diffTicker, limit uint64) {
+	for now := uint64(0); now < limit; {
+		if d.Idle() {
+			if at, ok := q.next(); !ok || at > now {
+				now = limit
+				if ok && at < limit {
+					now = at
+				}
+				continue
+			}
+		}
+		q.advance(now)
+		q.fire(now)
+		d.Tick(now)
+		now++
+	}
+}
+
 // TestHeapWheelDifferential runs the same randomized workload — a ticker
 // scheduling events at mixed delays, events rescheduling recursively,
-// quiescent stretches fast-forwarded — under both schedulers and requires
-// the complete (id, cycle) firing logs to match.
+// tick-phase stragglers, quiescent stretches fast-forwarded — through the
+// reference heap and the wheel at the queue level, and through an Engine,
+// and requires the complete (id, cycle) firing logs to match.
 func TestHeapWheelDifferential(t *testing.T) {
+	const limit = 20 * wheelSize
 	for seed := int64(1); seed <= 10; seed++ {
 		logs := map[string][]string{}
-		for _, sc := range schedulers {
-			e := NewEngine()
-			e.sched = sc.new()
+		for _, qc := range queues {
+			q := qc.new()
 			var log []string
-			e.Register(&diffTicker{eng: e, rng: rand.New(rand.NewSource(seed)), log: &log})
-			e.Run(20*wheelSize, nil)
-			if e.Pending() != 0 {
-				t.Fatalf("seed %d %s: %d events still pending", seed, sc.name, e.Pending())
+			d := &diffTicker{rng: rand.New(rand.NewSource(seed)), log: &log,
+				at: func(at uint64, fn func(uint64)) { q.push(at, funcHandler(fn), 0, 0) }}
+			runQueue(q, d, limit)
+			if q.len() != 0 {
+				t.Fatalf("seed %d %s: %d events still pending", seed, qc.name, q.len())
 			}
-			logs[sc.name] = log
+			logs[qc.name] = log
 		}
-		h, w := logs["heap"], logs["wheel"]
+		e := NewEngine()
+		var log []string
+		e.Register(&diffTicker{rng: rand.New(rand.NewSource(seed)), log: &log, at: e.ScheduleAt})
+		e.Run(limit, nil)
+		if e.Pending() != 0 {
+			t.Fatalf("seed %d engine: %d events still pending", seed, e.Pending())
+		}
+		logs["engine"] = log
+		h := logs["heap"]
 		if len(h) == 0 {
 			t.Fatalf("seed %d: empty firing log", seed)
 		}
-		if fmt.Sprint(h) != fmt.Sprint(w) {
+		for _, name := range []string{"wheel", "engine"} {
+			w := logs[name]
+			if fmt.Sprint(h) == fmt.Sprint(w) {
+				continue
+			}
 			for i := range h {
-				if i >= len(w) || h[i] != w[i] {
-					t.Fatalf("seed %d: firing logs diverge at %d: heap %q vs wheel %q", seed, i, h[i], w[i])
+				if i >= len(w) {
+					t.Fatalf("seed %d: %s log stops after %d of %d heap entries", seed, name, len(w), len(h))
+				}
+				if h[i] != w[i] {
+					t.Fatalf("seed %d: firing logs diverge at %d: heap %q vs %s %q", seed, i, h[i], name, w[i])
 				}
 			}
-			t.Fatalf("seed %d: wheel log longer than heap log (%d vs %d)", seed, len(w), len(h))
+			t.Fatalf("seed %d: %s log longer than heap log (%d vs %d)", seed, name, len(w), len(h))
 		}
 	}
 }

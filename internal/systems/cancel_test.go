@@ -9,6 +9,7 @@ package systems
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -81,6 +82,30 @@ func assertCancelError(t *testing.T, err error, component string, cause error) {
 	}
 	if !sim.IsCancellation(err) {
 		t.Fatalf("IsCancellation(%v) = false", err)
+	}
+}
+
+// TestMaxBudgetCompletes: budgets and watchdog windows that reach past the
+// last representable cycle (Spec.Validate accepts them, so a fusiond
+// request may send them) saturate there: the run completes with the
+// default run's cycle count instead of exhausting a wrapped budget.
+func TestMaxBudgetCompletes(t *testing.T) {
+	b := workloads.Get("fft")
+	want, err := RunCtx(context.Background(), b, DefaultConfig(Fusion))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, max := range []uint64{math.MaxUint64, math.MaxUint64 - 5} {
+		cfg := DefaultConfig(Fusion)
+		cfg.MaxCycles = max
+		cfg.WatchdogCycles = max
+		res, err := RunCtx(context.Background(), b, cfg)
+		if err != nil {
+			t.Fatalf("MaxCycles = WatchdogCycles = %d: %v", max, err)
+		}
+		if res.Cycles != want.Cycles {
+			t.Fatalf("MaxCycles = WatchdogCycles = %d: %d cycles, want %d", max, res.Cycles, want.Cycles)
+		}
 	}
 }
 

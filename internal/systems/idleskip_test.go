@@ -10,6 +10,7 @@ import (
 	"errors"
 	"testing"
 
+	"fusion/internal/host"
 	"fusion/internal/sim"
 	"fusion/internal/workloads"
 )
@@ -89,5 +90,41 @@ func TestIdleSkipWatchdogTrip(t *testing.T) {
 	var pe *sim.ProtocolError
 	if !errors.As(err, &pe) || pe.Component != "watchdog" {
 		t.Fatalf("expected a watchdog trip with a 1-cycle window, got %v", err)
+	}
+}
+
+// hostStepProbe is an always-idle ticker that counts the cycles the engine
+// steps while the host core has a phase loaded.
+type hostStepProbe struct {
+	core  *host.Core
+	steps uint64
+}
+
+func (p *hostStepProbe) Name() string { return "hoststepprobe" }
+func (p *hostStepProbe) Idle() bool   { return true }
+
+func (p *hostStepProbe) Tick(uint64) {
+	if p.core.Busy() {
+		p.steps++
+	}
+}
+
+// TestIdleSkipStalledHost pins the fast-forward over host memory stalls:
+// the host phase of random-0 streams cold lines from DRAM, so the core
+// spends most of the phase with its LQ full or its ROB head waiting on a
+// miss, and the engine must jump those cycles rather than step them. A
+// host core that never reports idle while a phase is loaded steps every
+// one of its busy cycles.
+func TestIdleSkipStalledHost(t *testing.T) {
+	m := newMachine()
+	p := &hostStepProbe{core: m.core}
+	m.eng.Register(p)
+	b := workloads.Random(0, workloads.DefaultRandomParams())
+	if _, err := runOn(context.Background(), m, b, DefaultConfig(Fusion)); err != nil {
+		t.Fatal(err)
+	}
+	if busy := m.core.BusyCycles(); busy == 0 || p.steps*2 > busy {
+		t.Fatalf("stepped %d of %d host-phase cycles; a stalled host core must not pin the engine to stepping",
+			p.steps, busy)
 	}
 }
