@@ -1,7 +1,7 @@
 // Package cache provides the generic set-associative storage used by every
 // cache in the simulated hierarchy: the host L1D, the shared L2/LLC banks,
-// the accelerator tile's private L0X and shared L1X, and (degenerately) the
-// scratchpads.
+// and the accelerator tile's private L0X and shared L1X. (The scratchpads
+// are not caches: they keep their resident lines in a flat.Map.)
 //
 // A Line carries the union of the metadata the different protocols need:
 // MESI state bits for host-side caches, and the ACC protocol's lease
@@ -45,19 +45,20 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Line is one cache line's tag-array entry.
+// Line is one cache line's tag-array entry. The flag and tag fields lead
+// so a Line fills exactly one 64-byte host cache line.
 type Line struct {
 	Valid bool
-	Addr  uint64  // line-aligned address (virtual in the tile, physical host-side)
-	PID   mem.PID // process tag (accelerator tile only, Section 3.2)
 	Dirty bool
+	WLock bool // L1X: a write epoch is outstanding; readers/writers stall
 	State State
+	PID   mem.PID // process tag (accelerator tile only, Section 3.2)
+	Addr  uint64  // line-aligned address (virtual in the tile, physical host-side)
 
 	// ACC protocol timestamps (absolute cycles).
 	LTime uint64 // L0X: read-lease expiry (LTIME)
 	WTime uint64 // L0X: write-epoch expiry; 0 when no write epoch held
 	GTime uint64 // L1X: latest lease granted to any L0X (GTIME)
-	WLock bool   // L1X: a write epoch is outstanding; readers/writers stall
 
 	// PAddr is the translated physical address, recorded at the L1X on fill
 	// so writebacks and evictions do not need a second AX-TLB lookup.
@@ -87,12 +88,21 @@ func (p Params) Sets() int {
 	return s
 }
 
+// chunkSets is how many sets share one allocation of line storage.
+const chunkSets = 64
+
 // Array is a set-associative tag/data array with true-LRU replacement.
+//
+// Line storage is allocated one chunk of chunkSets sets at a time, when
+// Victim first picks a line in the chunk: a run that touches a few
+// thousand lines of the 4 MB LLC allocates only the chunks holding them.
+// Lookups never allocate; an unallocated set simply holds no valid line.
 type Array struct {
 	params    Params
 	sets      int
+	ways      int
 	lineShift uint
-	lines     []Line // sets*ways, row-major by set
+	chunks    [][]Line // chunkSets*ways lines each, row-major by set; nil until filled
 	stamp     uint64
 }
 
@@ -114,8 +124,9 @@ func NewArray(p Params) *Array {
 	return &Array{
 		params:    p,
 		sets:      sets,
+		ways:      p.Ways,
 		lineShift: shift,
-		lines:     make([]Line, sets*p.Ways),
+		chunks:    make([][]Line, (sets+chunkSets-1)/chunkSets),
 	}
 }
 
@@ -132,10 +143,28 @@ func (a *Array) align(addr uint64) uint64 {
 	return addr &^ (uint64(a.params.LineBytes) - 1)
 }
 
-// set returns the slice of ways for addr's set.
+// set returns the ways of addr's set, or nil if its chunk is unallocated.
 func (a *Array) set(addr uint64) []Line {
-	i := a.SetIndex(addr)
-	return a.lines[i*a.params.Ways : (i+1)*a.params.Ways]
+	return a.setAt(a.SetIndex(addr))
+}
+
+// setAt returns the ways of set s, or nil if its chunk is unallocated.
+func (a *Array) setAt(s int) []Line {
+	c := a.chunks[uint(s)/chunkSets]
+	if c == nil {
+		return nil
+	}
+	off := int(uint(s)%chunkSets) * a.ways
+	return c[off : off+a.ways]
+}
+
+// chunk returns chunk k's lines, allocating them on first use. The last
+// chunk holds only the sets that remain.
+func (a *Array) chunk(k int) []Line {
+	if a.chunks[k] == nil {
+		a.chunks[k] = make([]Line, min(chunkSets, a.sets-k*chunkSets)*a.ways)
+	}
+	return a.chunks[k]
 }
 
 // Lookup returns the line holding addr (any PID) and refreshes its LRU
@@ -180,9 +209,12 @@ func (a *Array) Peek(addr uint64) *Line {
 // Victim returns the line to fill for addr: an invalid way if one exists,
 // otherwise the least-recently-used line in the set. The caller inspects
 // Valid/Dirty to decide whether an eviction (writeback) is needed, then
-// overwrites the fields.
+// overwrites the fields. Victim allocates the chunk of addr's set if no
+// line in it has been picked before.
 func (a *Array) Victim(addr uint64) *Line {
-	set := a.set(addr)
+	s := a.SetIndex(addr)
+	off := s % chunkSets * a.ways
+	set := a.chunk(s / chunkSets)[off : off+a.ways]
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -209,20 +241,27 @@ func (a *Array) Touch(l *Line) {
 	l.lru = a.stamp
 }
 
-// ForEach visits every line, valid or not, in deterministic (set, way)
-// order. The visitor may mutate lines.
+// ForEach visits the lines of every allocated chunk, valid or not, in
+// deterministic (set, way) order. The visitor may mutate lines. Lines of
+// unallocated chunks are invalid and are not visited, so a visitor must
+// ignore invalid lines: every caller returns early on !Valid.
 func (a *Array) ForEach(fn func(*Line)) {
-	for i := range a.lines {
-		fn(&a.lines[i])
+	for _, c := range a.chunks {
+		for i := range c {
+			fn(&c[i])
+		}
 	}
 }
 
 // NumLines returns sets*ways, the bound for line-slot indices.
-func (a *Array) NumLines() int { return len(a.lines) }
+func (a *Array) NumLines() int { return a.sets * a.ways }
 
 // LineAt returns the line at slot i (row-major by set, as SlotOf numbers
-// them).
-func (a *Array) LineAt(i int) *Line { return &a.lines[i] }
+// them), allocating its chunk if no line in it has been filled.
+func (a *Array) LineAt(i int) *Line {
+	n := chunkSets * a.ways
+	return &a.chunk(i / n)[i%n]
+}
 
 // SlotOf returns the dense (set, way) slot index of l, which must be a
 // line of addr's set (as returned by Lookup/Victim/Peek for addr).
@@ -230,11 +269,11 @@ func (a *Array) LineAt(i int) *Line { return &a.lines[i] }
 // holder tags — in flat arrays parallel to the tag array, instead of
 // address-keyed maps.
 func (a *Array) SlotOf(addr uint64, l *Line) int {
-	base := a.SetIndex(addr) * a.params.Ways
-	set := a.lines[base : base+a.params.Ways]
+	s := a.SetIndex(addr)
+	set := a.setAt(s)
 	for i := range set {
 		if &set[i] == l {
-			return base + i
+			return s*a.ways + i
 		}
 	}
 	sim.Failf("cache", 0, "", "SlotOf: line %#x not in set of addr %#x", l.Addr, addr)
@@ -244,17 +283,17 @@ func (a *Array) SlotOf(addr uint64, l *Line) int {
 // CountValid returns the number of valid lines.
 func (a *Array) CountValid() int {
 	n := 0
-	for i := range a.lines {
-		if a.lines[i].Valid {
+	a.ForEach(func(l *Line) {
+		if l.Valid {
 			n++
 		}
-	}
+	})
 	return n
 }
 
-// InvalidateAll clears every line.
+// InvalidateAll clears every line, keeping the allocated chunks.
 func (a *Array) InvalidateAll() {
-	for i := range a.lines {
-		a.lines[i] = Line{}
+	for _, c := range a.chunks {
+		clear(c)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fusion/internal/mem"
 )
@@ -221,5 +222,105 @@ func BenchmarkLookupHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Lookup(0x4000)
+	}
+}
+
+// llc builds an array with the host LLC's geometry: 4 MB, 16-way, 64-byte
+// lines, so 4,096 sets in 64 chunks.
+func llc() *Array {
+	return NewArray(Params{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64})
+}
+
+// allocatedChunks counts the chunks holding line storage.
+func (a *Array) allocatedChunks() int {
+	n := 0
+	for _, c := range a.chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestLineFitsOneHostCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 64 {
+		t.Fatalf("Line is %d bytes, want 64", n)
+	}
+}
+
+func TestLinesAllocatedOnFirstFill(t *testing.T) {
+	a := llc()
+	if a.NumLines() != 4096*16 {
+		t.Fatalf("NumLines = %d, want %d", a.NumLines(), 4096*16)
+	}
+	if a.Lookup(0x1000) != nil || a.LookupPID(0x1000, 1) != nil || a.Peek(0x1000) != nil {
+		t.Fatal("hit in an empty array")
+	}
+	if n := a.allocatedChunks(); n != 0 {
+		t.Fatalf("%d chunks allocated by lookups, want 0", n)
+	}
+	// Fill every way of every set in chunk 0: sets 0..63 are the lines
+	// at addresses below 64*64 modulo the 4096-set stride.
+	const stride = 4096 * 64
+	var filled []uint64
+	for set := uint64(0); set < chunkSets; set++ {
+		for way := uint64(0); way < 16; way++ {
+			addr := way*stride + set*64
+			a.Fill(a.Victim(addr), addr, 0)
+			filled = append(filled, addr)
+		}
+	}
+	if n := a.allocatedChunks(); n != 1 || len(a.chunks[0]) != chunkSets*16 {
+		t.Fatalf("%d chunks allocated (chunk 0 has %d lines), want 1 of %d",
+			n, len(a.chunks[0]), chunkSets*16)
+	}
+	// A line in the last set lands in the last chunk.
+	last := uint64(4095 * 64)
+	a.Fill(a.Victim(last), last, 0)
+	filled = append(filled, last)
+	if n := a.allocatedChunks(); n != 2 || a.chunks[len(a.chunks)-1] == nil {
+		t.Fatalf("%d chunks allocated after filling set 4095, want 2 with the last", n)
+	}
+
+	var seen []uint64
+	visited := 0
+	a.ForEach(func(l *Line) {
+		visited++
+		if l.Valid {
+			seen = append(seen, l.Addr)
+		}
+	})
+	if visited != 2*chunkSets*16 {
+		t.Fatalf("ForEach visited %d lines, want the %d of two chunks", visited, 2*chunkSets*16)
+	}
+	if len(seen) != len(filled) || a.CountValid() != len(filled) {
+		t.Fatalf("ForEach saw %d valid lines and CountValid %d, want %d",
+			len(seen), a.CountValid(), len(filled))
+	}
+	want := map[uint64]bool{}
+	for _, addr := range filled {
+		want[addr] = true
+	}
+	for _, addr := range seen {
+		if !want[addr] {
+			t.Fatalf("ForEach saw unfilled line %#x", addr)
+		}
+	}
+
+	// Slots stay dense (set*ways + way) across chunks.
+	for _, addr := range []uint64{3*stride + 5*64, last} {
+		l := a.Peek(addr)
+		slot := a.SlotOf(addr, l)
+		if slot/16 != a.SetIndex(addr) || a.LineAt(slot) != l {
+			t.Fatalf("line %#x: slot %d does not round-trip (set %d)", addr, slot, a.SetIndex(addr))
+		}
+	}
+
+	a.InvalidateAll()
+	if a.CountValid() != 0 || a.Peek(last) != nil {
+		t.Fatal("InvalidateAll left valid lines")
+	}
+	if n := a.allocatedChunks(); n != 2 {
+		t.Fatalf("InvalidateAll left %d chunks, want the 2 allocated", n)
 	}
 }

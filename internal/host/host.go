@@ -44,11 +44,18 @@ const (
 	opStore
 )
 
+// hostOp is one instruction of the phase. A load or store translates its
+// address on its first issue attempt and keeps the result in pa, so the
+// retries an L1 with full MSHRs forces do not walk the page table again.
+// Translating at dispatch instead would hand out physical frames in a
+// different order.
 type hostOp struct {
-	kind opKind
-	addr mem.VAddr
-	iter int
-	done bool
+	kind       opKind
+	done       bool
+	translated bool // pa holds addr's translation
+	addr       mem.VAddr
+	pa         mem.PAddr
+	iter       int
 }
 
 // Core HandleEvent opcodes.
@@ -306,6 +313,15 @@ func (c *Core) getCb(idx int, load bool) *memCb {
 	return cb
 }
 
+// physical returns the physical address of load or store op, translating
+// it on the first call.
+func (c *Core) physical(op *hostOp) mem.PAddr {
+	if !op.translated {
+		op.pa, op.translated = c.translate(op.addr), true
+	}
+	return op.pa
+}
+
 // Tick advances the pipeline.
 func (c *Core) Tick(now uint64) {
 	if c.inv == nil {
@@ -351,9 +367,8 @@ func (c *Core) Tick(now uint64) {
 			if memOps == 0 || c.inLQ >= c.cfg.LQ {
 				continue
 			}
-			pa := c.translate(op.addr)
 			cb := c.getCb(i, true)
-			if !c.l1.Access(mem.Load, pa, cb.fn) {
+			if !c.l1.Access(mem.Load, c.physical(op), cb.fn) {
 				c.freeCbs = append(c.freeCbs, cb)
 				continue // L1 MSHR full; retry next cycle
 			}
@@ -365,9 +380,8 @@ func (c *Core) Tick(now uint64) {
 			if memOps == 0 || c.inSQ >= c.cfg.SQ {
 				continue
 			}
-			pa := c.translate(op.addr)
 			cb := c.getCb(i, false)
-			if !c.l1.Access(mem.Store, pa, cb.fn) {
+			if !c.l1.Access(mem.Store, c.physical(op), cb.fn) {
 				c.freeCbs = append(c.freeCbs, cb)
 				continue
 			}

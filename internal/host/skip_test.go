@@ -84,6 +84,7 @@ type hostReport struct {
 	doneAt, midBusy, busy [2]uint64 // per phase; midBusy read mid-phase
 	firstSteps            uint64    // cycles stepped during the first phase
 	refused               int64     // L1 accesses refused for a full MSHR
+	translations          int       // calls of the translate function
 	counters, pj          string
 	probe                 coreSampler
 }
@@ -108,7 +109,11 @@ func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
 	c := New(eng, "hostcore", tc.cfg, l1, st)
 	probe.c = c
 	pt := vm.NewPageTable()
-	translate := func(va mem.VAddr) mem.PAddr { return pt.Translate(1, va) }
+	var r hostReport
+	translate := func(va mem.VAddr) mem.PAddr {
+		r.translations++
+		return pt.Translate(1, va)
+	}
 	advance := func(until uint64, pred func() bool) {
 		if skip {
 			eng.Run(until-eng.Now(), pred)
@@ -118,7 +123,6 @@ func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
 			eng.Step()
 		}
 	}
-	var r hostReport
 	for ph := 0; ph < 2; ph++ {
 		fired := false
 		c.Start(&tc.inv, translate, func(now uint64) {
@@ -201,6 +205,17 @@ func TestSkipMatchesStepping(t *testing.T) {
 			}
 			if tc.mshrs == 1 && step.refused == 0 {
 				t.Error("the 1-MSHR L1 refused no access; the case exercises no back-pressure")
+			}
+			// Each load or store translates once per phase, however often
+			// a full L1 refuses it.
+			memOps := 0
+			for _, it := range tc.inv.Iterations {
+				memOps += len(it.Loads) + len(it.Stores)
+			}
+			for _, r := range []hostReport{skip, step} {
+				if r.translations != 2*memOps {
+					t.Errorf("%d translations for %d loads and stores in two phases", r.translations, 2*memOps)
+				}
 			}
 			if tc.skips && skip.firstSteps*2 > skip.doneAt[0] {
 				t.Errorf("stepped %d of %d cycles; the stalled core was not skipped",

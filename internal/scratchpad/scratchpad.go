@@ -208,6 +208,13 @@ type Window struct {
 	WriteSet []mem.VAddr
 }
 
+// Per-line planner flags. A line is in the window while it has an entry in
+// the planner's table; the flags say what the window does with it.
+const (
+	planLoaded  uint8 = 1 << iota // the window must DMA the line in
+	planWritten                   // the window leaves the line dirty
+)
+
 // Windows segments an invocation so each window's footprint fits capacity,
 // replicating the paper's "windows of execution with DMA operations
 // required for each window".
@@ -217,63 +224,97 @@ type Window struct {
 // line is write-allocated for free only when it is NOT live: partially
 // overwriting live data without fetching it first would destroy the
 // untouched part of the line. live may be nil (nothing live).
+//
+// The planner keeps one flag table and one first-touch order for the whole
+// call and wipes both per window, so its cost follows the lines the
+// invocation touches rather than the number of windows.
 func Windows(inv *trace.Invocation, capacityLines int, live map[mem.VAddr]bool) []Window {
 	var out []Window
+	lines := flat.New[uint8](capacityLines)
+	var order []mem.VAddr
 	i := 0
 	for i < len(inv.Iterations) {
-		footprint := make(map[mem.VAddr]bool)
-		written := make(map[mem.VAddr]bool)
-		loaded := make(map[mem.VAddr]bool)
-		var order []mem.VAddr
+		lines.Clear()
+		order = order[:0]
 		j := i
 		for ; j < len(inv.Iterations); j++ {
 			it := &inv.Iterations[j]
 			// Tentatively measure the footprint with this iteration added.
 			add := 0
 			for _, a := range it.Loads {
-				if !footprint[a.LineAddr()] {
+				if lines.Ptr(uint64(a.LineAddr())) == nil {
 					add++
 				}
 			}
 			for _, a := range it.Stores {
-				if !footprint[a.LineAddr()] {
+				if lines.Ptr(uint64(a.LineAddr())) == nil {
 					add++
 				}
 			}
-			if len(footprint)+add > capacityLines && j > i {
+			if lines.Len()+add > capacityLines && j > i {
 				break // window full; this iteration starts the next one
 			}
 			for _, a := range it.Loads {
-				la := a.LineAddr()
-				if !footprint[la] {
-					footprint[la] = true
-					order = append(order, la)
-				}
-				loaded[la] = true
+				*touch(lines, &order, a.LineAddr()) |= planLoaded
 			}
 			for _, a := range it.Stores {
 				la := a.LineAddr()
-				if !footprint[la] {
-					footprint[la] = true
-					order = append(order, la)
-				}
+				f := touch(lines, &order, la)
 				if live[la] {
-					loaded[la] = true // read-modify-write of live data
+					*f |= planLoaded // read-modify-write of live data
 				}
-				written[la] = true
+				*f |= planWritten
 			}
 		}
-		w := Window{Start: i, End: j}
-		for _, la := range order {
-			if loaded[la] {
-				w.ReadSet = append(w.ReadSet, la)
-			}
-			if written[la] {
-				w.WriteSet = append(w.WriteSet, la)
-			}
-		}
-		out = append(out, w)
+		out = append(out, plannedWindow(i, j, lines, order))
 		i = j
 	}
 	return out
+}
+
+// touch returns la's flags, entering la into the window (and the
+// first-touch order) if it is not there yet.
+func touch(lines *flat.Map[uint8], order *[]mem.VAddr, la mem.VAddr) *uint8 {
+	if f := lines.Ptr(uint64(la)); f != nil {
+		return f
+	}
+	*order = append(*order, la)
+	return lines.Put(uint64(la), 0)
+}
+
+// plannedWindow builds window [start, end) from its flag table, with both
+// transfer sets in first-touch order and carved from one allocation.
+func plannedWindow(start, end int, lines *flat.Map[uint8], order []mem.VAddr) Window {
+	w := Window{Start: start, End: end}
+	nr, nw := 0, 0
+	for _, la := range order {
+		f := *lines.Ptr(uint64(la))
+		if f&planLoaded != 0 {
+			nr++
+		}
+		if f&planWritten != 0 {
+			nw++
+		}
+	}
+	if nr+nw == 0 {
+		return w
+	}
+	buf := make([]mem.VAddr, 0, nr+nw)
+	for _, la := range order {
+		if *lines.Ptr(uint64(la))&planLoaded != 0 {
+			buf = append(buf, la)
+		}
+	}
+	for _, la := range order {
+		if *lines.Ptr(uint64(la))&planWritten != 0 {
+			buf = append(buf, la)
+		}
+	}
+	if nr > 0 {
+		w.ReadSet = buf[:nr:nr]
+	}
+	if nw > 0 {
+		w.WriteSet = buf[nr:]
+	}
+	return w
 }

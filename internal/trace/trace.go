@@ -12,7 +12,10 @@
 // paper's Table 1 MLP figures arise.
 package trace
 
-import "fusion/internal/mem"
+import (
+	"fusion/internal/flat"
+	"fusion/internal/mem"
+)
 
 // Iteration is one loop body instance: a set of independent loads, a
 // compute phase, and dependent stores.
@@ -105,6 +108,10 @@ func (inv *Invocation) Ops() (intOps, fpOps, loads, stores int) {
 type Program struct {
 	Name   string
 	Phases []Phase
+
+	// wsLines memoizes WorkingSet's line count; sealed says Seal filled it.
+	wsLines int
+	sealed  bool
 }
 
 // PhaseKind distinguishes offloaded from host-run phases.
@@ -123,15 +130,17 @@ type Phase struct {
 	Inv  Invocation
 }
 
-// Seal memoizes every phase's Lines view. Call once the trace is final
-// (and before the program is shared across concurrent runs); mutating any
-// Iterations afterwards leaves the memo stale. Sealing is idempotent.
+// Seal memoizes every phase's Lines view and the program's WorkingSet.
+// Call once the trace is final (and before the program is shared across
+// concurrent runs); mutating any Iterations afterwards leaves the memo
+// stale. Sealing is idempotent.
 func (p *Program) Seal() {
 	for i := range p.Phases {
 		inv := &p.Phases[i].Inv
 		l, w := inv.computeLines()
 		inv.memo = &invLines{lines: l, written: w}
 	}
+	p.wsLines, p.sealed = p.workingSetLines(), true
 }
 
 // NumAXCs returns how many distinct accelerators the program uses.
@@ -148,14 +157,29 @@ func (p *Program) NumAXCs() int {
 
 // WorkingSet returns the program's distinct line count and total bytes.
 func (p *Program) WorkingSet() (lines int, bytes int) {
-	seen := make(map[mem.VAddr]bool)
+	lines = p.wsLines
+	if !p.sealed {
+		lines = p.workingSetLines()
+	}
+	return lines, lines * mem.LineBytes
+}
+
+// workingSetLines counts the distinct lines over every phase's Lines in a
+// table sized for their total, so it never grows.
+func (p *Program) workingSetLines() int {
+	n := 0
+	for i := range p.Phases {
+		ls, _ := p.Phases[i].Inv.Lines()
+		n += len(ls)
+	}
+	seen := flat.New[struct{}](n)
 	for i := range p.Phases {
 		ls, _ := p.Phases[i].Inv.Lines()
 		for _, l := range ls {
-			seen[l] = true
+			seen.Put(uint64(l), struct{}{})
 		}
 	}
-	return len(seen), len(seen) * mem.LineBytes
+	return seen.Len()
 }
 
 // SharedLines computes, per accelerated function, the fraction of its lines

@@ -56,6 +56,11 @@ func TestWorkingSet(t *testing.T) {
 	if lines != 3 || bytes != 3*64 {
 		t.Fatalf("WorkingSet = %d lines / %d bytes", lines, bytes)
 	}
+	p.Seal()
+	p.Phases = nil // a sealed program answers from its memo
+	if lines, bytes := p.WorkingSet(); lines != 3 || bytes != 3*64 {
+		t.Fatalf("sealed WorkingSet = %d lines / %d bytes", lines, bytes)
+	}
 }
 
 func TestSharedLines(t *testing.T) {
