@@ -64,16 +64,22 @@ func main() {
 	// Collect the full message-level protocol trace alongside the counters.
 	collector := &fusion.TraceCollector{}
 	cfg := fusion.DefaultConfig(fusion.FusionSystem)
-	cfg.Tracer = collector
+	cfg.Observer = collector
 	res, err := fusion.Run(b, cfg)
 	if err != nil {
 		panic(err)
 	}
 
+	var protocol []fusion.ProtocolEvent
+	for _, e := range collector.Events {
+		if e.Kind.Protocol() {
+			protocol = append(protocol, e)
+		}
+	}
 	fmt.Println("First 24 protocol events (the message sequences of Figures 4/5):")
-	for i, e := range collector.Events {
+	for i, e := range protocol {
 		if i == 24 {
-			fmt.Printf("   ... %d more\n", len(collector.Events)-24)
+			fmt.Printf("   ... %d more\n", len(protocol)-24)
 			break
 		}
 		fmt.Println("  ", e)

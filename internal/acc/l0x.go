@@ -11,7 +11,6 @@ import (
 	"fusion/internal/interconnect"
 	"fusion/internal/mem"
 	"fusion/internal/obs"
-	"fusion/internal/ptrace"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
 )
@@ -84,10 +83,9 @@ type L0X struct {
 
 	pool TileMsgPool
 
-	meter  *energy.Meter
-	tracer ptrace.Tracer
-	obsv   obs.Observer
-	mut    *Mutations
+	meter *energy.Meter
+	obsv  obs.Observer
+	mut   *Mutations
 
 	cAccesses     *stats.Counter
 	cWriteThrough *stats.Counter
@@ -103,11 +101,8 @@ type L0X struct {
 	cFwdIn        *stats.Counter
 }
 
-// SetTracer attaches a protocol tracer (nil disables tracing).
-func (c *L0X) SetTracer(t ptrace.Tracer) { c.tracer = t }
-
-// SetObserver attaches a litmus observer (nil disables observation; the
-// hot path then pays only a nil check).
+// SetObserver attaches an observer (nil disables observation; the hot
+// path then pays only a nil check).
 func (c *L0X) SetObserver(o obs.Observer) { c.obsv = o }
 
 // SetMutations arms test-only protocol mutations (nil disables them).
@@ -115,15 +110,8 @@ func (c *L0X) SetMutations(m *Mutations) { c.mut = m }
 
 // observe reports one agent-visible load or store to the attached observer.
 func (c *L0X) observe(k obs.Kind, va mem.VAddr, ver, lease uint64) {
-	c.obsv.Record(obs.Observation{Cycle: c.eng.Now(), Agent: c.name,
+	c.obsv.Record(obs.Event{Cycle: c.eng.Now(), Agent: c.name,
 		Addr: uint64(va), Ver: ver, Lease: lease, Kind: k})
-}
-
-func (c *L0X) emit(k ptrace.Kind, addr uint64, detail string) {
-	if c.tracer != nil {
-		c.tracer.Emit(ptrace.Event{Cycle: c.eng.Now(), Source: c.name, Kind: k,
-			Addr: addr, Detail: detail})
-	}
 }
 
 // NewL0X builds a private cache for accelerator id.
@@ -249,7 +237,9 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 			// Lease expired (self-invalidated) or insufficient: miss path.
 			if l.LTime <= now && l.WTime <= now {
 				c.cSelfInval.Inc()
-				c.emit(ptrace.SelfInvalidate, a, "")
+				if c.obsv != nil {
+					c.obsv.Record(obs.Event{Cycle: now, Agent: c.name, Kind: obs.SelfInvalidate, Addr: a})
+				}
 				c.dropLine(l) // expired; writeback if a dirty epoch lapsed
 			}
 		}
@@ -273,7 +263,9 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 	if t.write {
 		mt = MsgGetW
 	}
-	c.emit(ptrace.L0XMiss, a, mt.String())
+	if c.obsv != nil {
+		c.obsv.Record(obs.Event{Cycle: now, Agent: c.name, Kind: obs.L0XMiss, Addr: a, Msg: mt.String()})
+	}
 	req := c.pool.Get()
 	req.Type, req.Addr, req.PID, req.Src = mt, mem.VAddr(a), c.pid, c.id
 	req.Lease = c.cfg.LeaseTime // duration; the L1X anchors it at grant time
@@ -508,8 +500,9 @@ func (c *L0X) dropLine(l *cache.Line) {
 func (c *L0X) flushLine(l *cache.Line) {
 	if consumer, ok := c.fwdTable.Get(l.Addr); ok && l.State != cache.Shared {
 		if link := c.peerLink(consumer); link != nil {
-			if c.tracer != nil {
-				c.emit(ptrace.DxForward, l.Addr, fmt.Sprintf("to axc%d lease=%d", consumer, maxU64(l.WTime, l.LTime)))
+			if c.obsv != nil {
+				c.obsv.Record(obs.Event{Cycle: c.eng.Now(), Agent: c.name, Kind: obs.DxForward,
+					Addr: l.Addr, Peer: int32(consumer), Lease: maxU64(l.WTime, l.LTime)})
 			}
 			fwd := c.pool.Get()
 			fwd.Type, fwd.Addr, fwd.PID, fwd.Src = MsgFwdData, mem.VAddr(l.Addr), c.pid, c.id
@@ -523,7 +516,9 @@ func (c *L0X) flushLine(l *cache.Line) {
 			return
 		}
 	}
-	c.emit(ptrace.Writeback, l.Addr, "")
+	if c.obsv != nil {
+		c.obsv.Record(obs.Event{Cycle: c.eng.Now(), Agent: c.name, Kind: obs.Writeback, Addr: l.Addr})
+	}
 	c.sendWB(l.Addr, l.Ver, l.WTime, false)
 	c.cWBs.Inc()
 	l.Dirty = false
@@ -545,7 +540,9 @@ func (c *L0X) selfDowngrade(a uint64, expiry uint64) {
 		return // already drained, evicted, or re-leased
 	}
 	c.cSelfDown.Inc()
-	c.emit(ptrace.SelfDowngrade, a, "")
+	if c.obsv != nil {
+		c.obsv.Record(obs.Event{Cycle: c.eng.Now(), Agent: c.name, Kind: obs.SelfDowngrade, Addr: a})
+	}
 	if l.Dirty {
 		c.flushLine(l)
 	} else if c.cfg.WriteThrough {

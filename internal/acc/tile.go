@@ -11,7 +11,6 @@ import (
 	"fusion/internal/mem"
 	"fusion/internal/mesi"
 	"fusion/internal/obs"
-	"fusion/internal/ptrace"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
 	"fusion/internal/vm"
@@ -178,16 +177,8 @@ func NewTile(eng *sim.Engine, fabric *mesi.Fabric, pt *vm.PageTable,
 	return t
 }
 
-// SetTracer attaches a protocol tracer to every controller in the tile.
-func (t *Tile) SetTracer(tr ptrace.Tracer) {
-	t.L1X.SetTracer(tr)
-	for _, l0 := range t.L0Xs {
-		l0.SetTracer(tr)
-	}
-}
-
-// SetObserver attaches a litmus observer to every controller in the tile
-// (nil disables observation).
+// SetObserver attaches an observer to every controller in the tile (nil
+// disables observation).
 func (t *Tile) SetObserver(o obs.Observer) {
 	t.L1X.SetObserver(o)
 	for _, l0 := range t.L0Xs {

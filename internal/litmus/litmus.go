@@ -30,28 +30,33 @@ import (
 	"fusion/internal/workloads"
 )
 
-// Recorder buffers the observation stream of one run, stamping each record
-// with the current synchronization epoch (the phase index, advanced by the
-// systems runner at every phase boundary). It implements obs.Observer.
+// Recorder buffers the loads, stores, fills and grants of one run,
+// stamping each with the current synchronization epoch: the phase index of
+// the latest phase mark the systems runner recorded. It implements
+// obs.Observer.
 type Recorder struct {
 	epoch int32
-	obs   []obs.Observation
+	obs   []obs.Event
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record implements obs.Observer.
-func (r *Recorder) Record(o obs.Observation) {
-	o.Epoch = r.epoch
-	r.obs = append(r.obs, o)
+func (r *Recorder) Record(e obs.Event) {
+	switch e.Kind {
+	case obs.Phase:
+		r.epoch = e.Epoch
+	case obs.Load, obs.Store, obs.Fill, obs.LeaseGrant, obs.EpochGrant:
+		e.Epoch = r.epoch
+		r.obs = append(r.obs, e)
+	default:
+		// The other protocol transitions carry no value to check.
+	}
 }
 
-// Epoch implements obs.Observer.
-func (r *Recorder) Epoch(n int, cycle uint64) { r.epoch = int32(n) }
-
 // Observations returns the recorded stream in program order.
-func (r *Recorder) Observations() []obs.Observation { return r.obs }
+func (r *Recorder) Observations() []obs.Event { return r.obs }
 
 // Report is the outcome of one (case, system) litmus run.
 type Report struct {

@@ -138,14 +138,14 @@ func NewClient(f *Fabric, id AgentID, cfg ClientConfig,
 // ID returns the client's agent ID.
 func (c *Client) ID() AgentID { return c.id }
 
-// SetObserver attaches a litmus observer (nil disables observation; the
-// hot path then pays only a nil check). A MESI client is a strict agent:
+// SetObserver attaches an observer (nil disables observation; the hot
+// path then pays only a nil check). A MESI client is a strict agent:
 // every recorded load must observe the latest globally-ordered write.
 func (c *Client) SetObserver(o obs.Observer) { c.obsv = o }
 
 // observe reports one agent-visible load or store to the attached observer.
 func (c *Client) observe(k obs.Kind, addr mem.PAddr, ver uint64) {
-	c.obsv.Record(obs.Observation{Cycle: c.fabric.Now(), Agent: c.name,
+	c.obsv.Record(obs.Event{Cycle: c.fabric.Now(), Agent: c.name,
 		Addr: uint64(addr), Ver: ver, Kind: k, Phys: true})
 }
 

@@ -67,7 +67,7 @@ type Scratchpad struct {
 // SetMutations arms test-only scratchpad bugs (nil disarms).
 func (s *Scratchpad) SetMutations(m *Mutations) { s.mut = m }
 
-// SetObserver attaches a litmus observer (nil disables observation). The
+// SetObserver attaches an observer (nil disables observation). The
 // scratchpad is a strict agent within a window: fills must install the
 // latest globally-ordered version, and loads must observe it.
 func (s *Scratchpad) SetObserver(o obs.Observer) { s.obsv = o }
@@ -101,7 +101,7 @@ func (s *Scratchpad) Fill(va mem.VAddr, ver uint64) {
 	}
 	s.lines.Put(a, padLine{base: ver, baseKnown: true})
 	if s.obsv != nil {
-		s.obsv.Record(obs.Observation{Cycle: s.eng.Now(), Agent: s.name,
+		s.obsv.Record(obs.Event{Cycle: s.eng.Now(), Agent: s.name,
 			Addr: a, Ver: ver, Kind: obs.Fill})
 	}
 }
@@ -137,7 +137,7 @@ func (s *Scratchpad) Access(kind mem.AccessKind, va mem.VAddr, done func(now uin
 		if kind == mem.Store {
 			k = obs.Store
 		}
-		s.obsv.Record(obs.Observation{Cycle: s.eng.Now(), Agent: s.name,
+		s.obsv.Record(obs.Event{Cycle: s.eng.Now(), Agent: s.name,
 			Addr: uint64(va), Ver: l.base + l.delta, Kind: k, Delta: !l.baseKnown})
 	}
 	s.eng.Schedule(s.cfg.AccessLat, done)

@@ -89,7 +89,7 @@ func (p *uncachedPort) issue(la uint64, op uncachedOp) {
 		// lines.
 		p.dma.WriteLine(pa, 1, true, func(now uint64) {
 			if p.obsv != nil {
-				p.obsv.Record(obs.Observation{Cycle: now, Agent: p.name,
+				p.obsv.Record(obs.Event{Cycle: now, Agent: p.name,
 					Addr: uint64(op.va), Ver: 1, Kind: obs.Store, Delta: true})
 			}
 			op.done(now)
@@ -102,7 +102,7 @@ func (p *uncachedPort) issue(la uint64, op uncachedOp) {
 		if p.obsv != nil {
 			// Lease zero: an uncached read is a strict observation — it
 			// must see the latest globally-ordered version.
-			p.obsv.Record(obs.Observation{Cycle: now, Agent: p.name,
+			p.obsv.Record(obs.Event{Cycle: now, Agent: p.name,
 				Addr: uint64(op.va), Ver: ver, Kind: obs.Load})
 		}
 		op.done(now)

@@ -7,7 +7,7 @@ package systems
 // it. Because the simulator is deterministic, a Spec's canonical hash
 // permanently identifies its result: compute once, serve forever.
 //
-// Knobs that never change measured results (tracers, observers, paranoia
+// Knobs that never change measured results (observers, paranoia
 // sweeps, test-only mutations) are deliberately not part of a Spec; knobs
 // that change whether a run completes (cycle budget, watchdog window, fault
 // plan) are.
@@ -66,7 +66,7 @@ func ParseKind(name string) (Kind, bool) {
 }
 
 // SpecOf captures the serializable portion of a Config as a normalized
-// Spec. Non-serializable knobs (Tracer, Observer, Paranoid, mutations) are
+// Spec. Non-serializable knobs (Observer, Paranoid, mutations) are
 // dropped: they never change measured results.
 func SpecOf(bench string, cfg Config) Spec {
 	cfg = cfg.normalize()

@@ -40,7 +40,6 @@ import (
 	"fusion/internal/mem"
 	"fusion/internal/mesi"
 	"fusion/internal/obs"
-	"fusion/internal/ptrace"
 	"fusion/internal/scratchpad"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
@@ -146,9 +145,6 @@ type Config struct {
 	DMAOutstanding int
 	// DMAGap is the DMA controller's per-transfer occupancy in cycles.
 	DMAGap uint64
-	// Tracer, when set, receives message-level protocol events from the
-	// accelerator tile(s) and the host directory (see internal/ptrace).
-	Tracer ptrace.Tracer
 	// Paranoid scans the tile(s) for ACC protocol-invariant violations
 	// every few cycles (single writer, lease containment, RMAP
 	// consistency) and the host directory's MESI invariants (single owner,
@@ -179,11 +175,12 @@ type Config struct {
 	// (deadline-critical streaming). Zero leaves the deadline term of the
 	// filter unarmed. Other systems ignore it.
 	DeadlineCycles uint64
-	// Observer, when set, receives a (cycle, agent, address, value, epoch)
-	// observation for every load and store any agent performs, plus epoch
-	// marks at phase boundaries — the litmus harness's value-checking feed
-	// (see internal/obs and internal/litmus). Nil costs the hot path only a
-	// nil check.
+	// Observer, when set, receives one obs.Event for every load, store and
+	// fill any agent performs, every protocol transition of the
+	// accelerator tile(s) and the host directory, and a phase mark at
+	// every phase boundary — the litmus harness's value-checking feed and
+	// the message-level protocol trace (see internal/obs and
+	// internal/litmus). Nil costs the hot path only a nil check.
 	Observer obs.Observer
 	// AccMutations, DirMutations, PadMutations, and PolicyMutations arm
 	// deliberate, test-only protocol/policy bugs for the litmus
@@ -455,12 +452,8 @@ func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) 
 		m.dir.Preload(m.translate(va), 1)
 	}
 
-	if cfg.Tracer != nil {
-		m.dir.SetTracer(cfg.Tracer)
-	}
-	if cfg.Observer != nil {
-		m.hostL1.SetObserver(cfg.Observer)
-	}
+	m.dir.SetObserver(cfg.Observer)
+	m.hostL1.SetObserver(cfg.Observer)
 	if cfg.DirMutations != nil {
 		m.dir.SetMutations(cfg.DirMutations)
 	}
@@ -595,7 +588,7 @@ func runPhases(m *machine, b *workloads.Benchmark, cfg Config, res *Result, h ph
 		ph := &b.Program.Phases[i]
 		inv := &ph.Inv
 		if cfg.Observer != nil {
-			cfg.Observer.Epoch(i, m.eng.Now())
+			cfg.Observer.Record(obs.Event{Cycle: m.eng.Now(), Kind: obs.Phase, Epoch: int32(i)})
 		}
 		host := ph.Kind == trace.PhaseHost
 		if !host && h.prepare != nil {
@@ -662,9 +655,7 @@ func newPads(m *machine, cfg Config, axcs []*accel.Accelerator) []*scratchpad.Sc
 			continue
 		}
 		pads[axc] = scratchpad.New(m.eng, fmt.Sprintf("spad%d", axc), spadCfg, m.mt, m.st)
-		if cfg.Observer != nil {
-			pads[axc].SetObserver(cfg.Observer)
-		}
+		pads[axc].SetObserver(cfg.Observer)
 		if cfg.PadMutations != nil {
 			pads[axc].SetMutations(cfg.PadMutations)
 		}
@@ -818,9 +809,7 @@ func runShared(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	tlb := vm.NewTLB("sharedtlb", 32, 40, m.pt, m.model, m.mt, m.st)
 	port := &sharedPort{m: m, client: client, tlb: tlb, eng: m.eng,
 		cMsgs: m.st.Counter("sharedswitch.msgs")}
-	if cfg.Observer != nil {
-		client.SetObserver(cfg.Observer)
-	}
+	client.SetObserver(cfg.Observer)
 	axcs := accelFor(m, b)
 
 	err := runPhases(m, b, cfg, res, phaseHooks{
@@ -903,8 +892,8 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	return nil
 }
 
-// newTile builds tile t with nAXCs L0X slots and wires the run's tracer,
-// observer, mutations, paranoid checker and watchdog dump into it. Tiles
+// newTile builds tile t with nAXCs L0X slots and wires the run's observer,
+// mutations, paranoid checker and watchdog dump into it. Tiles
 // after the first get their own stat prefix and host routes.
 func newTile(m *machine, cfg Config, t, nAXCs int) *acc.Tile {
 	var tcfg acc.TileConfig
@@ -926,12 +915,7 @@ func newTile(m *machine, cfg Config, t, nAXCs int) *acc.Tile {
 	if cfg.Kind == Hydra {
 		tile.L1X.EnableBypassFilter(hydraBypassThreshold, m.model.PolicyCheck)
 	}
-	if cfg.Tracer != nil {
-		tile.SetTracer(cfg.Tracer)
-	}
-	if cfg.Observer != nil {
-		tile.SetObserver(cfg.Observer)
-	}
+	tile.SetObserver(cfg.Observer)
 	if cfg.AccMutations != nil {
 		tile.SetMutations(cfg.AccMutations)
 	}
