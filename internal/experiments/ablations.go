@@ -150,12 +150,8 @@ func (r *Runner) AblateTiles() ([]TilesRow, error) {
 	return rows, nil
 }
 
-// PrintAblateLease renders the lease sweep.
-func (r *Runner) PrintAblateLease(w io.Writer) error {
-	rows, err := r.AblateLease()
-	if err != nil {
-		return err
-	}
+// printAblateLease renders the lease sweep.
+func printAblateLease(w io.Writer, rows []LeaseRow) {
 	fmt.Fprintln(w, "Ablation: ACC lease length (FUSION; 1.0 = Table 3 LT values)")
 	fmt.Fprintf(w, "%-7s %7s %12s %12s %10s %10s\n",
 		"Bench", "Scale", "Cycles", "L1X grants", "CycNorm", "EnNorm")
@@ -163,30 +159,20 @@ func (r *Runner) PrintAblateLease(w io.Writer) error {
 		fmt.Fprintf(w, "%-7s %7.2f %12d %12d %10.3f %10.3f\n",
 			row.Benchmark, row.Scale, row.Cycles, row.Grants, row.CycleNorm, row.EnergyNorm)
 	}
-	return nil
 }
 
-// PrintAblateDMADepth renders the DMA sweep.
-func (r *Runner) PrintAblateDMADepth(w io.Writer) error {
-	rows, err := r.AblateDMADepth()
-	if err != nil {
-		return err
-	}
+// printAblateDMADepth renders the DMA sweep.
+func printAblateDMADepth(w io.Writer, rows []DMARow) {
 	fmt.Fprintln(w, "Ablation: oracle DMA transfer depth (SCRATCH vs fixed FUSION)")
 	fmt.Fprintf(w, "%-7s %7s %12s %18s\n", "Bench", "Depth", "Cycles", "FUSION advantage")
 	for _, row := range rows {
 		fmt.Fprintf(w, "%-7s %7d %12d %17.2fx\n",
 			row.Benchmark, row.Depth, row.Cycles, row.FusionAdvantage)
 	}
-	return nil
 }
 
-// PrintAblateTiles renders the placement comparison.
-func (r *Runner) PrintAblateTiles(w io.Writer) error {
-	rows, err := r.AblateTiles()
-	if err != nil {
-		return err
-	}
+// printAblateTiles renders the placement comparison.
+func printAblateTiles(w io.Writer, rows []TilesRow) {
 	fmt.Fprintln(w, "Ablation: accelerator placement (collocated vs split across 2 tiles)")
 	fmt.Fprintf(w, "%-7s %7s %12s %10s %10s %12s\n",
 		"Bench", "Tiles", "Cycles", "CycNorm", "EnNorm", "Tile<->L2msg")
@@ -194,5 +180,4 @@ func (r *Runner) PrintAblateTiles(w io.Writer) error {
 		fmt.Fprintf(w, "%-7s %7d %12d %10.3f %10.3f %12d\n",
 			row.Benchmark, row.Tiles, row.Cycles, row.CycleNorm, row.EnergyNorm, row.HostMsgs)
 	}
-	return nil
 }

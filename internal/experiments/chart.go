@@ -13,12 +13,8 @@ import (
 // barWidth is the width of a 1.0-normalized bar.
 const barWidth = 44
 
-// PrintChart6b renders Figure 6b as horizontal bars (SCRATCH = full width).
-func (r *Runner) PrintChart6b(w io.Writer) error {
-	rows, err := r.Figure6b()
-	if err != nil {
-		return err
-	}
+// printChart6b renders Figure 6b as horizontal bars (SCRATCH = full width).
+func printChart6b(w io.Writer, rows []Fig6bRow) {
 	fmt.Fprintln(w, "Figure 6b (chart): cycles normalized to SCRATCH — shorter is faster")
 	fmt.Fprintln(w)
 	for _, row := range rows {
@@ -41,7 +37,6 @@ func (r *Runner) PrintChart6b(w io.Writer) error {
 			fmt.Fprintln(w)
 		}
 	}
-	return nil
 }
 
 // Component letters for the stacked Figure 6a bars.
@@ -59,13 +54,9 @@ var fig6aStack = []struct {
 	{"compute", 'c', func(r Fig6aRow) float64 { return r.Compute }},
 }
 
-// PrintChart6a renders Figure 6a as stacked horizontal bars, normalized to
+// printChart6a renders Figure 6a as stacked horizontal bars, normalized to
 // each benchmark's SCRATCH total.
-func (r *Runner) PrintChart6a(w io.Writer) error {
-	rows, err := r.Figure6a()
-	if err != nil {
-		return err
-	}
+func printChart6a(w io.Writer, rows []Fig6aRow) {
 	fmt.Fprintln(w, "Figure 6a (chart): on-chip dynamic energy, stacked by component,")
 	fmt.Fprintln(w, "normalized to SCRATCH. Legend:")
 	for _, c := range fig6aStack {
@@ -108,5 +99,4 @@ func (r *Runner) PrintChart6a(w io.Writer) error {
 			fmt.Fprintln(w)
 		}
 	}
-	return nil
 }

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 5). Each experiment has a data-producing function
-// (used by tests and benchmarks) and a printing wrapper that emits the same
-// rows or series the paper reports.
+// evaluation (Section 5). One table (artifacts, in print.go) names each
+// artifact with the runs it reads, a data-producing function (used by
+// tests and benchmarks) and a renderer that emits the same rows or series
+// the paper reports.
 //
 // Absolute numbers differ from the paper — the substrate is this
 // repository's simulator, not the authors' macsim/GEMS testbed — but the

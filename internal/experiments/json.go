@@ -10,48 +10,11 @@ import (
 // Table 3 returns a struct with both its row list and the per-benchmark
 // cache/compute ratios.
 func (r *Runner) Data(name string) (any, error) {
-	switch name {
-	case "table1":
-		return r.Table1()
-	case "table3":
-		rows, ratios, err := r.Table3()
-		if err != nil {
-			return nil, err
-		}
-		return struct {
-			Rows   []Table3Row
-			Ratios []Table3Ratio
-		}{rows, ratios}, nil
-	case "fig6a":
-		return r.Figure6a()
-	case "fig6b":
-		return r.Figure6b()
-	case "fig6c":
-		return r.Figure6c()
-	case "fig6d":
-		return r.Figure6d()
-	case "fig6e":
-		return r.Figure6e()
-	case "table4":
-		return r.Table4()
-	case "table5":
-		return r.Table5()
-	case "fig7":
-		return r.Figure7()
-	case "table6":
-		return r.Table6()
-	case "chart6a":
-		return r.Figure6a()
-	case "chart6b":
-		return r.Figure6b()
-	case "ablate-lease":
-		return r.AblateLease()
-	case "ablate-dma":
-		return r.AblateDMADepth()
-	case "ablate-tiles":
-		return r.AblateTiles()
+	a := artifactNamed(name)
+	if a == nil {
+		return nil, fmt.Errorf("unknown experiment %q", name)
 	}
-	return nil, fmt.Errorf("unknown experiment %q", name)
+	return a.data(r)
 }
 
 // PrintJSON writes the named experiment (or, for "all", an object keyed by
@@ -73,12 +36,12 @@ func (r *Runner) PrintJSON(w io.Writer, name string) error {
 		return err
 	}
 	out := make(map[string]any)
-	for _, e := range r.All() {
-		data, err := r.Data(e.Name)
+	for _, a := range artifacts {
+		data, err := a.data(r)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
+			return fmt.Errorf("%s: %w", a.Name, err)
 		}
-		out[e.Name] = data
+		out[a.Name] = data
 	}
 	return enc.Encode(out)
 }

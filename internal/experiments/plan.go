@@ -23,112 +23,96 @@ type Req struct {
 }
 
 // requirements enumerates, in a fixed order, every run the named artifact
-// reads. It must stay in lockstep with the artifact bodies in
+// reads. Each artifact's run list must stay in lockstep with its body in
 // experiments.go/ablations.go — TestRequirementsCoverEveryArtifact fails
-// if an artifact executes a run its requirements did not enumerate.
-func requirements(exp string) []Req {
-	fusionOver := func(names []string) []Req {
-		var reqs []Req
-		for _, n := range names {
-			reqs = append(reqs, Req{n, systems.DefaultConfig(systems.Fusion)})
-		}
-		return reqs
-	}
-	switch exp {
-	case "table1", "table3", "table6":
-		return fusionOver(workloads.Names())
-	case "fig6a", "fig6b", "fig6c", "chart6a", "chart6b":
-		var reqs []Req
-		for _, n := range workloads.Names() {
-			for _, kind := range SystemsCompared() {
-				reqs = append(reqs, Req{n, systems.DefaultConfig(kind)})
-			}
-		}
-		return reqs
-	case "fig6d":
-		var reqs []Req
-		for _, n := range workloads.Names() {
-			reqs = append(reqs, Req{n, systems.DefaultConfig(systems.Scratch)})
-		}
-		return reqs
-	case "fig6e":
-		var reqs []Req
-		for _, n := range workloads.Names() {
-			for _, kind := range systems.Kinds() {
-				reqs = append(reqs, Req{n, systems.DefaultConfig(kind)})
-			}
-		}
-		return reqs
-	case "table4":
-		var reqs []Req
-		for _, n := range workloads.Names() {
-			wt := systems.DefaultConfig(systems.Fusion)
-			wt.WriteThrough = true
-			reqs = append(reqs, Req{n, systems.DefaultConfig(systems.Fusion)}, Req{n, wt})
-		}
-		return reqs
-	case "table5":
-		var reqs []Req
-		for _, n := range workloads.Names() {
-			reqs = append(reqs,
-				Req{n, systems.DefaultConfig(systems.Fusion)},
-				Req{n, systems.DefaultConfig(systems.FusionDx)})
-		}
-		return reqs
-	case "fig7":
-		var reqs []Req
-		for _, n := range workloads.Names() {
-			large := systems.DefaultConfig(systems.Fusion)
-			large.Large = true
-			reqs = append(reqs, Req{n, systems.DefaultConfig(systems.Fusion)}, Req{n, large})
-		}
-		return reqs
-	case "ablate-lease":
-		var reqs []Req
-		for _, n := range []string{"adpcm", "filt", "fft"} {
-			for _, sc := range []float64{0.25, 0.5, 1.0, 2.0, 4.0} {
-				cfg := systems.DefaultConfig(systems.Fusion)
-				cfg.LeaseScale = sc
-				reqs = append(reqs, Req{n, cfg})
-			}
-		}
-		return reqs
-	case "ablate-dma":
-		var reqs []Req
-		for _, n := range []string{"fft", "disp", "hist"} {
-			reqs = append(reqs, Req{n, systems.DefaultConfig(systems.Fusion)})
-			for _, depth := range []int{1, 2, 4, 8} {
-				cfg := systems.DefaultConfig(systems.Scratch)
-				cfg.DMAOutstanding = depth
-				if depth > 1 {
-					cfg.DMAGap = 4
-				}
-				reqs = append(reqs, Req{n, cfg})
-			}
-		}
-		return reqs
-	case "ablate-tiles":
-		var reqs []Req
-		for _, n := range []string{"fft", "adpcm", "susan"} {
-			for _, tiles := range []int{1, 2} {
-				cfg := systems.DefaultConfig(systems.Fusion)
-				cfg.Tiles = tiles
-				reqs = append(reqs, Req{n, cfg})
-			}
-		}
-		return reqs
+// if an artifact executes a run its list did not enumerate.
+func requirements(name string) []Req {
+	if a := artifactNamed(name); a != nil {
+		return a.runs()
 	}
 	return nil
 }
 
-// prefetchAll prefetches the union of every registered artifact's runs.
-func (r *Runner) prefetchAll() error {
-	var names []string
-	for _, e := range r.All() {
-		names = append(names, e.Name)
+// perBench enumerates, benchmark by benchmark, one run of each config.
+func perBench(benches []string, cfgs ...systems.Config) []Req {
+	var reqs []Req
+	for _, n := range benches {
+		for _, cfg := range cfgs {
+			reqs = append(reqs, Req{n, cfg})
+		}
 	}
-	return r.Prefetch(names...)
+	return reqs
 }
+
+// defaults returns each system's default configuration.
+func defaults(kinds ...systems.Kind) []systems.Config {
+	cfgs := make([]systems.Config, len(kinds))
+	for i, k := range kinds {
+		cfgs[i] = systems.DefaultConfig(k)
+	}
+	return cfgs
+}
+
+// The run lists of the artifact table, each over the paper benchmarks or
+// an ablation's subset.
+
+func fusionRuns() []Req   { return perBench(workloads.Names(), defaults(systems.Fusion)...) }
+func comparedRuns() []Req { return perBench(workloads.Names(), defaults(SystemsCompared()...)...) }
+func scratchRuns() []Req  { return perBench(workloads.Names(), defaults(systems.Scratch)...) }
+
+func everySystemRuns() []Req { return perBench(workloads.Names(), defaults(systems.Kinds()...)...) }
+
+func forwardingRuns() []Req {
+	return perBench(workloads.Names(), defaults(systems.Fusion, systems.FusionDx)...)
+}
+
+func writePolicyRuns() []Req {
+	wt := systems.DefaultConfig(systems.Fusion)
+	wt.WriteThrough = true
+	return perBench(workloads.Names(), systems.DefaultConfig(systems.Fusion), wt)
+}
+
+func largeRuns() []Req {
+	large := systems.DefaultConfig(systems.Fusion)
+	large.Large = true
+	return perBench(workloads.Names(), systems.DefaultConfig(systems.Fusion), large)
+}
+
+func leaseRuns() []Req {
+	var cfgs []systems.Config
+	for _, sc := range []float64{0.25, 0.5, 1.0, 2.0, 4.0} {
+		cfg := systems.DefaultConfig(systems.Fusion)
+		cfg.LeaseScale = sc
+		cfgs = append(cfgs, cfg)
+	}
+	return perBench([]string{"adpcm", "filt", "fft"}, cfgs...)
+}
+
+func dmaRuns() []Req {
+	cfgs := defaults(systems.Fusion)
+	for _, depth := range []int{1, 2, 4, 8} {
+		cfg := systems.DefaultConfig(systems.Scratch)
+		cfg.DMAOutstanding = depth
+		if depth > 1 {
+			cfg.DMAGap = 4
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	return perBench([]string{"fft", "disp", "hist"}, cfgs...)
+}
+
+func tilesRuns() []Req {
+	var cfgs []systems.Config
+	for _, tiles := range []int{1, 2} {
+		cfg := systems.DefaultConfig(systems.Fusion)
+		cfg.Tiles = tiles
+		cfgs = append(cfgs, cfg)
+	}
+	return perBench([]string{"fft", "adpcm", "susan"}, cfgs...)
+}
+
+// prefetchAll prefetches the union of every registered artifact's runs.
+func (r *Runner) prefetchAll() error { return r.Prefetch(Names()...) }
 
 // Prefetch simulates every run the named artifacts need, deduplicated
 // across artifacts and fanned out over the runner's worker pool. With one
