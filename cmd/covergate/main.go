@@ -7,16 +7,18 @@
 //	covergate -profile cover.out -baseline COVERAGE_BASELINE -write   # refresh
 //
 // The gate fails (exit 1) when any package's coverage drops more than
-// -maxdrop percentage points below its baseline entry. Packages new since
-// the baseline pass (and are reported) — refresh with -write after adding
-// a package or deliberately changing coverage. Exit 2 on usage/parse
-// errors.
+// -maxdrop percentage points below its baseline entry, or when a baseline
+// row names a package the profile does not cover (a stale row gates
+// nothing). Packages new since the baseline pass (and are reported) —
+// refresh with -write after adding or deleting a package or deliberately
+// changing coverage. Exit 2 on usage/parse errors.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path"
 	"sort"
@@ -58,32 +60,49 @@ func main() {
 		os.Exit(2)
 	}
 
-	pkgs := make([]string, 0, len(got))
-	for p := range got {
-		pkgs = append(pkgs, p)
+	if failed := gate(os.Stdout, got, base, *maxDrop); failed > 0 {
+		fmt.Fprintf(os.Stderr, "covergate: %d package(s) regressed more than %.1f points "+
+			"or have stale baseline rows\n", failed, *maxDrop)
+		os.Exit(1)
 	}
-	sort.Strings(pkgs)
+}
 
+// gate reports every profiled package against its baseline row, then
+// every baseline row the profile does not cover, one line each on w, and
+// returns how many failed.
+func gate(w io.Writer, got, base map[string]float64, maxDrop float64) int {
 	failed := 0
-	for _, p := range pkgs {
+	for _, p := range sortedKeys(got) {
 		cur := got[p]
 		want, known := base[p]
 		switch {
 		case !known:
-			fmt.Printf("NEW   %-40s %6.1f%% (not in baseline; refresh with -write)\n", p, cur)
-		case cur+*maxDrop < want:
-			fmt.Printf("FAIL  %-40s %6.1f%% (baseline %.1f%%, drop %.1f > %.1f points)\n",
-				p, cur, want, want-cur, *maxDrop)
+			fmt.Fprintf(w, "NEW   %-40s %6.1f%% (not in baseline; refresh with -write)\n", p, cur)
+		case cur+maxDrop < want:
+			fmt.Fprintf(w, "FAIL  %-40s %6.1f%% (baseline %.1f%%, drop %.1f > %.1f points)\n",
+				p, cur, want, want-cur, maxDrop)
 			failed++
 		default:
-			fmt.Printf("ok    %-40s %6.1f%% (baseline %.1f%%)\n", p, cur, want)
+			fmt.Fprintf(w, "ok    %-40s %6.1f%% (baseline %.1f%%)\n", p, cur, want)
 		}
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "covergate: %d package(s) regressed more than %.1f points\n",
-			failed, *maxDrop)
-		os.Exit(1)
+	for _, p := range sortedKeys(base) {
+		if _, profiled := got[p]; !profiled {
+			fmt.Fprintf(w, "STALE %-40s baseline %.1f%% names no profiled package; "+
+				"delete the row or refresh with -write\n", p, base[p])
+			failed++
+		}
 	}
+	return failed
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // packageCoverage parses a coverage profile into package -> percent of
@@ -138,12 +157,7 @@ func packageCoverage(profilePath string) (map[string]float64, error) {
 	}
 
 	out := make(map[string]float64, len(acc))
-	pkgs := make([]string, 0, len(acc))
-	for p := range acc {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
-	for _, p := range pkgs {
+	for _, p := range sortedKeys(acc) {
 		t := acc[p]
 		if t.total == 0 {
 			continue
@@ -185,15 +199,10 @@ func readBaseline(baselinePath string) (map[string]float64, error) {
 }
 
 func writeBaseline(baselinePath string, got map[string]float64) error {
-	pkgs := make([]string, 0, len(got))
-	for p := range got {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
 	var b strings.Builder
 	b.WriteString("# Per-package statement coverage floor, maintained by cmd/covergate.\n")
 	b.WriteString("# Refresh: go test -count=1 -coverprofile=cover.out ./... && go run ./cmd/covergate -profile cover.out -baseline COVERAGE_BASELINE -write\n")
-	for _, p := range pkgs {
+	for _, p := range sortedKeys(got) {
 		fmt.Fprintf(&b, "%s %.1f\n", p, got[p])
 	}
 	return os.WriteFile(baselinePath, []byte(b.String()), 0o644)
