@@ -2,7 +2,7 @@ package lint
 
 // cfg.go builds statement-level control-flow graphs over function bodies:
 // the substrate of fusionlint's path-sensitive analyzers (pooldiscipline,
-// ctxcancel, lockguard). A cfgBlock holds straight-line nodes — simple
+// lockguard). A cfgBlock holds straight-line nodes — simple
 // statements and the decomposed pieces of control statements (an if's
 // condition, a switch's tag, a case clause's guard expressions) — so every
 // node inside a block is body-free: walking a block never re-enters nested
