@@ -1,19 +1,49 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/all.json.sha256 from the current simulator")
+
+const (
+	// artifactsGolden is the SHA-256 of Print(w, "all"), the fusionbench
+	// text output; the benchmark module checks the same file.
+	artifactsGolden = "../../bench/golden/artifacts.sha256"
+	// jsonGolden is the SHA-256 of PrintJSON(w, "all").
+	jsonGolden = "testdata/all.json.sha256"
+)
+
+// checkDigest compares the SHA-256 of out with the hex digest in file.
+func checkDigest(t *testing.T, file, out string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(out))
+	got := hex.EncodeToString(sum[:])
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := strings.TrimSpace(string(want)); got != w {
+		t.Fatalf("artifact bytes changed: SHA-256 %s, %s has %s", got, file, w)
+	}
+}
+
 // Every printer must produce its header and at least one row per benchmark,
-// and "all" must chain them without error. Uses the shared memoized runner.
+// and "all" must chain them without error and reproduce the committed
+// bytes. Uses the shared memoized runner at the default worker count.
 func TestPrintAllExperiments(t *testing.T) {
 	var sb strings.Builder
 	if err := sharedRunner.Print(&sb, "all"); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	checkDigest(t, artifactsGolden, out)
 	for _, want := range []string{
 		"Table 1", "Table 3", "Figure 6a", "Figure 6b", "Figure 6c",
 		"Figure 6d", "Table 4", "Table 5", "Figure 7", "Table 6",
@@ -87,6 +117,24 @@ func TestJSONOutputsParse(t *testing.T) {
 			t.Errorf("all-JSON missing %q", e.Name)
 		}
 	}
+}
+
+// TestPrintJSONAllGolden pins the bytes of every artifact's JSON rows.
+// After a deliberate result change, regenerate with
+//
+//	go test ./internal/experiments -run TestPrintJSONAllGolden -update
+func TestPrintJSONAllGolden(t *testing.T) {
+	var sb strings.Builder
+	if err := sharedRunner.PrintJSON(&sb, "all"); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		sum := sha256.Sum256([]byte(sb.String()))
+		if err := os.WriteFile(jsonGolden, []byte(hex.EncodeToString(sum[:])+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkDigest(t, jsonGolden, sb.String())
 }
 
 func TestDataUnknown(t *testing.T) {
