@@ -21,49 +21,41 @@ type LeaseRow struct {
 	CycleNorm  float64
 }
 
+// The lease sweep's baseline is scale 1.0, the Table 3 values.
+var ablateLeaseDef = def[[]LeaseRow]{
+	grid{[]string{"adpcm", "filt", "fft"}, sweep(systems.Fusion,
+		func(c *systems.Config, sc float64) { c.LeaseScale = sc }, 0.25, 0.5, 1.0, 2.0, 4.0)},
+	leaseRows,
+}
+
 // AblateLease sweeps the ACC lease length around the paper's Table 3
 // values. Short leases force self-invalidation churn (Lesson 4's thrash);
 // long leases delay host forwards and epoch handoffs.
-func (r *Runner) AblateLease() ([]LeaseRow, error) {
-	scales := []float64{0.25, 0.5, 1.0, 2.0, 4.0}
+func (r *Runner) AblateLease() ([]LeaseRow, error) { return ablateLeaseDef.data(r) }
+
+func leaseRows(rs results) []LeaseRow {
 	var rows []LeaseRow
-	for _, name := range []string{"adpcm", "filt", "fft"} {
-		var baseE, baseC float64
-		for _, sc := range scales {
-			cfg := systems.DefaultConfig(systems.Fusion)
-			cfg.LeaseScale = sc
-			res, err := r.Run(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if sc == 1.0 {
-				baseE = res.OnChipPJ()
-				baseC = float64(res.Cycles)
-			}
+	baseCol := 0
+	for j, cfg := range rs.cfgs {
+		if cfg.LeaseScale == 1.0 {
+			baseCol = j
+		}
+	}
+	for i, name := range rs.names {
+		base := rs.run(i, baseCol)
+		for j, cfg := range rs.cfgs {
+			res := rs.run(i, j)
 			rows = append(rows, LeaseRow{
-				Benchmark: name,
-				Scale:     sc,
-				Cycles:    res.Cycles,
-				Grants:    res.Stats.Get("l1x.grants_read") + res.Stats.Get("l1x.grants_write"),
+				Benchmark:  name,
+				Scale:      cfg.LeaseScale,
+				Cycles:     res.Cycles,
+				Grants:     res.Stats.Get("l1x.grants_read") + res.Stats.Get("l1x.grants_write"),
+				EnergyNorm: res.OnChipPJ() / base.OnChipPJ(),
+				CycleNorm:  float64(res.Cycles) / float64(base.Cycles),
 			})
 		}
-		// Normalize after the scale=1.0 baseline is known.
-		for i := len(rows) - len(scales); i < len(rows); i++ {
-			rows[i].EnergyNorm = mustEnergy(r, name, rows[i].Scale) / baseE
-			rows[i].CycleNorm = float64(rows[i].Cycles) / baseC
-		}
 	}
-	return rows, nil
-}
-
-func mustEnergy(r *Runner, name string, scale float64) float64 {
-	cfg := systems.DefaultConfig(systems.Fusion)
-	cfg.LeaseScale = scale
-	res, err := r.Run(name, cfg) // memoized
-	if err != nil {
-		return 0
-	}
-	return res.OnChipPJ()
+	return rows
 }
 
 // DMARow is one point of the DMA-depth sensitivity sweep.
@@ -75,36 +67,39 @@ type DMARow struct {
 	FusionAdvantage float64
 }
 
+// FUSION, the DMA sweep's baseline, is the first config.
+var ablateDMADef = def[[]DMARow]{
+	grid{[]string{"fft", "disp", "hist"}, append(defaults(systems.Fusion),
+		sweep(systems.Scratch, func(c *systems.Config, depth int) {
+			c.DMAOutstanding = depth
+			if depth > 1 {
+				c.DMAGap = 4
+			}
+		}, 1, 2, 4, 8)...)},
+	dmaRows,
+}
+
 // AblateDMADepth varies the oracle DMA engine's transfer pipelining. The
 // paper's conclusions rest on a serial controller state machine; this
 // sweep shows how much of FUSION's advantage an increasingly idealized DMA
 // erodes.
-func (r *Runner) AblateDMADepth() ([]DMARow, error) {
+func (r *Runner) AblateDMADepth() ([]DMARow, error) { return ablateDMADef.data(r) }
+
+func dmaRows(rs results) []DMARow {
 	var rows []DMARow
-	for _, name := range []string{"fft", "disp", "hist"} {
-		fu, err := r.Run(name, systems.DefaultConfig(systems.Fusion))
-		if err != nil {
-			return nil, err
-		}
-		for _, depth := range []int{1, 2, 4, 8} {
-			cfg := systems.DefaultConfig(systems.Scratch)
-			cfg.DMAOutstanding = depth
-			if depth > 1 {
-				cfg.DMAGap = 4
-			}
-			res, err := r.Run(name, cfg)
-			if err != nil {
-				return nil, err
-			}
+	for i, name := range rs.names {
+		fu := rs.run(i, 0)
+		for j := 1; j < len(rs.cfgs); j++ {
+			res := rs.run(i, j)
 			rows = append(rows, DMARow{
 				Benchmark:       name,
-				Depth:           depth,
+				Depth:           rs.cfgs[j].DMAOutstanding,
 				Cycles:          res.Cycles,
 				FusionAdvantage: float64(res.Cycles) / float64(fu.Cycles),
 			})
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // TilesRow compares collocated vs split accelerator placement.
@@ -117,28 +112,29 @@ type TilesRow struct {
 	HostMsgs   int64 // tile <-> L2 messages (both tiles)
 }
 
+// One tile, the placement sweep's baseline, is the first config.
+var ablateTilesDef = def[[]TilesRow]{
+	grid{[]string{"fft", "adpcm", "susan"}, sweep(systems.Fusion,
+		func(c *systems.Config, tiles int) { c.Tiles = tiles }, 1, 2)},
+	tilesRows,
+}
+
 // AblateTiles quantifies the paper's collocation assumption ("we assume
 // all accelerators derived from an application are collocated on the same
 // accelerator tile"): splitting a pipeline across tiles pushes every
 // producer-consumer handoff through host MESI.
-func (r *Runner) AblateTiles() ([]TilesRow, error) {
+func (r *Runner) AblateTiles() ([]TilesRow, error) { return ablateTilesDef.data(r) }
+
+func tilesRows(rs results) []TilesRow {
 	var rows []TilesRow
-	for _, name := range []string{"fft", "adpcm", "susan"} {
-		var baseE, baseC float64
-		for _, tiles := range []int{1, 2} {
-			cfg := systems.DefaultConfig(systems.Fusion)
-			cfg.Tiles = tiles
-			res, err := r.Run(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if tiles == 1 {
-				baseE = res.OnChipPJ()
-				baseC = float64(res.Cycles)
-			}
+	for i, name := range rs.names {
+		base := rs.run(i, 0)
+		baseE, baseC := base.OnChipPJ(), float64(base.Cycles)
+		for j, cfg := range rs.cfgs {
+			res := rs.run(i, j)
 			rows = append(rows, TilesRow{
 				Benchmark:  name,
-				Tiles:      tiles,
+				Tiles:      cfg.Tiles,
 				Cycles:     res.Cycles,
 				EnergyNorm: res.OnChipPJ() / baseE,
 				CycleNorm:  float64(res.Cycles) / baseC,
@@ -147,7 +143,7 @@ func (r *Runner) AblateTiles() ([]TilesRow, error) {
 			})
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // printAblateLease renders the lease sweep.

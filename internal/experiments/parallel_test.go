@@ -1,10 +1,9 @@
 package experiments
 
-// Tests for the parallel sweep runner: the up-front requirements
-// enumeration must cover every run the artifact bodies execute (drift
-// guard), parallel prefetching must leave reports byte-identical to the
-// sequential path, and a single Runner must be safe to share across
-// concurrent sweeps without ever simulating a cell twice.
+// Tests for the parallel sweep runner: parallel prefetching must leave
+// reports byte-identical to the sequential path, and a single Runner must
+// be safe to share across concurrent sweeps without ever simulating a cell
+// twice.
 
 import (
 	"bytes"
@@ -16,45 +15,6 @@ import (
 	"fusion/internal/sim"
 	"fusion/internal/systems"
 )
-
-// TestRequirementsCoverEveryArtifact pre-runs exactly the cells
-// requirements() enumerates, then renders each artifact and asserts it
-// triggered no additional simulations. If an artifact body grows a run its
-// requirements do not enumerate, Prefetch would silently fall back to lazy
-// execution for that cell and this test fails.
-func TestRequirementsCoverEveryArtifact(t *testing.T) {
-	r := NewRunner()
-	r.SetWorkers(1)
-	artifacts := r.All()
-	if testing.Short() {
-		kept := artifacts[:0]
-		for _, e := range artifacts {
-			if strings.HasPrefix(e.Name, "ablate-") || e.Name == "table4" {
-				kept = append(kept, e)
-			}
-		}
-		artifacts = kept
-	}
-	for _, e := range artifacts {
-		reqs := requirements(e.Name)
-		if len(reqs) == 0 {
-			t.Fatalf("%s: requirements() enumerates no runs", e.Name)
-		}
-		for _, q := range reqs {
-			if _, err := r.Run(q.Name, q.Config); err != nil {
-				t.Fatalf("%s: prefetching %s: %v", e.Name, runKey(q.Name, q.Config), err)
-			}
-		}
-		before := r.SimRuns()
-		if _, err := r.Data(e.Name); err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		if after := r.SimRuns(); after != before {
-			t.Errorf("%s executed %d simulations requirements() did not enumerate",
-				e.Name, after-before)
-		}
-	}
-}
 
 // TestParallelPrintByteIdentical renders artifacts with 1 worker and with
 // 8 and requires byte-identical reports: completion order must never leak
@@ -151,11 +111,11 @@ func TestConcurrentSweepsShareOneRunner(t *testing.T) {
 			t.Fatalf("caller %d observed a different result object: memoization broken", i)
 		}
 	}
-	// ablate-tiles needs 6 cells; adpcm/FUSION/Tiles=0-default is a 7th
-	// distinct cell (requirements pin Tiles to 1 or 2).
+	// ablate-tiles needs 6 cells; adpcm/FUSION at its defaults is counted
+	// once more, in case it is not one of them.
 	distinct := make(map[string]bool)
-	for _, q := range requirements("ablate-tiles") {
-		distinct[runKey(q.Name, q.Config)] = true
+	for _, c := range ablateTilesDef.grid.cells() {
+		distinct[runKey(c.bench, c.cfg)] = true
 	}
 	distinct[runKey("adpcm", cfg)] = true
 	if got, want := r.SimRuns(), int64(len(distinct)); got != want {

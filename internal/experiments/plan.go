@@ -1,47 +1,72 @@
 package experiments
 
-// Up-front sweep planning. Every artifact's (benchmark, config) needs are
-// enumerable before any simulation runs, which is what turns artifact
+// Up-front sweep planning. Every artifact reads one grid of runs —
+// benchmarks × configs — declared beside its rows function, so its needs
+// are enumerable before any simulation runs. That turns artifact
 // regeneration into an embarrassingly parallel sweep: Prefetch enumerates
-// the union for the requested artifacts in a fixed order, deduplicates
-// cells singleflight-style, fans the misses out over a bounded worker
-// pool, and lets the (sequential, order-fixed) artifact assembly read the
-// memoized results — so reports are byte-identical for any worker count.
+// the union of the requested artifacts' grids in a fixed order,
+// deduplicates cells singleflight-style and fans them out over the bounded
+// worker pool, and each artifact then fetches its own grid through the
+// memo and computes its rows in fixed order — so reports are
+// byte-identical for any worker count.
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"fusion/internal/systems"
 	"fusion/internal/workloads"
 )
 
-// Req is one simulation an artifact consumes.
-type Req struct {
-	Name   string
-	Config systems.Config
+// grid is the runs an artifact reads: every benchmark under each config.
+type grid struct {
+	names []string
+	cfgs  []systems.Config
 }
 
-// requirements enumerates, in a fixed order, every run the named artifact
-// reads. Each artifact's run list must stay in lockstep with its body in
-// experiments.go/ablations.go — TestRequirementsCoverEveryArtifact fails
-// if an artifact executes a run its list did not enumerate.
-func requirements(name string) []Req {
-	if a := artifactNamed(name); a != nil {
-		return a.runs()
-	}
-	return nil
+// cell is one (benchmark, config) run.
+type cell struct {
+	bench string
+	cfg   systems.Config
 }
 
-// perBench enumerates, benchmark by benchmark, one run of each config.
-func perBench(benches []string, cfgs ...systems.Config) []Req {
-	var reqs []Req
-	for _, n := range benches {
-		for _, cfg := range cfgs {
-			reqs = append(reqs, Req{n, cfg})
+// cells enumerates g benchmark by benchmark, each under every config.
+func (g grid) cells() []cell {
+	cells := make([]cell, 0, len(g.names)*len(g.cfgs))
+	for _, name := range g.names {
+		for _, cfg := range g.cfgs {
+			cells = append(cells, cell{name, cfg})
 		}
 	}
-	return reqs
+	return cells
+}
+
+// results is a fetched grid, the input of an artifact's rows function.
+type results struct {
+	grid
+	benches []*workloads.Benchmark // benches[i] is names[i]'s generated program
+	res     []*systems.Result      // in cells order
+}
+
+// run returns benchmark i's result under config j.
+func (rs results) run(i, j int) *systems.Result { return rs.res[i*len(rs.cfgs)+j] }
+
+// def is one artifact's definition: the grid it reads and the rows function
+// that computes its typed rows from the grid's results.
+type def[T any] struct {
+	grid grid
+	rows func(results) T
+}
+
+// data fetches d's grid through r's memo and computes its rows.
+func (d def[T]) data(r *Runner) (T, error) {
+	res, err := r.runCells(d.grid.cells())
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	rs := results{grid: d.grid, res: res}
+	for _, name := range d.grid.names {
+		rs.benches = append(rs.benches, r.bench(name))
+	}
+	return d.rows(rs), nil
 }
 
 // defaults returns each system's default configuration.
@@ -53,116 +78,77 @@ func defaults(kinds ...systems.Kind) []systems.Config {
 	return cfgs
 }
 
-// The run lists of the artifact table, each over the paper benchmarks or
-// an ablation's subset.
-
-func fusionRuns() []Req   { return perBench(workloads.Names(), defaults(systems.Fusion)...) }
-func comparedRuns() []Req { return perBench(workloads.Names(), defaults(SystemsCompared()...)...) }
-func scratchRuns() []Req  { return perBench(workloads.Names(), defaults(systems.Scratch)...) }
-
-func everySystemRuns() []Req { return perBench(workloads.Names(), defaults(systems.Kinds()...)...) }
-
-func forwardingRuns() []Req {
-	return perBench(workloads.Names(), defaults(systems.Fusion, systems.FusionDx)...)
-}
-
-func writePolicyRuns() []Req {
-	wt := systems.DefaultConfig(systems.Fusion)
-	wt.WriteThrough = true
-	return perBench(workloads.Names(), systems.DefaultConfig(systems.Fusion), wt)
-}
-
-func largeRuns() []Req {
-	large := systems.DefaultConfig(systems.Fusion)
-	large.Large = true
-	return perBench(workloads.Names(), systems.DefaultConfig(systems.Fusion), large)
-}
-
-func leaseRuns() []Req {
-	var cfgs []systems.Config
-	for _, sc := range []float64{0.25, 0.5, 1.0, 2.0, 4.0} {
-		cfg := systems.DefaultConfig(systems.Fusion)
-		cfg.LeaseScale = sc
-		cfgs = append(cfgs, cfg)
+// sweep returns kind's default configuration once per value, set applied.
+func sweep[V any](kind systems.Kind, set func(*systems.Config, V), vals ...V) []systems.Config {
+	cfgs := make([]systems.Config, len(vals))
+	for i, v := range vals {
+		cfgs[i] = systems.DefaultConfig(kind)
+		set(&cfgs[i], v)
 	}
-	return perBench([]string{"adpcm", "filt", "fft"}, cfgs...)
+	return cfgs
 }
 
-func dmaRuns() []Req {
-	cfgs := defaults(systems.Fusion)
-	for _, depth := range []int{1, 2, 4, 8} {
-		cfg := systems.DefaultConfig(systems.Scratch)
-		cfg.DMAOutstanding = depth
-		if depth > 1 {
-			cfg.DMAGap = 4
+// The grids several artifacts share. Each SCRATCH-normalized artifact's
+// grid lists SCRATCH first.
+var (
+	fusionGrid   = grid{workloads.Names(), defaults(systems.Fusion)}
+	comparedGrid = grid{workloads.Names(), defaults(SystemsCompared()...)}
+)
+
+// runCells returns every cell's result, in order, through the memo. With
+// one worker it runs them one at a time and stops at the first failure;
+// with more it simulates the missing ones on the worker pool. On failure
+// it returns the first failing cell in enumeration order (never completion
+// order), a *systems.SweepError naming the cell.
+func (r *Runner) runCells(cells []cell) ([]*systems.Result, error) {
+	res := make([]*systems.Result, len(cells))
+	workers := systems.Workers(r.workers)
+	if workers <= 1 {
+		for i, c := range cells {
+			var err error
+			if res[i], err = r.Run(c.bench, c.cfg); err != nil {
+				return nil, err
+			}
 		}
-		cfgs = append(cfgs, cfg)
+		return res, nil
 	}
-	return perBench([]string{"fft", "disp", "hist"}, cfgs...)
-}
-
-func tilesRuns() []Req {
-	var cfgs []systems.Config
-	for _, tiles := range []int{1, 2} {
-		cfg := systems.DefaultConfig(systems.Fusion)
-		cfg.Tiles = tiles
-		cfgs = append(cfgs, cfg)
+	errs := make([]error, len(cells))
+	systems.ForEach(len(cells), workers, func(i int) {
+		res[i], errs[i] = r.Run(cells[i].bench, cells[i].cfg)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	return perBench([]string{"fft", "adpcm", "susan"}, cfgs...)
+	return res, nil
 }
 
 // prefetchAll prefetches the union of every registered artifact's runs.
 func (r *Runner) prefetchAll() error { return r.Prefetch(Names()...) }
 
-// Prefetch simulates every run the named artifacts need, deduplicated
-// across artifacts and fanned out over the runner's worker pool. With one
-// worker it is a no-op: the artifact bodies then execute lazily, exactly
-// as the sequential path always has. On failure it returns the first
-// failing cell in enumeration order (never completion order), wrapped in a
-// *systems.SweepError naming the cell.
+// Prefetch simulates the union of the named artifacts' grids, deduplicated
+// across artifacts, on the runner's worker pool. With one worker it is a
+// no-op: each artifact then runs its own grid in order as it renders,
+// exactly as the sequential path always has. Its error is runCells'.
 func (r *Runner) Prefetch(names ...string) error {
-	workers := systems.Workers(r.workers)
-	if workers <= 1 {
+	if systems.Workers(r.workers) <= 1 {
 		return nil
 	}
-	var reqs []Req
+	var cells []cell
 	seen := make(map[string]bool)
 	for _, name := range names {
-		for _, q := range requirements(name) {
-			key := runKey(q.Name, q.Config)
-			if !seen[key] {
+		a := artifactNamed(name)
+		if a == nil {
+			continue
+		}
+		for _, c := range a.grid.cells() {
+			if key := runKey(c.bench, c.cfg); !seen[key] {
 				seen[key] = true
-				reqs = append(reqs, q)
+				cells = append(cells, c)
 			}
 		}
 	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	errs := make([]error, len(reqs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				_, errs[i] = r.Run(reqs[i].Name, reqs[i].Config)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := r.runCells(cells)
+	return err
 }

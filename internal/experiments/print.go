@@ -6,30 +6,30 @@ import (
 	"strings"
 )
 
-// Artifact is one regenerable table or figure: its name, the runs it
-// reads, its typed rows and its text renderer.
+// Artifact is one regenerable table or figure: its name, the grid of runs
+// it reads, its typed rows and its text renderer.
 type Artifact struct {
 	Name   string
-	runs   func() []Req
+	grid   grid
 	data   func(*Runner) (any, error)
 	render func(*Runner, io.Writer) error
 }
 
-// artifact builds a table entry whose renderer takes data's typed rows.
-func artifact[T any](name string, runs func() []Req, data func(*Runner) (T, error),
-	render func(io.Writer, T)) Artifact {
+// artifact builds a table entry from a definition and a renderer of its
+// typed rows.
+func artifact[T any](name string, d def[T], render func(io.Writer, T)) Artifact {
 	return Artifact{
 		Name: name,
-		runs: runs,
+		grid: d.grid,
 		data: func(r *Runner) (any, error) {
-			v, err := data(r)
+			v, err := d.data(r)
 			if err != nil {
 				return nil, err
 			}
 			return v, nil
 		},
 		render: func(r *Runner, w io.Writer) error {
-			v, err := data(r)
+			v, err := d.data(r)
 			if err != nil {
 				return err
 			}
@@ -39,37 +39,25 @@ func artifact[T any](name string, runs func() []Req, data func(*Runner) (T, erro
 	}
 }
 
-// table3Data is Table 3's row list plus its per-benchmark cache/compute
-// ratios.
-type table3Data struct {
-	Rows   []Table3Row
-	Ratios []Table3Ratio
-}
-
-func (r *Runner) table3() (table3Data, error) {
-	rows, ratios, err := r.Table3()
-	return table3Data{rows, ratios}, err
-}
-
 // artifacts is every regenerable artifact in the paper's order. The charts
 // draw fig6a's and fig6b's rows.
 var artifacts = []Artifact{
-	artifact("table1", fusionRuns, (*Runner).Table1, printTable1),
-	artifact("table3", fusionRuns, (*Runner).table3, printTable3),
-	artifact("fig6a", comparedRuns, (*Runner).Figure6a, printFigure6a),
-	artifact("fig6b", comparedRuns, (*Runner).Figure6b, printFigure6b),
-	artifact("fig6c", comparedRuns, (*Runner).Figure6c, printFigure6c),
-	artifact("fig6d", scratchRuns, (*Runner).Figure6d, printFigure6d),
-	artifact("fig6e", everySystemRuns, (*Runner).Figure6e, printFigure6e),
-	artifact("table4", writePolicyRuns, (*Runner).Table4, printTable4),
-	artifact("table5", forwardingRuns, (*Runner).Table5, printTable5),
-	artifact("fig7", largeRuns, (*Runner).Figure7, printFigure7),
-	artifact("table6", fusionRuns, (*Runner).Table6, printTable6),
-	artifact("chart6a", comparedRuns, (*Runner).Figure6a, printChart6a),
-	artifact("chart6b", comparedRuns, (*Runner).Figure6b, printChart6b),
-	artifact("ablate-lease", leaseRuns, (*Runner).AblateLease, printAblateLease),
-	artifact("ablate-dma", dmaRuns, (*Runner).AblateDMADepth, printAblateDMADepth),
-	artifact("ablate-tiles", tilesRuns, (*Runner).AblateTiles, printAblateTiles),
+	artifact("table1", table1Def, printTable1),
+	artifact("table3", table3Def, printTable3),
+	artifact("fig6a", fig6aDef, printFigure6a),
+	artifact("fig6b", fig6bDef, printFigure6b),
+	artifact("fig6c", fig6cDef, printFigure6c),
+	artifact("fig6d", fig6dDef, printFigure6d),
+	artifact("fig6e", fig6eDef, printFigure6e),
+	artifact("table4", table4Def, printTable4),
+	artifact("table5", table5Def, printTable5),
+	artifact("fig7", fig7Def, printFigure7),
+	artifact("table6", table6Def, printTable6),
+	artifact("chart6a", fig6aDef, printChart6a),
+	artifact("chart6b", fig6bDef, printChart6b),
+	artifact("ablate-lease", ablateLeaseDef, printAblateLease),
+	artifact("ablate-dma", ablateDMADef, printAblateDMADepth),
+	artifact("ablate-tiles", ablateTilesDef, printAblateTiles),
 }
 
 // artifactNamed returns the artifact called name, or nil.

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"fusion/internal/faults"
 	"fusion/internal/mem"
@@ -104,37 +102,20 @@ func Soak(sc SoakConfig) SoakResult {
 
 	cellErrs := make([]error, len(cells))
 	cellFaults := make([]uint64, len(cells))
-	workers := Workers(sc.Workers)
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				c := &cells[i]
-				cfg := DefaultConfig(c.kind)
-				cfg.Faults = &c.plan
-				cfg.WatchdogCycles = sc.WatchdogCycles
-				cfg.Paranoid = sc.Paranoid
-				res, err := Run(benches[c.bench], cfg)
-				if err != nil {
-					cellErrs[i] = err
-					continue
-				}
-				cellFaults[i] = countFaults(res.Stats)
-				cellErrs[i] = diffVersions(wants[c.bench], res.FinalVersions)
-			}
-		}()
-	}
-	wg.Wait()
+	ForEach(len(cells), sc.Workers, func(i int) {
+		c := &cells[i]
+		cfg := DefaultConfig(c.kind)
+		cfg.Faults = &c.plan
+		cfg.WatchdogCycles = sc.WatchdogCycles
+		cfg.Paranoid = sc.Paranoid
+		res, err := Run(benches[c.bench], cfg)
+		if err != nil {
+			cellErrs[i] = err
+			return
+		}
+		cellFaults[i] = countFaults(res.Stats)
+		cellErrs[i] = diffVersions(wants[c.bench], res.FinalVersions)
+	})
 
 	out := SoakResult{Runs: len(cells)}
 	for i, c := range cells {

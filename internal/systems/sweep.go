@@ -3,10 +3,10 @@ package systems
 // Parallel sweep execution. Each systems.Run is an independent,
 // single-threaded simulation with no shared mutable state (the engine,
 // stats, meters, and RNGs are all per-run), so a sweep parallelizes
-// perfectly across runs. RunAll fans a fixed item list out over a bounded
-// worker pool and assembles results in item order, which makes every
-// downstream report byte-identical regardless of worker count or
-// completion order.
+// perfectly across runs. ForEach is the one bounded worker pool: RunAll,
+// Soak and the experiments layer fan a fixed item list out on it and
+// assemble results in item order, which makes every downstream report
+// byte-identical regardless of worker count or completion order.
 
 import (
 	"context"
@@ -47,6 +47,30 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// ForEach calls fn(i) for every i in [0, n) on at most Workers(workers)
+// goroutines, handing out indices in increasing order, and returns once
+// every call has. fn records its outcome in slot i, so callers assemble
+// results in index order whatever order the calls finish in.
+func ForEach(n, workers int, fn func(i int)) {
+	workers = min(Workers(workers), n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // RunAll executes every item on a pool of at most `workers` goroutines
 // (<=0: GOMAXPROCS) and returns the results in item order. See RunAllCtx
 // for the failure and cancellation semantics.
@@ -72,36 +96,19 @@ func RunAllCtx(ctx context.Context, items []SweepItem, workers int) ([]*Result, 
 	defer cancel()
 	results := make([]*Result, len(items))
 	errs := make([]error, len(items))
-	workers = Workers(workers)
-	if workers > len(items) {
-		workers = len(items)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = &SweepError{Key: items[i].Key, Err: err}
-					continue
-				}
-				res, err := RunCtx(ctx, items[i].Bench, items[i].Config)
-				if err != nil {
-					errs[i] = &SweepError{Key: items[i].Key, Err: err}
-					cancel()
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
+	ForEach(len(items), workers, func(i int) {
+		if err := ctx.Err(); err != nil {
+			errs[i] = &SweepError{Key: items[i].Key, Err: err}
+			return
+		}
+		res, err := RunCtx(ctx, items[i].Bench, items[i].Config)
+		if err != nil {
+			errs[i] = &SweepError{Key: items[i].Key, Err: err}
+			cancel()
+			return
+		}
+		results[i] = res
+	})
 	var firstCancel error
 	for _, err := range errs {
 		if err == nil {
