@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"fusion/internal/cache"
-	"fusion/internal/mem"
 )
 
 // CheckInvariants compares the directory's records with the clients'
@@ -115,6 +114,3 @@ func (dir *Directory) Quiesced() bool {
 	})
 	return quiet
 }
-
-// LineAddrFor exposes line alignment for test helpers.
-func LineAddrFor(a mem.PAddr) uint64 { return uint64(a.LineAddr()) }

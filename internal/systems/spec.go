@@ -92,45 +92,21 @@ func SpecOf(bench string, cfg Config) Spec {
 	return s
 }
 
-// Normalized fills every defaulted knob with its explicit baseline value
-// and canonicalizes the system name, so any two specs describing the same
-// run serialize identically. A disabled fault plan normalizes to nil.
+// Normalized fills every defaulted knob with its explicit baseline value,
+// by Config.normalize's rules, and canonicalizes the system name, so any
+// two specs describing the same run serialize identically. A disabled
+// fault plan normalizes to nil.
 func (s Spec) Normalized() Spec {
-	out := s
-	out.Bench = strings.ToLower(strings.TrimSpace(s.Bench))
-	if kind, ok := ParseKind(s.System); ok {
-		out.System = strings.ToLower(kind.String())
-	} else {
+	kind, ok := ParseKind(s.System)
+	out := SpecOf(strings.ToLower(strings.TrimSpace(s.Bench)), s.config(kind))
+	if !ok {
 		out.System = strings.ToLower(strings.TrimSpace(s.System))
-	}
-	if out.MaxCycles == 0 {
-		out.MaxCycles = DefaultConfig(Fusion).MaxCycles
-	}
-	if out.Tiles <= 0 {
-		out.Tiles = 1
-	}
-	if out.LeaseScale == 0 {
-		out.LeaseScale = 1.0
-	}
-	if out.DMAOutstanding <= 0 {
-		out.DMAOutstanding = 1
-	}
-	if out.DMAGap == 0 {
-		out.DMAGap = dmaControllerGap
 	}
 	// The adaptive/hydra knobs stay implicit when defaulted ("" rather
 	// than "heuristic", 0 rather than DefaultDecisionWindow): their
 	// defaults are applied at the use site, so pre-knob spec hashes of the
 	// other systems remain valid cache keys.
 	out.Policy = strings.ToLower(strings.TrimSpace(out.Policy))
-	if out.Faults != nil {
-		if !out.Faults.Enabled() {
-			out.Faults = nil
-		} else {
-			plan := *out.Faults
-			out.Faults = &plan
-		}
-	}
 	return out
 }
 
@@ -164,26 +140,28 @@ func (s Spec) Config() (Config, error) {
 	if !ok {
 		return Config{}, fmt.Errorf("spec: unknown system %q", s.System)
 	}
-	n := s.Normalized()
-	cfg := Config{
-		Kind:           kind,
-		Large:          n.Large,
-		WriteThrough:   n.WriteThrough,
-		MaxCycles:      n.MaxCycles,
-		Tiles:          n.Tiles,
-		LeaseScale:     n.LeaseScale,
-		DMAOutstanding: n.DMAOutstanding,
-		DMAGap:         n.DMAGap,
-		WatchdogCycles: n.WatchdogCycles,
-		Policy:         n.Policy,
-		DecisionWindow: n.DecisionWindow,
-		DeadlineCycles: n.DeadlineCycles,
+	// Normalized holds its own copy of the fault plan for the Config.
+	return s.Normalized().config(kind), nil
+}
+
+// config carries the spec's knobs, as they stand, into a Config of kind k
+// that shares the spec's fault plan.
+func (s Spec) config(k Kind) Config {
+	return Config{
+		Kind:           k,
+		Large:          s.Large,
+		WriteThrough:   s.WriteThrough,
+		MaxCycles:      s.MaxCycles,
+		Tiles:          s.Tiles,
+		LeaseScale:     s.LeaseScale,
+		DMAOutstanding: s.DMAOutstanding,
+		DMAGap:         s.DMAGap,
+		WatchdogCycles: s.WatchdogCycles,
+		Policy:         s.Policy,
+		DecisionWindow: s.DecisionWindow,
+		DeadlineCycles: s.DeadlineCycles,
+		Faults:         s.Faults,
 	}
-	if n.Faults != nil {
-		plan := *n.Faults
-		cfg.Faults = &plan
-	}
-	return cfg, nil
 }
 
 // Key is the canonical serialized form of the spec — the compact JSON of

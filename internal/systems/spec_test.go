@@ -48,6 +48,9 @@ func TestSpecKeySeparatesDistinctRuns(t *testing.T) {
 		{Bench: "adpcm", System: "fusion", DMAOutstanding: 4},
 		{Bench: "adpcm", System: "fusion", DMAGap: 4},
 		{Bench: "adpcm", System: "fusion", WatchdogCycles: 99},
+		{Bench: "adpcm", System: "fusion", Policy: "learned"},
+		{Bench: "adpcm", System: "fusion", DecisionWindow: 8},
+		{Bench: "adpcm", System: "fusion", DeadlineCycles: 5000},
 		{Bench: "adpcm", System: "fusion",
 			Faults: func() *faults.Plan { p := faults.RandomPlan(7); return &p }()},
 	}

@@ -192,19 +192,11 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's baseline settings for a system.
-func DefaultConfig(k Kind) Config {
-	return Config{
-		Kind:           k,
-		MaxCycles:      200_000_000,
-		Tiles:          1,
-		LeaseScale:     1.0,
-		DMAOutstanding: 1,
-		DMAGap:         dmaControllerGap,
-	}
-}
+func DefaultConfig(k Kind) Config { return Config{Kind: k}.normalize() }
 
 // normalize fills zero-valued knobs with their defaults so a zero Config
-// still runs the paper's baseline.
+// still runs the paper's baseline. It is the one statement of those
+// defaults: DefaultConfig and Spec.Normalized apply it.
 func (c Config) normalize() Config {
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 200_000_000
