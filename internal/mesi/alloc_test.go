@@ -8,8 +8,11 @@ package mesi
 import (
 	"testing"
 
+	"fusion/internal/energy"
 	"fusion/internal/mem"
 	"fusion/internal/obs"
+	"fusion/internal/sim"
+	"fusion/internal/stats"
 )
 
 // kindCount is a no-op observer that counts events by kind.
@@ -54,5 +57,33 @@ func TestObservedGetSZeroAlloc(t *testing.T) {
 	if seen[obs.DirRead] != 101 || seen[obs.DirForward] < 101 {
 		t.Fatalf("observer saw %d GetS and %d forwards, want 101 each",
 			seen[obs.DirRead], seen[obs.DirForward])
+	}
+}
+
+// TestFabricSendZeroAlloc pins the steady-state cost of sending a control
+// message over a fabric route and delivering it to a registered endpoint
+// at zero heap allocations: once the route's in-flight queue and the
+// engine's wheel have warmed up, they are reused forever.
+func TestFabricSendZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := NewFabric(eng, energy.NewMeter(), stats.NewSet())
+	delivered := 0
+	fab.Register(1, func(*Msg) { delivered++ })
+	fab.SetRoute(2, 1, Route{Latency: 1, PJPerByte: 6, FlitsPerCycle: 1,
+		Category: energy.CatLinkHost, StatName: "hot"})
+	m := &Msg{Type: MsgGetS, Src: 2, Dst: 1}
+	step := func() {
+		fab.Send(m)
+		eng.Step()
+		eng.Step()
+	}
+	for i := 0; i < 64; i++ { // warm the in-flight queue and the wheel
+		step()
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Fatalf("Fabric.Send steady state allocated %.1f per op, want 0", avg)
+	}
+	if delivered != 64+1001 {
+		t.Fatalf("delivered %d messages, want %d", delivered, 64+1001)
 	}
 }

@@ -3,8 +3,8 @@ package systems
 // Absolute-result pin: the SHA-256 of every registered system's full report
 // (renderResult: cycles, every counter, every energy category, per-phase
 // and per-function cycles and energy, the final memory image) on the paper
-// benchmarks, plus fft under each non-default variant, compared against a
-// committed golden. A refactor that shifts any simulated number on any
+// benchmarks, plus fft under Large and WriteThrough and every paper
+// benchmark under a seeded fault plan, compared against a committed golden. A refactor that shifts any simulated number on any
 // system fails here and names the cell.
 //
 // After a deliberate result change, regenerate with
@@ -39,8 +39,9 @@ type resultCell struct {
 }
 
 // resultCells is every paper benchmark on every system at DefaultConfig,
-// then fft on every system under Large, WriteThrough and a seeded fault
-// plan.
+// then fft on every system under Large and WriteThrough, then every paper
+// benchmark on every system under a seeded fault plan, which jitters and
+// stalls every link and host route.
 func resultCells() []resultCell {
 	var cells []resultCell
 	for _, name := range workloads.Names() {
@@ -48,17 +49,21 @@ func resultCells() []resultCell {
 			cells = append(cells, resultCell{bench: name, variant: "default", kind: kind})
 		}
 	}
+	fft := []string{"fft"}
 	variants := []struct {
-		name string
-		tune func(*Config)
+		name    string
+		benches []string
+		tune    func(*Config)
 	}{
-		{"large", func(c *Config) { c.Large = true }},
-		{"writethrough", func(c *Config) { c.WriteThrough = true }},
-		{"faultseed7", func(c *Config) { p := faults.RandomPlan(7); c.Faults = &p }},
+		{"large", fft, func(c *Config) { c.Large = true }},
+		{"writethrough", fft, func(c *Config) { c.WriteThrough = true }},
+		{"faultseed7", workloads.Names(), func(c *Config) { p := faults.RandomPlan(7); c.Faults = &p }},
 	}
 	for _, v := range variants {
-		for _, kind := range Kinds() {
-			cells = append(cells, resultCell{bench: "fft", variant: v.name, kind: kind, tune: v.tune})
+		for _, name := range v.benches {
+			for _, kind := range Kinds() {
+				cells = append(cells, resultCell{bench: name, variant: v.name, kind: kind, tune: v.tune})
+			}
 		}
 	}
 	return cells
