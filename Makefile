@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet lint test race bench bench-smoke bench-test bench-pairs allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline results-golden litmus waivers waivers-baseline clean
+.PHONY: tier1 build vet lint test race bench bench-smoke bench-test bench-pairs cells-diff allocbudget soak-smoke soak fuzz-smoke daemon-smoke cover cover-baseline results-golden litmus waivers waivers-baseline clean
 
 # tier1 is the gate every change must pass.
 tier1: vet lint build race allocbudget
@@ -55,6 +55,14 @@ SEED ?= 1
 PAIRS ?= 10
 bench-pairs:
 	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
+
+# cells-diff: build fusionsim from PARENT (in a clone under $TMPDIR) and from
+# the working tree, run every benchmark on every system under the default,
+# -large, -writethrough and -faultseed 7 configurations plus the watchdog,
+# cycle-budget, paranoid and faulted-watchdog failure paths, and fail on any
+# byte of difference. A refactor that claims identical results runs this.
+cells-diff:
+	./scripts/cells_diff.sh $(PARENT)
 
 # allocbudget: regenerate the budgeted artifacts and fail if any one's
 # allocs/op or bytes/op exceeds BENCH_BUDGET.json by more than its
