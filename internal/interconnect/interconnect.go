@@ -1,7 +1,8 @@
 // Package interconnect models the on-chip links of the Fusion system: the
-// accelerator<->L1X connections inside a tile, the tile<->host-L2 link, the
-// direct L0X<->L0X forwarding path of FUSION-Dx, and the ring that joins the
-// LLC's NUCA banks.
+// accelerator<->L1X connections inside a tile, the direct L0X<->L0X
+// forwarding path of FUSION-Dx, every route of the host fabric
+// (mesi.Fabric), the tile<->host-L2 link among them, and the ring that
+// joins the LLC's NUCA banks.
 //
 // Links impose latency, serialize messages onto a finite flit bandwidth, and
 // attribute energy per byte to an energy.Meter category. Message and flit
@@ -81,6 +82,9 @@ type Config struct {
 	Meter         *energy.Meter
 	MeterCategory energy.Cat
 	Stats         *stats.Set
+	// Faults, when non-nil, counts the link's injected delays in place of
+	// its own <Name>.faults counter, so a group of links can share one.
+	Faults *stats.Counter
 	// Deliver is invoked at the receiver when a message arrives.
 	Deliver func(Message)
 	// Injector, when non-nil, perturbs delivery with the deterministic,
@@ -93,7 +97,7 @@ func NewLink(eng *sim.Engine, cfg Config) *Link {
 	if cfg.Deliver == nil {
 		sim.Failf("interconnect", 0, "", "link %q needs a Deliver callback", cfg.Name)
 	}
-	return &Link{
+	l := &Link{
 		name:      cfg.Name,
 		eng:       eng,
 		latency:   cfg.Latency,
@@ -108,8 +112,12 @@ func NewLink(eng *sim.Engine, cfg Config) *Link {
 		cFlits:    cfg.Stats.Counter(cfg.Name + ".flits"),
 		cCtrl:     cfg.Stats.Counter(cfg.Name + ".ctrl"),
 		cData:     cfg.Stats.Counter(cfg.Name + ".data"),
-		cFaults:   cfg.Stats.Counter(cfg.Name + ".faults"),
+		cFaults:   cfg.Faults,
 	}
+	if l.cFaults == nil {
+		l.cFaults = cfg.Stats.Counter(cfg.Name + ".faults")
+	}
+	return l
 }
 
 // SetInjector attaches (or clears) a fault injector after construction.

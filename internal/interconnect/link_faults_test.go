@@ -135,3 +135,32 @@ func TestLinkFaultsCountedInStats(t *testing.T) {
 		t.Fatal("no cnt.faults recorded despite 100% jitter probability")
 	}
 }
+
+// TestLinkSharedFaultCounter: links handed one Faults counter count their
+// injected delays there and intern no <name>.faults counter of their own.
+func TestLinkSharedFaultCounter(t *testing.T) {
+	plan := faults.Plan{Seed: 1, LinkJitterProb: 1.0, LinkJitterMax: 4}
+	eng := sim.NewEngine()
+	st := stats.NewSet()
+	shared := st.Counter("group.faults")
+	var links []*Link
+	for _, name := range []string{"a", "b"} {
+		links = append(links, NewLink(eng, Config{
+			Name: name, Latency: 1, Stats: st, Faults: shared,
+			Injector: faults.NewInjector(plan),
+			Deliver:  func(Message) {},
+		}))
+	}
+	for _, l := range links {
+		l.Send(testMsg(8))
+	}
+	eng.Step()
+	if shared.Value() != 2 {
+		t.Fatalf("group.faults = %d, want 2 (one per jittered send)", shared.Value())
+	}
+	for _, name := range st.Names() {
+		if name == "a.faults" || name == "b.faults" {
+			t.Fatalf("a link with a shared fault counter interned %s", name)
+		}
+	}
+}

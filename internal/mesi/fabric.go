@@ -1,8 +1,6 @@
 package mesi
 
 import (
-	"fmt"
-
 	"fusion/internal/energy"
 	"fusion/internal/faults"
 	"fusion/internal/interconnect"
@@ -27,66 +25,46 @@ type Route struct {
 	FlitsPerCycle uint64
 	// Category is the energy.Meter bucket this route's traffic lands in.
 	Category energy.Cat
-	// StatName, when non-empty, counts msgs/bytes/flits under this name.
+	// StatName names the route's link: its msgs/bytes/flits/ctrl/data
+	// counters and its fault-injection site. Empty means "fabric".
 	StatName string
 }
 
-// routeState is one dense-table cell: the route itself plus its
-// serialization clock, FIFO floor, and interned traffic counters. Cells are
-// indexed by src*MaxAgents+dst, replacing three map[[2]AgentID] lookups per
-// Send with one slice index.
-type routeState struct {
-	route      Route
-	nextFree   uint64 // bandwidth serialization
-	lastArrive uint64 // FIFO floor under fault-injected jitter
-	init       bool
-	cMsgs      *stats.Counter
-	cBytes     *stats.Counter
-	cFlits     *stats.Counter
-	cCtrl      *stats.Counter
-	cData      *stats.Counter
-}
+// defaultRoute is the wire of a pair with no explicit route.
+var defaultRoute = Route{Latency: 8, PJPerByte: 6.0, Category: energy.CatLinkHost}
 
-// Fabric is the host-side message network: a full crossbar with per-pair
-// routes. Delivery preserves per-pair FIFO order (all messages on a route
-// share one latency and the engine's event queue is stable).
+// Fabric is the host-side message network: a full crossbar whose every
+// directed route is an interconnect.Link, so host routes and tile links
+// share one wire model. Each route delivers in send order.
 type Fabric struct {
 	eng     *sim.Engine
 	meter   *energy.Meter
 	stats   *stats.Set
+	inj     *faults.Injector
 	cFaults *stats.Counter
 
 	endpoints [MaxAgents]Endpoint
-	rs        []routeState // MaxAgents*MaxAgents cells
-
-	inj *faults.Injector
-	// DefaultRoute applies to pairs without an explicit route. It is
-	// snapshotted into the dense table the first time such a pair sends, so
-	// set it before traffic starts.
-	DefaultRoute Route
-
-	// pending holds in-flight messages; a delivery event carries its slot
-	// index instead of a closure. Unlike a link's FIFO, fabric arrivals
-	// interleave across routes, so slots are addressed, not ordered.
-	pending  []*Msg
-	freeSlot []uint32
+	// links holds the route src->dst at src*MaxAgents+dst, nil until the
+	// pair is routed; an unrouted pair takes defaultRoute on its first send.
+	links [MaxAgents * MaxAgents]*interconnect.Link
 }
 
 // NewFabric builds an empty fabric.
 func NewFabric(eng *sim.Engine, meter *energy.Meter, st *stats.Set) *Fabric {
-	return &Fabric{
-		eng:          eng,
-		meter:        meter,
-		stats:        st,
-		cFaults:      st.Counter("fabric.faults"),
-		rs:           make([]routeState, MaxAgents*MaxAgents),
-		DefaultRoute: Route{Latency: 8, PJPerByte: 6.0, Category: energy.CatLinkHost},
-	}
+	return &Fabric{eng: eng, meter: meter, stats: st, cFaults: st.Counter("fabric.faults")}
 }
 
-// SetInjector attaches (or clears) a fault injector; every route's delivery
-// is then perturbed by the plan's order-preserving link faults.
-func (f *Fabric) SetInjector(inj *faults.Injector) { f.inj = inj }
+// SetInjector attaches (or clears) a fault injector on every route, present
+// and future; the plan's order-preserving link faults then perturb every
+// delivery.
+func (f *Fabric) SetInjector(inj *faults.Injector) {
+	f.inj = inj
+	for _, l := range f.links {
+		if l != nil {
+			l.SetInjector(inj)
+		}
+	}
+}
 
 func (f *Fabric) checkID(id AgentID) {
 	if id >= MaxAgents {
@@ -104,11 +82,12 @@ func (f *Fabric) Register(id AgentID, ep Endpoint) {
 	f.endpoints[id] = ep
 }
 
-// SetRoute installs a route for src->dst (directional).
+// SetRoute installs a route for src->dst (directional). The route starts
+// with an idle wire, so set routes before traffic starts.
 func (f *Fabric) SetRoute(src, dst AgentID, r Route) {
 	f.checkID(src)
 	f.checkID(dst)
-	f.initCell(&f.rs[int(src)*MaxAgents+int(dst)], r)
+	f.links[int(src)*MaxAgents+int(dst)] = f.newLink(dst, r)
 }
 
 // SetRoutePair installs the same route in both directions.
@@ -117,102 +96,44 @@ func (f *Fabric) SetRoutePair(a, b AgentID, r Route) {
 	f.SetRoute(b, a, r)
 }
 
-// initCell snapshots r into the cell and interns its traffic counters.
-// Counters are keyed by StatName, so both directions of a SetRoutePair (and
-// any routes sharing a name) feed the same cells, exactly as the string API
-// did.
-func (f *Fabric) initCell(rs *routeState, r Route) {
-	rs.route = r
-	rs.init = true
+// newLink builds the wire of a route into dst. The link is named by the
+// route's StatName ("fabric" when empty), which keys both its traffic
+// counters and its fault-injection site, so both directions of a
+// SetRoutePair (and any routes sharing a name) feed one counter set.
+// Injected delays on every route count in fabric.faults.
+func (f *Fabric) newLink(dst AgentID, r Route) *interconnect.Link {
 	name := r.StatName
 	if name == "" {
 		name = "fabric"
 	}
-	rs.cMsgs = f.stats.Counter(name + ".msgs")
-	rs.cBytes = f.stats.Counter(name + ".bytes")
-	rs.cFlits = f.stats.Counter(name + ".flits")
-	rs.cCtrl = f.stats.Counter(name + ".ctrl")
-	rs.cData = f.stats.Counter(name + ".data")
+	return interconnect.NewLink(f.eng, interconnect.Config{
+		Name:          name,
+		Latency:       r.Latency,
+		FlitsPerCycle: r.FlitsPerCycle,
+		PJPerByte:     r.PJPerByte,
+		Meter:         f.meter,
+		MeterCategory: r.Category,
+		Stats:         f.stats,
+		Faults:        f.cFaults,
+		Injector:      f.inj,
+		Deliver:       func(m interconnect.Message) { f.endpoints[dst](m.(*Msg)) },
+	})
 }
 
-// Send accounts energy/traffic for m and schedules its delivery.
+// Send hands m to its route, which accounts energy and traffic and
+// schedules the delivery.
 func (f *Fabric) Send(m *Msg) {
 	f.checkID(m.Src)
 	f.checkID(m.Dst)
-	rs := &f.rs[int(m.Src)*MaxAgents+int(m.Dst)]
-	if !rs.init {
-		f.initCell(rs, f.DefaultRoute)
-	}
-	bytes := m.Bytes()
-	if f.meter != nil && rs.route.Category != energy.CatNone {
-		f.meter.Add(rs.route.Category, rs.route.PJPerByte*float64(bytes))
-	}
-	rs.cMsgs.Inc()
-	rs.cBytes.Add(int64(bytes))
-	rs.cFlits.Add(int64(interconnect.Flits(bytes)))
-	if bytes <= interconnect.ControlBytes {
-		rs.cCtrl.Inc()
-	} else {
-		rs.cData.Inc()
-	}
 	if f.endpoints[m.Dst] == nil {
 		sim.Failf("mesi.fabric", f.eng.Now(), "",
 			"no endpoint for agent %d (msg %s)", m.Dst, m)
 	}
-	now := f.eng.Now()
-	start := now
-	if f.inj != nil {
-		site := rs.route.StatName
-		if site == "" {
-			site = fmt.Sprintf("fabric.%d.%d", m.Src, m.Dst)
-		}
-		if extra := f.inj.LinkDelay(site, now); extra > 0 {
-			start += extra
-			f.cFaults.Inc()
-		}
+	i := int(m.Src)*MaxAgents + int(m.Dst)
+	if f.links[i] == nil {
+		f.links[i] = f.newLink(m.Dst, defaultRoute)
 	}
-	if r := &rs.route; r.FlitsPerCycle > 0 {
-		if rs.nextFree > start {
-			start = rs.nextFree
-		}
-		flits := uint64(interconnect.Flits(bytes))
-		occupancy := (flits + r.FlitsPerCycle - 1) / r.FlitsPerCycle
-		if occupancy == 0 {
-			occupancy = 1
-		}
-		rs.nextFree = start + occupancy
-	}
-	arrive := start + rs.route.Latency
-	if arrive <= now {
-		arrive = now + 1
-	}
-	// Per-route FIFO floor (see interconnect.Link): jitter delays, never
-	// reorders.
-	if arrive < rs.lastArrive {
-		arrive = rs.lastArrive
-	}
-	rs.lastArrive = arrive
-
-	var slot uint32
-	if n := len(f.freeSlot); n > 0 {
-		slot = f.freeSlot[n-1]
-		f.freeSlot = f.freeSlot[:n-1]
-		f.pending[slot] = m
-	} else {
-		slot = uint32(len(f.pending))
-		f.pending = append(f.pending, m)
-	}
-	f.eng.ScheduleCallAt(arrive, f, 0, uint64(slot))
-}
-
-// HandleEvent delivers the in-flight message parked in slot arg. A delivery
-// is forward progress: it feeds the watchdog's heartbeat.
-func (f *Fabric) HandleEvent(now uint64, op uint8, arg uint64) {
-	m := f.pending[arg]
-	f.pending[arg] = nil
-	f.freeSlot = append(f.freeSlot, uint32(arg))
-	f.eng.Progress()
-	f.endpoints[m.Dst](m)
+	f.links[i].Send(m)
 }
 
 // Now exposes the engine clock to protocol controllers.
