@@ -322,12 +322,15 @@ func newMachine() *machine {
 	return m
 }
 
-// addTileRoutes installs the chip-crossing routes for an extra tile agent.
+// addTileRoutes installs the chip-crossing routes for an extra tile agent:
+// one to the directory, and owner->requester routes to the host, tile 0 and
+// DMA agents and to every earlier tile agent. Tiles are built in agent
+// order, so every pair of agents is routed once both exist.
 func (m *machine) addTileRoutes(agent mesi.AgentID, statName string) {
 	m.fab.SetRoutePair(agent, mesi.DirID, mesi.Route{
 		Latency: 8, PJPerByte: m.model.LinkL1XL2, FlitsPerCycle: 1,
 		Category: energy.CatLinkHost, StatName: statName})
-	for _, other := range []mesi.AgentID{hostAgent, tileAgent, dmaAgent} {
+	for other := hostAgent; other <= dmaAgent || other < agent; other++ {
 		m.fab.SetRoutePair(agent, other, mesi.Route{Latency: 8,
 			PJPerByte: m.model.LinkL1XL2, FlitsPerCycle: 1,
 			Category: energy.CatLinkHost, StatName: "hostlink.p2p"})

@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,6 +110,30 @@ func TestForwardedBlocksCountsEveryL0X(t *testing.T) {
 					name, tiles, res.ForwardedBlocks, sum)
 			}
 		}
+	}
+}
+
+// TestManyTilesRouteEveryPair splits FUSION fft across 4 and 6 tiles and
+// requires every message to travel a configured route: tile-to-tile data
+// responses cross hostlink.p2p, so the fabric's default route (counted
+// under fabric.*) carries nothing, and the final image stays golden.
+func TestManyTilesRouteEveryPair(t *testing.T) {
+	for _, tiles := range []int{4, 6} {
+		cfg := DefaultConfig(Fusion)
+		cfg.Tiles = tiles
+		res, err := Run(workloads.Get("fft"), cfg)
+		if err != nil {
+			t.Fatalf("%d tiles: %v", tiles, err)
+		}
+		res.Stats.ForEach(func(n string, v int64) {
+			if strings.HasPrefix(n, "fabric.") && v != 0 {
+				t.Errorf("%d tiles: %s = %d, want 0: a pair of agents has no route", tiles, n, v)
+			}
+		})
+		if res.Stats.Get(fmt.Sprintf("t%d.l1x.accesses", tiles-1)) == 0 {
+			t.Errorf("%d tiles: the last tile saw no traffic", tiles)
+		}
+		verifyGolden(t, "fft", res)
 	}
 }
 
