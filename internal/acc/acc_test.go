@@ -513,7 +513,7 @@ func TestSynonymEvictedInTile(t *testing.T) {
 	cfg := SmallTileConfig(1, model)
 
 	rmap := vm.NewRMAP("axrmap", model, mt, st)
-	l1x := NewL1X(eng, fab, tileAgent, cfg.L1X, aliasTranslator{}, rmapAdapter{rmap}, mt, st)
+	l1x := NewL1X(eng, fab, tileAgent, cfg.L1X, aliasTranslator{}, rmap, mt, st)
 	// Minimal up/down links for grants.
 	sink := NewL0X(eng, 0, 1, cfg.L0X, mt, st)
 	sink.ConnectL1X(interconnect.NewLink(eng, interconnect.Config{

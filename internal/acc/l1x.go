@@ -15,6 +15,7 @@ import (
 	"fusion/internal/obs"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
+	"fusion/internal/vm"
 )
 
 // L1XConfig sizes the shared tile cache.
@@ -70,7 +71,7 @@ type L1X struct {
 	fabric *mesi.Fabric
 	agent  mesi.AgentID
 	tlb    Translator
-	rmap   ReverseMap
+	rmap   *vm.RMAP
 
 	// toL0X is indexed by AXCID (dense within a tile).
 	toL0X []*interconnect.Link
@@ -205,23 +206,10 @@ type Translator interface {
 	Translate(pid mem.PID, va mem.VAddr) (mem.PAddr, uint64)
 }
 
-// ReverseMap is the AX-RMAP interface (satisfied by *vm.RMAP).
-type ReverseMap interface {
-	Insert(pa mem.PAddr, ptr ReversePointer) (prev ReversePointer, dup bool)
-	Lookup(pa mem.PAddr) (ReversePointer, bool)
-	Remove(pa mem.PAddr)
-}
-
-// ReversePointer locates an L1X line for a forwarded physical request.
-type ReversePointer struct {
-	VAddr mem.VAddr
-	PID   mem.PID
-}
-
 // NewL1X builds the shared tile cache and registers it as agent on the
 // fabric.
 func NewL1X(eng *sim.Engine, fabric *mesi.Fabric, agent mesi.AgentID,
-	cfg L1XConfig, tlb Translator, rmap ReverseMap,
+	cfg L1XConfig, tlb Translator, rmap *vm.RMAP,
 	meter *energy.Meter, st *stats.Set) *L1X {
 	name := cfg.StatPrefix + "l1x"
 	arr := cache.NewArray(cfg.Cache)
@@ -548,7 +536,7 @@ func (x *L1X) missFetch(a uint64, m *TileMsg) {
 
 // resolveSynonym rehomes a physical line cached under another virtual alias.
 // It returns true when the request was handled (served or rescheduled).
-func (x *L1X) resolveSynonym(a uint64, m *TileMsg, pa mem.PAddr, ptr ReversePointer) bool {
+func (x *L1X) resolveSynonym(a uint64, m *TileMsg, pa mem.PAddr, ptr vm.Pointer) bool {
 	oldVA := uint64(ptr.VAddr.LineAddr())
 	if oldVA == a && ptr.PID == m.PID {
 		return false // same line; a plain miss race, fall through to fetch
@@ -749,7 +737,7 @@ func (x *L1X) install(va uint64, pid mem.PID, pa mem.PAddr, ver uint64) *cache.L
 	v.State = cache.Exclusive
 	v.PAddr = pa
 	v.Ver = ver
-	if prev, dup := x.rmap.Insert(pa, ReversePointer{VAddr: mem.VAddr(va), PID: pid}); dup {
+	if prev, dup := x.rmap.Insert(pa, vm.Pointer{VAddr: mem.VAddr(va), PID: pid}); dup {
 		// Synonym: only one virtual alias may live in the tile (appendix).
 		if old := x.arr.Peek(uint64(prev.VAddr.LineAddr())); old != nil && old.PAddr == pa {
 			x.evictNoNotice(old)
@@ -836,7 +824,7 @@ func (x *L1X) hostInvalidate(m *mesi.Msg) {
 
 // tryInvalidate drops an invalidated line once its leases have lapsed
 // (the Inv counterpart of tryRelinquish).
-func (x *L1X) tryInvalidate(m *mesi.Msg, ptr ReversePointer, first bool) {
+func (x *L1X) tryInvalidate(m *mesi.Msg, ptr vm.Pointer, first bool) {
 	pa := m.Addr.LineAddr()
 	va := uint64(ptr.VAddr.LineAddr())
 	l := x.arr.LookupPID(va, ptr.PID)
@@ -909,7 +897,7 @@ func (x *L1X) hostForward(m *mesi.Msg) {
 
 // tryRelinquish answers a host forward once the line's leases have lapsed.
 // Retries reuse the already-resolved pointer (no extra RMAP lookups).
-func (x *L1X) tryRelinquish(m *mesi.Msg, ptr ReversePointer, first bool) {
+func (x *L1X) tryRelinquish(m *mesi.Msg, ptr vm.Pointer, first bool) {
 	pa := m.Addr.LineAddr()
 	va := uint64(ptr.VAddr.LineAddr())
 	l := x.arr.LookupPID(va, ptr.PID)

@@ -89,21 +89,6 @@ type Tile struct {
 	RMAP *vm.RMAP
 }
 
-// rmapAdapter narrows *vm.RMAP to the acc.ReverseMap interface.
-type rmapAdapter struct{ r *vm.RMAP }
-
-func (a rmapAdapter) Insert(pa mem.PAddr, ptr ReversePointer) (ReversePointer, bool) {
-	prev, dup := a.r.Insert(pa, vm.Pointer{VAddr: ptr.VAddr, PID: ptr.PID})
-	return ReversePointer{VAddr: prev.VAddr, PID: prev.PID}, dup
-}
-
-func (a rmapAdapter) Lookup(pa mem.PAddr) (ReversePointer, bool) {
-	p, ok := a.r.Lookup(pa)
-	return ReversePointer{VAddr: p.VAddr, PID: p.PID}, ok
-}
-
-func (a rmapAdapter) Remove(pa mem.PAddr) { a.r.Remove(pa) }
-
 // NewTile builds the tile: one L0X per accelerator, the shared L1X, the
 // AX-TLB and AX-RMAP, and all intra-tile links. The tile registers as
 // cfg.Agent on the host fabric.
@@ -120,7 +105,7 @@ func NewTile(eng *sim.Engine, fabric *mesi.Fabric, pt *vm.PageTable,
 	l0cfg := cfg.L0X
 	l0cfg.StatPrefix = cfg.StatPrefix
 
-	l1x := NewL1X(eng, fabric, cfg.Agent, l1cfg, tlb, rmapAdapter{rmap}, meter, st)
+	l1x := NewL1X(eng, fabric, cfg.Agent, l1cfg, tlb, rmap, meter, st)
 
 	t := &Tile{L1X: l1x, TLB: tlb, RMAP: rmap}
 
