@@ -6,20 +6,6 @@ import (
 	"testing"
 )
 
-func TestStopBeforeRunHonored(t *testing.T) {
-	e := NewEngine()
-	e.Stop()
-	cycles, done := e.Run(100, nil)
-	if cycles != 0 || done {
-		t.Fatalf("Run after Stop: cycles=%d done=%v, want 0,false", cycles, done)
-	}
-	// The stop is consumed: the next Run proceeds normally.
-	cycles, _ = e.Run(10, nil)
-	if cycles != 10 {
-		t.Fatalf("Run after consumed stop advanced %d cycles, want 10", cycles)
-	}
-}
-
 func TestRunERecoversProtocolError(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(3, func(now uint64) {

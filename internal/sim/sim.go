@@ -98,9 +98,6 @@ type Engine struct {
 	wakers      []Waker
 	noIdleSkip  bool
 
-	// Stopped is set by Stop; Run returns at the end of the current cycle.
-	stopped bool
-
 	// progress, when set, is invoked by Progress — the heartbeat sink for
 	// a forward-progress Watchdog.
 	progress func()
@@ -174,11 +171,6 @@ func (e *Engine) ScheduleCallAt(at uint64, h EventHandler, op uint8, arg uint64)
 	}
 	e.sched.push(at, h, op, arg)
 }
-
-// Stop makes Run return at the end of the current cycle. A Stop issued
-// before Run is honored: the next Run returns immediately, consuming the
-// stop (so a subsequent Run proceeds normally).
-func (e *Engine) Stop() { e.stopped = true }
 
 // SetInterrupt installs fn as Run's abort poll, invoked at most once every
 // `every` cycles (0 means every cycle). A non-nil return stops the run at
@@ -276,11 +268,10 @@ func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
 	return target, true
 }
 
-// Run steps the clock until pred returns true, the engine is stopped, or
-// maxCycles elapse (a budget reaching past the last representable cycle
-// runs to that cycle). It returns the number of cycles executed and whether
-// the predicate was satisfied. A stop requested before Run (or during it) is
-// consumed on return, so the engine is immediately runnable again.
+// Run steps the clock until pred returns true, the interrupt poll aborts
+// (SetInterrupt), or maxCycles elapse (a budget reaching past the last
+// representable cycle runs to that cycle). It returns the number of cycles
+// executed and whether the predicate was satisfied.
 //
 // Quiescent stretches — every ticker idle, no event due — are
 // fast-forwarded: the clock jumps to the next event (or waker deadline, or
@@ -297,10 +288,6 @@ func (e *Engine) Run(maxCycles uint64, pred func() bool) (cycles uint64, done bo
 	for e.now < limit {
 		if pred != nil && pred() {
 			return e.now - start, true
-		}
-		if e.stopped {
-			e.stopped = false
-			return e.now - start, false
 		}
 		if e.checkInterrupt() {
 			return e.now - start, false
@@ -332,7 +319,6 @@ func (e *Engine) RunE(maxCycles uint64, pred func() bool) (cycles uint64, done b
 				panic(r)
 			}
 			cycles, done, err = e.now-start, false, pe
-			e.stopped = false
 		}
 	}()
 	cycles, done = e.Run(maxCycles, pred)

@@ -167,18 +167,6 @@ func TestRunMaxBudgetPastCycleZero(t *testing.T) {
 	}
 }
 
-func TestStopEndsRun(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(5, func(uint64) { e.Stop() })
-	cycles, done := e.Run(1000, nil)
-	if done {
-		t.Fatal("done should be false after Stop")
-	}
-	if cycles != 6 {
-		t.Fatalf("cycles = %d, want 6", cycles)
-	}
-}
-
 func TestPending(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(1, func(uint64) {})
