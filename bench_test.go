@@ -77,17 +77,15 @@ func BenchmarkAllArtifacts(b *testing.B) {
 	}
 }
 
-// Per-benchmark x system simulation cost. The sub-benchmark names follow
-// <benchmark>/<system>.
+// Per-benchmark x system simulation cost, over every registered system in
+// registry order. The sub-benchmark names follow <benchmark>/<system>.
 func BenchmarkSimulate(b *testing.B) {
-	systems := map[string]fusion.System{
-		"scratch":  fusion.ScratchSystem,
-		"shared":   fusion.SharedSystem,
-		"fusion":   fusion.FusionSystem,
-		"fusiondx": fusion.FusionDxSystem,
-	}
 	for _, name := range fusion.Benchmarks() {
-		for sysName, sys := range systems {
+		for _, sysName := range fusion.Systems() {
+			sys, ok := fusion.ParseSystem(sysName)
+			if !ok {
+				b.Fatalf("registered system %q does not parse", sysName)
+			}
 			b.Run(name+"/"+sysName, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					bench := fusion.LoadBenchmark(name)

@@ -8,7 +8,7 @@
 //	fusionbench -exp fig6b      # one artifact
 //	fusionbench -list           # names of the regenerable artifacts
 //	fusionbench -j 8            # bound the parallel sweep's worker pool
-//	fusionbench -benchout BENCH_2026-08-05.json   # wall-clock/alloc report
+//	fusionbench -benchout BENCH_<date>.json       # wall-clock/alloc report
 //	fusionbench -allocbudget BENCH_BUDGET.json    # allocs/op regression gate
 //
 // The sweep is deterministic: output is byte-identical for any -j value.

@@ -1,22 +1,19 @@
 // Command fusionlint runs the simulator's determinism and
 // protocol-discipline analyzers (internal/lint) over the module:
 //
-//	fusionlint ./...                 # whole module
-//	fusionlint ./internal/mesi       # one package
-//	fusionlint -format sarif ./...   # SARIF 2.1.0 for CI annotation
-//	fusionlint -waivers ./...        # audit every //lint: suppression
+//	fusionlint ./...             # whole module
+//	fusionlint ./internal/mesi   # one package
+//	fusionlint -waivers ./...    # audit every //lint: suppression
 //
-// The default text mode prints one "file:line: [analyzer] message" per
-// finding and exits 1 if any finding survives waivers, 2 on load errors;
-// -format json|sarif emit the same findings machine-readably. -waivers
-// switches to audit mode: every //lint: directive in scope is listed with
-// its analyzer and justification (exit 0 — waiver debt is reviewed, not
-// failed). Built on stdlib go/parser + go/types only: no go command
-// invocation, no x/tools.
+// It prints one "file:line: [analyzer] message" per finding and exits 1 if
+// any finding survives waivers, 2 on load errors. -waivers switches to
+// audit mode: one "file:line: [analyzer] reason" line per //lint:
+// directive in scope, then the count on stderr (exit 0 — waiver debt is
+// reviewed, not failed). Built on stdlib go/parser + go/types only: no go
+// command invocation, no x/tools.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,10 +25,9 @@ import (
 
 func main() {
 	verbose := flag.Bool("v", false, "list packages as they are checked")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
 	waivers := flag.Bool("waivers", false, "audit mode: list every //lint: waiver instead of running analyzers")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fusionlint [-v] [-format text|json|sarif] [-waivers] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: fusionlint [-v] [-waivers] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Analyzers:\n")
 		for _, an := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-14s %s (waive: //lint:%s <reason>)\n",
@@ -39,12 +35,6 @@ func main() {
 		}
 	}
 	flag.Parse()
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(os.Stderr, "fusionlint: unknown -format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
-	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -88,28 +78,13 @@ func main() {
 	}
 
 	if *waivers {
-		audit(cwd, pkgs, *format)
+		audit(cwd, pkgs)
 		return
 	}
 
 	findings := lint.Run(lint.Analyzers(), pkgs, mod)
-	switch *format {
-	case "json":
-		out, err := lint.RenderJSON(findings, cwd)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s\n", out)
-	case "sarif":
-		out, err := lint.RenderSARIF(lint.Analyzers(), findings, cwd)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s\n", out)
-	default:
-		for _, f := range findings {
-			fmt.Println(f.String(cwd))
-		}
+	for _, f := range findings {
+		fmt.Println(f.String(cwd))
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "fusionlint: %d finding(s)\n", len(findings))
@@ -117,20 +92,10 @@ func main() {
 	}
 }
 
-// audit implements -waivers: list every //lint: suppression in scope. Text
-// mode prints "file:line: [analyzer] reason" plus a count; json emits the
-// records as an array. (SARIF has no natural shape for suppressions-as-
-// inventory, so -waivers -format sarif falls back to json.)
-func audit(cwd string, pkgs []*lint.Package, format string) {
+// audit implements -waivers: print "file:line: [analyzer] reason" for every
+// //lint: suppression in scope, then the count on stderr.
+func audit(cwd string, pkgs []*lint.Package) {
 	records := lint.AuditWaivers(lint.Analyzers(), pkgs, cwd)
-	if format != "text" {
-		out, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s\n", out)
-		return
-	}
 	for _, w := range records {
 		reason := w.Reason
 		if reason == "" {

@@ -92,8 +92,8 @@ func TestTwoL0XMissesMergeAtL1X(t *testing.T) {
 	if got := h.st.Get("dir.GetM"); got != 1 {
 		t.Fatalf("host fetches = %d, want 1 (merged at the L1X MSHR)", got)
 	}
-	if got := h.st.Get("l1x.grants_read"); got != 2 {
-		t.Fatalf("grants = %d, want 2", got)
+	if got := h.st.Get("l1x.grants_read"); got != 2 || h.tile.L1X.LeaseGrants() != 2 {
+		t.Fatalf("grants = %d, LeaseGrants() = %d, want 2", got, h.tile.L1X.LeaseGrants())
 	}
 }
 

@@ -369,6 +369,9 @@ func TestWriteThroughBandwidth(t *testing.T) {
 		eng.Run(100000, func() bool { return done == 64 })
 		tile.L0Xs[0].Drain()
 		eng.Run(10000, nil)
+		if up, _ := tile.Links(); up.Flits != st.Get("link.l0x0.up.flits") {
+			t.Fatalf("Links up flits = %d, link.l0x0.up.flits = %d", up.Flits, st.Get("link.l0x0.up.flits"))
+		}
 		return st.Get("link.l0x0.up.flits")
 	}
 	wb := countFlits(false)

@@ -253,6 +253,9 @@ func NewL1X(eng *sim.Engine, fabric *mesi.Fabric, agent mesi.AgentID,
 	return x
 }
 
+// LeaseGrants counts the read and write leases granted so far.
+func (x *L1X) LeaseGrants() int64 { return x.cGrantsR.Value() + x.cGrantsW.Value() }
+
 // ConnectL0X attaches the downlink to one accelerator's private cache.
 func (x *L1X) ConnectL0X(id AXCID, l *interconnect.Link) {
 	for int(id) >= len(x.toL0X) {

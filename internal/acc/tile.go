@@ -206,6 +206,29 @@ func (t *Tile) ForwardedBlocks() int64 {
 	return n
 }
 
+// Links sums the traffic of the tile's L0X->L1X uplinks and L1X->L0X
+// downlinks.
+func (t *Tile) Links() (up, down interconnect.Traffic) {
+	for i, l0 := range t.L0Xs {
+		up = up.Add(l0.toL1X.Traffic())
+		down = down.Add(t.L1X.toL0X[i].Traffic())
+	}
+	return up, down
+}
+
+// Faults sums the injected delays on every link of the tile.
+func (t *Tile) Faults() (n int64) {
+	for i, l0 := range t.L0Xs {
+		n += l0.toL1X.Faults() + t.L1X.toL0X[i].Faults()
+		for _, fwd := range l0.fwdTo {
+			if fwd != nil {
+				n += fwd.Faults()
+			}
+		}
+	}
+	return n
+}
+
 // Outstanding sums in-flight transactions across the tile.
 func (t *Tile) Outstanding() int {
 	n := t.L1X.Outstanding()

@@ -512,5 +512,9 @@ func (a *Accelerator) AvgMLP() float64 {
 	return float64(sum) / float64(samples)
 }
 
+// MLPMilli is the emergent MLP, in thousandths, as of the last completed
+// invocation (the <name>.mlp_milli gauge).
+func (a *Accelerator) MLPMilli() int64 { return a.cMLPMilli.Value() }
+
 // BusyCycles returns the cycles spent executing invocations.
 func (a *Accelerator) BusyCycles() uint64 { return a.busyCycles + a.owed() }

@@ -186,6 +186,9 @@ func TestAvgMLPMeasured(t *testing.T) {
 	if m := a.AvgMLP(); m < 1.0 || m > 4.0 {
 		t.Fatalf("AvgMLP = %v, want within (1,4]", m)
 	}
+	if got, want := a.MLPMilli(), int64(a.AvgMLP()*1000); got != want {
+		t.Fatalf("MLPMilli = %d, want %d", got, want)
+	}
 }
 
 func TestStartWhileBusyPanics(t *testing.T) {

@@ -63,7 +63,7 @@ func TestFaultInjectorSpikesLatency(t *testing.T) {
 	if spikedDone <= cleanDone {
 		t.Fatalf("spiked completion %d not later than clean %d", spikedDone, cleanDone)
 	}
-	if st2.Get("dram.fault_spikes") == 0 {
-		t.Fatal("fault_spikes counter did not advance")
+	if st2.Get("dram.fault_spikes") == 0 || d2.FaultSpikes() != st2.Get("dram.fault_spikes") {
+		t.Fatalf("fault_spikes = %d, FaultSpikes() = %d", st2.Get("dram.fault_spikes"), d2.FaultSpikes())
 	}
 }

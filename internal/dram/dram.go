@@ -98,6 +98,9 @@ func New(eng *sim.Engine, cfg Config, model energy.Model, meter *energy.Meter, s
 // Name implements sim.Ticker.
 func (d *DRAM) Name() string { return "dram" }
 
+// FaultSpikes counts the injected latency spikes.
+func (d *DRAM) FaultSpikes() int64 { return d.cFaultSpikes.Value() }
+
 // Idle implements sim.IdleTicker: with every command queue empty, Tick
 // cannot issue anything regardless of busyUntil, so skipping its per-cycle
 // polling is safe. A queued command keeps the controller busy even while

@@ -49,7 +49,7 @@ func leaseRows(rs results) []LeaseRow {
 				Benchmark:  name,
 				Scale:      cfg.LeaseScale,
 				Cycles:     res.Cycles,
-				Grants:     res.Stats.Get("l1x.grants_read") + res.Stats.Get("l1x.grants_write"),
+				Grants:     res.LeaseGrants,
 				EnergyNorm: res.OnChipPJ() / base.OnChipPJ(),
 				CycleNorm:  float64(res.Cycles) / float64(base.Cycles),
 			})
@@ -109,7 +109,7 @@ type TilesRow struct {
 	Cycles     uint64
 	EnergyNorm float64 // vs single tile
 	CycleNorm  float64
-	HostMsgs   int64 // tile <-> L2 messages (both tiles)
+	HostMsgs   int64 // every tile's messages on its route to the L2
 }
 
 // One tile, the placement sweep's baseline, is the first config.
@@ -138,8 +138,7 @@ func tilesRows(rs results) []TilesRow {
 				Cycles:     res.Cycles,
 				EnergyNorm: res.OnChipPJ() / baseE,
 				CycleNorm:  float64(res.Cycles) / baseC,
-				HostMsgs: res.Stats.Get("hostlink.tile.msgs") +
-					res.Stats.Get("hostlink.tile1.msgs"),
+				HostMsgs:   res.HostTiles.Msgs,
 			})
 		}
 	}

@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -166,7 +165,7 @@ func table1Rows(rs results) []Table1Row {
 			ii, fp, ld, st := ph.Inv.Ops()
 			tot := float64(ii + fp + ld + st)
 			pf := res.PerFunction[ph.Inv.Function]
-			mlp := float64(res.Stats.Get(fmt.Sprintf("axc%d.mlp_milli", ph.Inv.AXC))) / 1000
+			mlp := float64(res.AXCMLPMilli[ph.Inv.AXC]) / 1000
 			rows = append(rows, Table1Row{
 				Benchmark: name,
 				Function:  ph.Inv.Function,
@@ -351,7 +350,9 @@ type Fig6cRow struct {
 	TileReqs int64
 	// TileData counts L1X->AXC data responses.
 	TileData int64
-	// HostMsgs counts L1X/DMA <-> L2 messages.
+	// HostMsgs counts the host-fabric messages: the DMA engine's route to
+	// the L2 for SCRATCH; otherwise the tile's route to the L2 plus the
+	// owner->requester data responses between agents.
 	HostMsgs int64
 	// HostFlits is the same traffic in 8-byte flits.
 	HostFlits int64
@@ -365,27 +366,19 @@ func (r *Runner) Figure6c() ([]Fig6cRow, error) { return fig6cDef.data(r) }
 func fig6cRows(rs results) []Fig6cRow {
 	var rows []Fig6cRow
 	for i, name := range rs.names {
-		axcs := rs.benches[i].Program.NumAXCs()
 		for j, cfg := range rs.cfgs {
-			st := rs.run(i, j).Stats
+			res := rs.run(i, j)
 			row := Fig6cRow{Benchmark: name, System: cfg.Kind.String()}
+			host := res.HostTiles.Add(res.HostP2P)
 			switch cfg.Kind {
 			case systems.Scratch:
-				row.HostMsgs = st.Get("hostlink.dma.msgs")
-				row.HostFlits = st.Get("hostlink.dma.flits")
+				host = res.HostDMA
 			case systems.Shared:
-				row.TileReqs = st.Get("sharedswitch.msgs")
-				row.TileData = st.Get("sharedswitch.msgs")
-				row.HostMsgs = st.Get("hostlink.tile.msgs") + st.Get("hostlink.p2p.msgs")
-				row.HostFlits = st.Get("hostlink.tile.flits") + st.Get("hostlink.p2p.flits")
+				row.TileReqs, row.TileData = res.SharedSwitchMsgs, res.SharedSwitchMsgs
 			default:
-				for a := 0; a < axcs; a++ {
-					row.TileReqs += st.Get(fmt.Sprintf("link.l0x%d.up.ctrl", a))
-					row.TileData += st.Get(fmt.Sprintf("link.l0x%d.down.data", a))
-				}
-				row.HostMsgs = st.Get("hostlink.tile.msgs") + st.Get("hostlink.p2p.msgs")
-				row.HostFlits = st.Get("hostlink.tile.flits") + st.Get("hostlink.p2p.flits")
+				row.TileReqs, row.TileData = res.TileUp.Ctrl, res.TileDown.Data
 			}
+			row.HostMsgs, row.HostFlits = host.Msgs, host.Flits
 			rows = append(rows, row)
 		}
 	}
@@ -491,14 +484,6 @@ func table4Rows(rs results) []Table4Row {
 	var rows []Table4Row
 	for i, name := range rs.names {
 		b, wb, wt := rs.benches[i], rs.run(i, 0), rs.run(i, 1)
-		axcs := b.Program.NumAXCs()
-		upFlits := func(res *systems.Result) int64 {
-			var n int64
-			for a := 0; a < axcs; a++ {
-				n += res.Stats.Get(fmt.Sprintf("link.l0x%d.up.flits", a))
-			}
-			return n
-		}
 		// %dirty: distinct written lines over distinct touched lines.
 		touched, written := 0, 0
 		seen := map[uint64]bool{}
@@ -522,8 +507,8 @@ func table4Rows(rs results) []Table4Row {
 		}
 		rows = append(rows, Table4Row{
 			Benchmark:      name,
-			WriteThrough:   upFlits(wt),
-			Writeback:      upFlits(wb),
+			WriteThrough:   wt.TileUp.Flits,
+			Writeback:      wb.TileUp.Flits,
 			PctDirtyBlocks: 100 * float64(written) / float64(touched),
 		})
 	}
@@ -631,9 +616,9 @@ func table6Rows(rs results) []Table6Row {
 		res := rs.run(i, 0)
 		rows = append(rows, Table6Row{
 			Benchmark:   name,
-			TLBLookups:  res.Stats.Get("axtlb.lookups"),
-			RMAPLookups: res.Stats.Get("axrmap.lookups"),
-			HostFwds:    res.Stats.Get("dir.fwd_to_tile"),
+			TLBLookups:  res.TLBLookups,
+			RMAPLookups: res.RMAPLookups,
+			HostFwds:    res.DirFwdsToTile,
 		})
 	}
 	return rows

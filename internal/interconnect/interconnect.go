@@ -126,6 +126,26 @@ func (l *Link) SetInjector(inj *faults.Injector) { l.inj = inj }
 // Name returns the link name.
 func (l *Link) Name() string { return l.name }
 
+// Traffic is what a link has carried: every message, its 8-byte flits, and
+// the split into control and data messages.
+type Traffic struct {
+	Msgs, Flits, Ctrl, Data int64
+}
+
+// Add returns the sum of t and u.
+func (t Traffic) Add(u Traffic) Traffic {
+	return Traffic{t.Msgs + u.Msgs, t.Flits + u.Flits, t.Ctrl + u.Ctrl, t.Data + u.Data}
+}
+
+// Traffic reads the link's counters. Links built with the same name share
+// those counters, so each of them reports the whole group's traffic.
+func (l *Link) Traffic() Traffic {
+	return Traffic{l.cMsgs.Value(), l.cFlits.Value(), l.cCtrl.Value(), l.cData.Value()}
+}
+
+// Faults reads the link's fault counter, which Config.Faults may share.
+func (l *Link) Faults() int64 { return l.cFaults.Value() }
+
 // Send queues m for delivery. Energy and traffic are accounted immediately;
 // delivery happens after the link latency plus any serialization delay.
 func (l *Link) Send(m Message) {

@@ -101,6 +101,12 @@ func TestLinkStatsAndEnergy(t *testing.T) {
 	if st.Get("tile.ctrl") != 1 || st.Get("tile.data") != 1 {
 		t.Fatalf("ctrl/data = %d/%d", st.Get("tile.ctrl"), st.Get("tile.data"))
 	}
+	if got, want := l.Traffic(), (Traffic{Msgs: 2, Flits: 10, Ctrl: 1, Data: 1}); got != want {
+		t.Fatalf("Traffic = %+v, want %+v", got, want)
+	}
+	if got, want := l.Traffic().Add(l.Traffic()), (Traffic{Msgs: 4, Flits: 20, Ctrl: 2, Data: 2}); got != want {
+		t.Fatalf("Traffic doubled = %+v, want %+v", got, want)
+	}
 	want := 0.4 * 80
 	if got := mt.Get(energy.CatLinkTile); got != want {
 		t.Fatalf("energy = %v, want %v", got, want)

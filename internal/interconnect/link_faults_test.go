@@ -134,6 +134,9 @@ func TestLinkFaultsCountedInStats(t *testing.T) {
 	if st.Get("cnt.faults") == 0 {
 		t.Fatal("no cnt.faults recorded despite 100% jitter probability")
 	}
+	if l.Faults() != st.Get("cnt.faults") {
+		t.Fatalf("Faults = %d, cnt.faults = %d", l.Faults(), st.Get("cnt.faults"))
+	}
 }
 
 // TestLinkSharedFaultCounter: links handed one Faults counter count their

@@ -1,7 +1,7 @@
 package lint
 
 // Analyzers returns the full suite in reporting order. Scopes: maporder,
-// wallclock, rawpanic, hotstats, hotmap, pooldiscipline, and enumswitch
+// wallclock, rawpanic, hotmap, pooldiscipline, and enumswitch
 // guard the simulation packages under internal/; globalrand, droppederr,
 // and lockguard apply module-wide (a cmd that drops errors or races a
 // guarded field corrupts experiments just as surely). Leaked context
@@ -17,7 +17,6 @@ func Analyzers() []*Analyzer {
 		GlobalRand,
 		RawPanic,
 		DroppedErr,
-		HotStats,
 		HotMap,
 		PoolDiscipline,
 		LockGuard,

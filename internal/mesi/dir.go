@@ -177,6 +177,9 @@ func (dir *Directory) Version(addr mem.PAddr) uint64 {
 	return dir.verOf(uint64(addr.LineAddr()))
 }
 
+// FwdsToTile counts the requests forwarded to TileAgent, the owner.
+func (dir *Directory) FwdsToTile() int64 { return dir.cFwdTile.Value() }
+
 // verOf reads the golden store; absent lines are version 0.
 func (dir *Directory) verOf(a uint64) uint64 {
 	v, _ := dir.ver.Get(a)

@@ -96,6 +96,16 @@ func (f *Fabric) SetRoutePair(a, b AgentID, r Route) {
 	f.SetRoute(b, a, r)
 }
 
+// Faults counts the injected delays on every route.
+func (f *Fabric) Faults() int64 { return f.cFaults.Value() }
+
+// Link returns the route src->dst, nil while the pair is unrouted. Both
+// directions of a SetRoutePair, and every route sharing a StatName, feed
+// one counter set, so the link's Traffic is its whole group's.
+func (f *Fabric) Link(src, dst AgentID) *interconnect.Link {
+	return f.links[int(src)*MaxAgents+int(dst)]
+}
+
 // newLink builds the wire of a route into dst. The link is named by the
 // route's StatName ("fabric" when empty), which keys both its traffic
 // counters and its fault-injection site, so both directions of a

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fusion/internal/faults"
+	"fusion/internal/interconnect"
 	"fusion/internal/mem"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
@@ -85,8 +86,16 @@ func TestFabricFaultsAndPairCounters(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, v)
 		}
 	}
-	if st.Get("fabric.faults") == 0 {
-		t.Fatal("no fabric.faults recorded under an armed plan")
+	if st.Get("fabric.faults") == 0 || fab.Faults() != st.Get("fabric.faults") {
+		t.Fatalf("fabric.faults = %d, Faults() = %d", st.Get("fabric.faults"), fab.Faults())
+	}
+	// Either direction's link reports the pair's shared counters.
+	want12 := interconnect.Traffic{Msgs: 2 * n, Flits: n * (1 + 9), Ctrl: n, Data: n}
+	if a, b := fab.Link(1, 2).Traffic(), fab.Link(2, 1).Traffic(); a != want12 || b != want12 {
+		t.Errorf("Link traffic 1->2 %+v, 2->1 %+v, want %+v", a, b, want12)
+	}
+	if fab.Link(1, 3) != nil {
+		t.Error("an unrouted pair has a link")
 	}
 	for _, name := range st.Names() {
 		if strings.HasSuffix(name, ".faults") && name != "fabric.faults" {

@@ -89,6 +89,9 @@ func (d *DMA) WriteLine(pa mem.PAddr, ver uint64, delta bool, done func(now uint
 	d.pump()
 }
 
+// Transfers counts the line reads and writes issued so far.
+func (d *DMA) Transfers() int64 { return d.cReads.Value() + d.cWrites.Value() }
+
 // Idle reports whether all issued transfers have completed.
 func (d *DMA) Idle() bool {
 	return d.outstanding == 0 && len(d.queue) == 0

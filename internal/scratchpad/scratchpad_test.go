@@ -201,6 +201,9 @@ func TestDMAWriteVisibleToHost(t *testing.T) {
 	acked := false
 	dma.WriteLine(0x2000, 9, false, func(uint64) { acked = true })
 	eng.Run(100000, func() bool { return acked })
+	if dma.Transfers() != 1 {
+		t.Fatalf("Transfers = %d, want 1", dma.Transfers())
+	}
 	if dir.Version(0x2000) != 9 {
 		t.Fatalf("LLC version = %d, want 9", dir.Version(0x2000))
 	}

@@ -150,7 +150,7 @@ func fillMeasurements(c *CellResult, b *workloads.Benchmark, res *systems.Result
 	}
 	c.VersionsDigest = hex.EncodeToString(h.Sum(nil))
 
-	names := append([]string(nil), res.Stats.Names()...)
+	names := res.Stats.Names()
 	sort.Strings(names)
 	h = sha256.New()
 	for _, name := range names {

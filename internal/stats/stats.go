@@ -2,17 +2,16 @@
 // reports into. Counters are named hierarchically ("l1x.read.hit") and kept
 // in insertion order so dumps are deterministic.
 //
-// Hot components do not pay the string-map cost per event: they resolve a
-// *Counter handle once at construction (Set.Counter) and increment through
-// the pointer. The string-keyed Add/Inc/Put/Get API remains for cold paths
-// and tests; both views share the same underlying cells.
+// Components count through handles: each interns a *Counter once at
+// construction (Set.Counter) and increments through the pointer, with no
+// map hashing per event. The Set's by-name view of the same cells (Get,
+// Names, ForEach, Dump) serves dumps, digests and tests.
 package stats
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // Counter is a single interned counter cell. Handles stay valid for the
@@ -64,15 +63,6 @@ func (s *Set) Counter(name string) *Counter {
 	return c
 }
 
-// Add increments counter name by v, creating it if needed.
-func (s *Set) Add(name string, v int64) { s.Counter(name).v += v }
-
-// Inc increments counter name by one.
-func (s *Set) Inc(name string) { s.Counter(name).v++ }
-
-// Put overwrites counter name with v (gauge semantics).
-func (s *Set) Put(name string, v int64) { s.Counter(name).v = v }
-
 // Get returns the value of counter name (zero if absent).
 func (s *Set) Get(name string) int64 {
 	if c, ok := s.vals[name]; ok {
@@ -95,29 +85,6 @@ func (s *Set) ForEach(fn func(name string, v int64)) {
 	}
 }
 
-// Merge adds every counter from other into s, prefixing names with prefix
-// (use "" for none). A non-empty prefix is joined with a dot.
-func (s *Set) Merge(prefix string, other *Set) {
-	for _, n := range other.order {
-		name := n
-		if prefix != "" {
-			name = prefix + "." + n
-		}
-		s.Counter(name).v += other.vals[n].v
-	}
-}
-
-// Sum returns the total of every counter whose name has the given prefix.
-func (s *Set) Sum(prefix string) int64 {
-	var total int64
-	for _, n := range s.order {
-		if strings.HasPrefix(n, prefix) {
-			total += s.vals[n].v
-		}
-	}
-	return total
-}
-
 // Dump writes "name value" lines, sorted by name, to w.
 func (s *Set) Dump(w io.Writer) {
 	names := append([]string(nil), s.order...)
@@ -126,13 +93,3 @@ func (s *Set) Dump(w io.Writer) {
 		fmt.Fprintf(w, "%-48s %12d\n", n, s.vals[n].v)
 	}
 }
-
-// Reset zeroes and removes every counter. Handles interned before the reset
-// are orphaned: they keep working but no longer feed the set.
-func (s *Set) Reset() {
-	s.order = s.order[:0]
-	s.vals = make(map[string]*Counter)
-}
-
-// Len reports the number of distinct counters.
-func (s *Set) Len() int { return len(s.order) }

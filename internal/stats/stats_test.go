@@ -8,9 +8,9 @@ import (
 
 func TestAddAndGet(t *testing.T) {
 	s := NewSet()
-	s.Add("a", 3)
-	s.Add("a", 4)
-	s.Inc("b")
+	s.Counter("a").Add(3)
+	s.Counter("a").Add(4)
+	s.Counter("b").Inc()
 	if s.Get("a") != 7 {
 		t.Fatalf("a = %d, want 7", s.Get("a"))
 	}
@@ -24,10 +24,9 @@ func TestAddAndGet(t *testing.T) {
 
 func TestNamesInsertionOrder(t *testing.T) {
 	s := NewSet()
-	s.Inc("z")
-	s.Inc("a")
-	s.Inc("m")
-	s.Inc("a") // no duplicate
+	for _, n := range []string{"z", "a", "m", "a"} { // no duplicate "a"
+		s.Counter(n).Inc()
+	}
 	names := s.Names()
 	want := []string{"z", "a", "m"}
 	if len(names) != len(want) {
@@ -38,50 +37,36 @@ func TestNamesInsertionOrder(t *testing.T) {
 			t.Fatalf("Names = %v, want %v", names, want)
 		}
 	}
-}
-
-func TestMergeWithPrefix(t *testing.T) {
-	a := NewSet()
-	a.Add("hits", 10)
-	b := NewSet()
-	b.Add("hits", 5)
-	b.Add("misses", 2)
-	a.Merge("l0x", b)
-	if a.Get("l0x.hits") != 5 || a.Get("l0x.misses") != 2 || a.Get("hits") != 10 {
-		t.Fatalf("merge wrong: %v %v %v", a.Get("l0x.hits"), a.Get("l0x.misses"), a.Get("hits"))
+	var visited []string
+	s.ForEach(func(n string, _ int64) { visited = append(visited, n) })
+	if strings.Join(visited, ",") != "z,a,m" {
+		t.Fatalf("ForEach visited %v, want %v", visited, want)
 	}
-	a.Merge("", b)
-	if a.Get("hits") != 15 {
-		t.Fatalf("unprefixed merge: hits = %d, want 15", a.Get("hits"))
+	names[0] = "changed"
+	if s.Names()[0] != "z" {
+		t.Fatal("Names returned the set's own slice")
 	}
 }
 
-func TestSumPrefix(t *testing.T) {
+func TestCounterGauge(t *testing.T) {
 	s := NewSet()
-	s.Add("link.l0x.bytes", 100)
-	s.Add("link.l1x.bytes", 50)
-	s.Add("cache.hits", 7)
-	if got := s.Sum("link."); got != 150 {
-		t.Fatalf("Sum(link.) = %d, want 150", got)
-	}
-	if got := s.Sum(""); got != 157 {
-		t.Fatalf("Sum() = %d, want 157", got)
+	c := s.Counter("g")
+	c.Add(5)
+	c.Set(2)
+	if c.Value() != 2 || s.Get("g") != 2 {
+		t.Fatalf("gauge = %d (Get %d), want 2", c.Value(), s.Get("g"))
 	}
 }
 
-func TestDumpSortedAndReset(t *testing.T) {
+func TestDumpSorted(t *testing.T) {
 	s := NewSet()
-	s.Add("zz", 1)
-	s.Add("aa", 2)
+	s.Counter("zz").Add(1)
+	s.Counter("aa").Add(2)
 	var b strings.Builder
 	s.Dump(&b)
 	out := b.String()
 	if strings.Index(out, "aa") > strings.Index(out, "zz") {
 		t.Fatalf("dump not sorted:\n%s", out)
-	}
-	s.Reset()
-	if s.Len() != 0 || s.Get("aa") != 0 {
-		t.Fatal("Reset did not clear")
 	}
 }
 
@@ -91,7 +76,7 @@ func TestAddSumsProperty(t *testing.T) {
 		s := NewSet()
 		var want int64
 		for _, v := range vals {
-			s.Add("x", int64(v))
+			s.Counter("x").Add(int64(v))
 			want += int64(v)
 		}
 		return s.Get("x") == want

@@ -134,6 +134,7 @@ func runAdaptive(m *machine, b *workloads.Benchmark, cfg Config, res *Result) er
 	// knob is a FUSION-specific ablation and is ignored here).
 	tile := newTile(m, cfg, 0, b.Program.NumAXCs())
 	dma := scratchpad.NewDMA(m.fab, dmaAgent, cfg.DMAOutstanding, cfg.DMAGap, m.st)
+	m.dma = dma
 	axcs := accelFor(m, b)
 	pads := newPads(m, cfg, axcs)
 	live := newLiveSet(b)

@@ -10,11 +10,9 @@ package systems
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"fusion/internal/faults"
 	"fusion/internal/mem"
-	"fusion/internal/stats"
 	"fusion/internal/workloads"
 )
 
@@ -113,7 +111,7 @@ func Soak(sc SoakConfig) SoakResult {
 			cellErrs[i] = err
 			return
 		}
-		cellFaults[i] = countFaults(res.Stats)
+		cellFaults[i] = uint64(res.Faults)
 		cellErrs[i] = diffVersions(wants[c.bench], res.FinalVersions)
 	})
 
@@ -126,17 +124,6 @@ func Soak(sc SoakConfig) SoakResult {
 		}
 	}
 	return out
-}
-
-// countFaults totals the per-site fault counters a run accumulated.
-func countFaults(st *stats.Set) uint64 {
-	var n int64
-	st.ForEach(func(name string, v int64) {
-		if strings.HasSuffix(name, ".faults") || name == "dram.fault_spikes" {
-			n += v
-		}
-	})
-	return uint64(n)
 }
 
 // diffVersions compares a run's final memory image against the golden one.

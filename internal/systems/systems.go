@@ -37,6 +37,7 @@ import (
 	"fusion/internal/energy"
 	"fusion/internal/faults"
 	"fusion/internal/host"
+	"fusion/internal/interconnect"
 	"fusion/internal/mem"
 	"fusion/internal/mesi"
 	"fusion/internal/obs"
@@ -244,9 +245,22 @@ type Result struct {
 	PerFunction map[string]*PhaseResult
 
 	WorkingSetBytes int
-	DMABytes        int64
-	DMATransfers    int64
-	ForwardedBlocks int64
+
+	// Counts read from the built components' counter handles once the run
+	// has drained (Stats names the same cells); tile counts sum every tile.
+	DMATransfers     int64                // DMA line reads + writes (Figure 6d)
+	DMABytes         int64                // bytes those transfers moved
+	ForwardedBlocks  int64                // FUSION-Dx L0X->L0X forwards (Table 5)
+	AXCMLPMilli      []int64              // emergent MLP x1000 by AXC id, 0 if unused (Table 1)
+	TileUp, TileDown interconnect.Traffic // L0X->L1X and L1X->L0X links (Fig. 6c, Table 4)
+	SharedSwitchMsgs int64                // SHARED's AXC<->L1X switch crossings (Fig. 6c)
+	// Host-fabric route groups: every tile's route to the L2 (SHARED's L1X
+	// is tile 0), the DMA engine's, and the owner->requester data routes.
+	HostTiles, HostDMA, HostP2P interconnect.Traffic
+	TLBLookups, RMAPLookups     int64 // AX-TLB and AX-RMAP lookups (Table 6)
+	LeaseGrants                 int64 // L1X read + write lease grants
+	DirFwdsToTile               int64 // host requests forwarded to tile 0 (Table 6)
+	Faults                      int64 // injected link delays and DRAM spikes
 
 	// FinalVersions is the host backing store's view of every program line
 	// after the run drained — compared against ExpectedVersions in tests.
@@ -275,6 +289,12 @@ type machine struct {
 	inj      *faults.Injector
 	wd       *sim.Watchdog
 	paranoid *invariantChecker
+
+	// What the run built (nil if not), for count.
+	axcs   []*accel.Accelerator
+	tiles  []*acc.Tile
+	dma    *scratchpad.DMA
+	shared *sharedPort
 }
 
 func newMachine() *machine {
@@ -483,8 +503,7 @@ func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) 
 	}
 
 	res.Cycles = m.eng.Now()
-	res.DMABytes = 64 * (m.st.Get("dma.reads") + m.st.Get("dma.writes"))
-	res.DMATransfers = m.st.Get("dma.reads") + m.st.Get("dma.writes")
+	m.count(res)
 
 	// Capture final versions of every program line — including preloaded
 	// inputs no phase touched — for verification.
@@ -510,6 +529,43 @@ func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) 
 		}
 	}
 	return res, nil
+}
+
+// count fills the result's typed counts from the handles of the components
+// the run built.
+func (m *machine) count(res *Result) {
+	res.AXCMLPMilli = make([]int64, len(m.axcs))
+	for axc, ax := range m.axcs {
+		if ax != nil {
+			res.AXCMLPMilli[axc] = ax.MLPMilli()
+		}
+	}
+	for _, t := range m.tiles {
+		up, down := t.Links()
+		res.TileUp, res.TileDown = res.TileUp.Add(up), res.TileDown.Add(down)
+		res.TLBLookups += t.TLB.Lookups()
+		res.RMAPLookups += t.RMAP.Lookups()
+		res.LeaseGrants += t.L1X.LeaseGrants()
+		res.ForwardedBlocks += t.ForwardedBlocks()
+		res.Faults += t.Faults()
+	}
+	if m.shared != nil {
+		res.SharedSwitchMsgs = m.shared.cMsgs.Value()
+	}
+	// Tile t is agent tileAgent+t; without tiles, tileAgent is SHARED's L1X.
+	for t := 0; t < max(1, len(m.tiles)); t++ {
+		res.HostTiles = res.HostTiles.Add(m.fab.Link(tileAgent+mesi.AgentID(t), mesi.DirID).Traffic())
+	}
+	res.HostP2P = m.fab.Link(hostAgent, tileAgent).Traffic()
+	// From 2 tiles on, tile 1 takes dmaAgent's id and route, so read the
+	// DMA route only when a DMA engine was built.
+	if m.dma != nil {
+		res.HostDMA = m.fab.Link(dmaAgent, mesi.DirID).Traffic()
+		res.DMATransfers = m.dma.Transfers()
+		res.DMABytes = 64 * res.DMATransfers
+	}
+	res.DirFwdsToTile = m.dir.FwdsToTile()
+	res.Faults += m.fab.Faults() + m.dram.FaultSpikes()
 }
 
 // OnChipPJ returns the dynamic energy of the on-chip hierarchy (caches,
@@ -555,6 +611,7 @@ func accelFor(m *machine, b *workloads.Benchmark) []*accel.Accelerator {
 		out[ph.Inv.AXC] = accel.New(m.eng, fmt.Sprintf("axc%d", ph.Inv.AXC),
 			cfg, m.model, m.mt, m.st)
 	}
+	m.axcs = out
 	return out
 }
 
@@ -624,6 +681,7 @@ func (m *machine) await(max uint64, start func(done func(uint64))) error {
 
 func runScratch(m *machine, b *workloads.Benchmark, cfg Config, res *Result) error {
 	dma := scratchpad.NewDMA(m.fab, dmaAgent, cfg.DMAOutstanding, cfg.DMAGap, m.st)
+	m.dma = dma
 	axcs := accelFor(m, b)
 	pads := newPads(m, cfg, axcs)
 	live := newLiveSet(b)
@@ -804,6 +862,7 @@ func runShared(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	tlb := vm.NewTLB("sharedtlb", 32, 40, m.pt, m.model, m.mt, m.st)
 	port := &sharedPort{m: m, client: client, tlb: tlb, eng: m.eng,
 		cMsgs: m.st.Counter("sharedswitch.msgs")}
+	m.shared = port
 	client.SetObserver(cfg.Observer)
 	axcs := accelFor(m, b)
 
@@ -878,13 +937,7 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	if err != nil {
 		return err
 	}
-	if err := drainTiles(m, b, cfg, tiles); err != nil {
-		return err
-	}
-	for _, tile := range tiles {
-		res.ForwardedBlocks += tile.ForwardedBlocks()
-	}
-	return nil
+	return drainTiles(m, b, cfg, tiles)
 }
 
 // newTile builds tile t with nAXCs L0X slots and wires the run's observer,
@@ -907,6 +960,7 @@ func newTile(m *machine, cfg Config, t, nAXCs int) *acc.Tile {
 		m.addTileRoutes(tcfg.Agent, fmt.Sprintf("hostlink.tile%d", t))
 	}
 	tile := acc.NewTile(m.eng, m.fab, m.pt, tcfg, m.model, m.mt, m.st)
+	m.tiles = append(m.tiles, tile)
 	if cfg.Kind == Hydra {
 		tile.L1X.EnableBypassFilter(hydraBypassThreshold, m.model.PolicyCheck)
 	}

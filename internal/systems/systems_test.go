@@ -2,9 +2,12 @@ package systems
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
+	"fusion/internal/faults"
+	"fusion/internal/interconnect"
 	"fusion/internal/workloads"
 )
 
@@ -87,29 +90,110 @@ func TestDxForwardsBlocks(t *testing.T) {
 	verifyGolden(t, "fft", res)
 }
 
-// TestForwardedBlocksCountsEveryL0X ties Result.ForwardedBlocks to the
-// counters: it must equal the sum of every L0X's fwd_out, whatever tile or
-// slot the L0X sits in.
+// typedCount is one typed count of Result and the named counters it sums.
+type typedCount struct {
+	field string
+	get   func(*Result) int64
+	names *regexp.Regexp
+}
+
+// typedCounts lists every typed count with the counters it must equal. A
+// tile after the first prefixes its counters with "t<t>.".
+func typedCounts() []typedCount {
+	var out []typedCount
+	add := func(field, names string, get func(*Result) int64) {
+		out = append(out, typedCount{field, get, regexp.MustCompile(names)})
+	}
+	const tile = `^(t\d+\.)?`
+	add("DMATransfers", `^dma\.(reads|writes)$`, func(r *Result) int64 { return r.DMATransfers })
+	add("ForwardedBlocks", tile+`l0x\.\d+\.fwd_out$`, func(r *Result) int64 { return r.ForwardedBlocks })
+	add("SharedSwitchMsgs", `^sharedswitch\.msgs$`, func(r *Result) int64 { return r.SharedSwitchMsgs })
+	add("TLBLookups", tile+`axtlb\.lookups$`, func(r *Result) int64 { return r.TLBLookups })
+	add("RMAPLookups", tile+`axrmap\.lookups$`, func(r *Result) int64 { return r.RMAPLookups })
+	add("LeaseGrants", tile+`l1x\.grants_(read|write)$`, func(r *Result) int64 { return r.LeaseGrants })
+	add("DirFwdsToTile", `^dir\.fwd_to_tile$`, func(r *Result) int64 { return r.DirFwdsToTile })
+	add("Faults", `\.faults$|^dram\.fault_spikes$`, func(r *Result) int64 { return r.Faults })
+	for _, l := range []struct {
+		field, names string
+		get          func(*Result) interconnect.Traffic
+	}{
+		{"TileUp", tile + `link\.l0x\d+\.up`, func(r *Result) interconnect.Traffic { return r.TileUp }},
+		{"TileDown", tile + `link\.l0x\d+\.down`, func(r *Result) interconnect.Traffic { return r.TileDown }},
+		{"HostTiles", `^hostlink\.tile\d*`, func(r *Result) interconnect.Traffic { return r.HostTiles }},
+		{"HostDMA", `^hostlink\.dma`, func(r *Result) interconnect.Traffic { return r.HostDMA }},
+		{"HostP2P", `^hostlink\.p2p`, func(r *Result) interconnect.Traffic { return r.HostP2P }},
+	} {
+		add(l.field+".Msgs", l.names+`\.msgs$`, func(r *Result) int64 { return l.get(r).Msgs })
+		add(l.field+".Flits", l.names+`\.flits$`, func(r *Result) int64 { return l.get(r).Flits })
+		add(l.field+".Ctrl", l.names+`\.ctrl$`, func(r *Result) int64 { return l.get(r).Ctrl })
+		add(l.field+".Data", l.names+`\.data$`, func(r *Result) int64 { return l.get(r).Data })
+	}
+	return out
+}
+
+// TestForwardedBlocksCountsEveryL0X ties Result.ForwardedBlocks, and every
+// other typed count, to the counters: each must equal the sum of the named
+// counters it stands for, whatever tile or slot they sit in. It covers every
+// system on fft and hist (fault-free and under a fault plan) and FUSION-Dx
+// on every benchmark at 1 and 2 tiles.
 func TestForwardedBlocksCountsEveryL0X(t *testing.T) {
+	type cell struct {
+		bench  string
+		kind   Kind
+		tiles  int
+		faults bool
+	}
+	var cells []cell
+	for _, name := range []string{"fft", "hist"} {
+		for _, k := range Kinds() {
+			cells = append(cells, cell{name, k, 1, false}, cell{name, k, 1, true})
+		}
+	}
 	for _, tiles := range []int{1, 2} {
 		for _, name := range workloads.Names() {
-			cfg := DefaultConfig(FusionDx)
-			cfg.Tiles = tiles
-			res, err := Run(workloads.Get(name), cfg)
-			if err != nil {
-				t.Fatalf("%s at %d tiles: %v", name, tiles, err)
-			}
+			cells = append(cells, cell{name, FusionDx, tiles, false})
+		}
+	}
+	counts := typedCounts()
+	tile1 := false // some tile-1 counter fed a typed count
+	plan := faults.RandomPlan(7)
+	for _, c := range cells {
+		cfg := DefaultConfig(c.kind)
+		cfg.Tiles = c.tiles
+		if c.faults {
+			cfg.Faults = &plan
+		}
+		b := workloads.Get(c.bench)
+		res, err := Run(b, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		for _, tc := range counts {
 			var sum int64
-			res.Stats.ForEach(func(n string, v int64) {
-				if strings.HasSuffix(n, ".fwd_out") {
-					sum += v
+			for _, n := range res.Stats.Names() {
+				if tc.names.MatchString(n) {
+					sum += res.Stats.Get(n)
+					tile1 = tile1 || strings.HasPrefix(n, "t1.") && res.Stats.Get(n) > 0
 				}
-			})
-			if res.ForwardedBlocks != sum {
-				t.Errorf("%s at %d tiles: ForwardedBlocks = %d, fwd_out counters sum to %d",
-					name, tiles, res.ForwardedBlocks, sum)
+			}
+			if got := tc.get(res); got != sum {
+				t.Errorf("%+v: %s = %d, its counters sum to %d", c, tc.field, got, sum)
 			}
 		}
+		if res.DMABytes != 64*res.DMATransfers {
+			t.Errorf("%+v: DMABytes = %d, want 64 x %d transfers", c, res.DMABytes, res.DMATransfers)
+		}
+		if len(res.AXCMLPMilli) != b.Program.NumAXCs() {
+			t.Errorf("%+v: %d MLP entries for %d AXCs", c, len(res.AXCMLPMilli), b.Program.NumAXCs())
+		}
+		for axc, got := range res.AXCMLPMilli {
+			if want := res.Stats.Get(fmt.Sprintf("axc%d.mlp_milli", axc)); got != want {
+				t.Errorf("%+v: AXCMLPMilli[%d] = %d, axc%d.mlp_milli = %d", c, axc, got, axc, want)
+			}
+		}
+	}
+	if !tile1 {
+		t.Error("no tile-1 counter was nonzero: the 2-tile runs did not check tile 1")
 	}
 }
 
@@ -125,11 +209,11 @@ func TestManyTilesRouteEveryPair(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d tiles: %v", tiles, err)
 		}
-		res.Stats.ForEach(func(n string, v int64) {
-			if strings.HasPrefix(n, "fabric.") && v != 0 {
+		for _, n := range res.Stats.Names() {
+			if v := res.Stats.Get(n); strings.HasPrefix(n, "fabric.") && v != 0 {
 				t.Errorf("%d tiles: %s = %d, want 0: a pair of agents has no route", tiles, n, v)
 			}
-		})
+		}
 		if res.Stats.Get(fmt.Sprintf("t%d.l1x.accesses", tiles-1)) == 0 {
 			t.Errorf("%d tiles: the last tile saw no traffic", tiles)
 		}

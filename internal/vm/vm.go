@@ -113,6 +113,9 @@ func NewTLB(name string, entries int, walkLatency uint64, pt *PageTable,
 	}
 }
 
+// Lookups counts the Translate calls so far.
+func (t *TLB) Lookups() int64 { return t.cLookups.Value() }
+
 // Translate returns the physical address for (pid, va) and the cycles the
 // translation cost (0 on a TLB hit, WalkLatency on a miss). Every call is
 // one AX-TLB lookup for Table 6 accounting.
@@ -214,3 +217,6 @@ func (r *RMAP) Remove(pa mem.PAddr) { delete(r.m, pa.LineAddr()) }
 
 // Len returns the number of tracked lines.
 func (r *RMAP) Len() int { return len(r.m) }
+
+// Lookups counts the Lookup calls so far.
+func (r *RMAP) Lookups() int64 { return r.cLookups.Value() }

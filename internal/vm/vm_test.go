@@ -78,7 +78,7 @@ func TestTLBHitAfterMiss(t *testing.T) {
 	if uint64(pa)&(mem.PageBytes-1) != 0x10 {
 		t.Fatalf("offset wrong: %v", pa)
 	}
-	if st.Get("axtlb.lookups") != 2 || st.Get("axtlb.hits") != 1 || st.Get("axtlb.misses") != 1 {
+	if tlb.Lookups() != 2 || st.Get("axtlb.lookups") != 2 || st.Get("axtlb.hits") != 1 || st.Get("axtlb.misses") != 1 {
 		t.Fatalf("stats: lookups=%d hits=%d misses=%d",
 			st.Get("axtlb.lookups"), st.Get("axtlb.hits"), st.Get("axtlb.misses"))
 	}
@@ -134,8 +134,8 @@ func TestRMAPInsertLookupRemove(t *testing.T) {
 	if _, ok := r.Lookup(0x9077); !ok {
 		t.Fatal("sub-line lookup missed")
 	}
-	if st.Get("axrmap.lookups") != 2 {
-		t.Fatalf("lookups = %d", st.Get("axrmap.lookups"))
+	if st.Get("axrmap.lookups") != 2 || r.Lookups() != 2 {
+		t.Fatalf("lookups = %d, Lookups() = %d", st.Get("axrmap.lookups"), r.Lookups())
 	}
 	r.Remove(0x9040)
 	if _, ok := r.Lookup(0x9040); ok {

@@ -20,7 +20,10 @@ if [ ! -f "$baseline_file" ]; then
 fi
 baseline=$(cat "$baseline_file")
 
-count=$(go run ./cmd/fusionlint -waivers -format json ./... | grep -c '"file"' || true)
+# The audit prints one line per waiver on stdout (its total goes to
+# stderr). A failed audit stops the guard instead of reading as 0 waivers.
+audit=$(go run ./cmd/fusionlint -waivers ./...)
+count=$(printf '%s\n' "$audit" | grep -c . || true)
 
 echo "waiver_guard: $count waiver(s), baseline $baseline"
 
