@@ -276,8 +276,8 @@ func TestNoFwdMessagesReachL0X(t *testing.T) {
 	// The L0X never participates in host coherence: its only inbound
 	// messages are lease grants and Dx forwards. The line self-invalidated
 	// by lease expiry; no message count exists to check beyond grants.
-	if got := h.st.Get("l1x.host_fwds"); got != 1 {
-		t.Fatalf("host_fwds = %d, want 1", got)
+	if got := h.st.Get("l1x.host_fwds"); got != 1 || h.tile.L1X.HostFwds() != 1 {
+		t.Fatalf("host_fwds = %d, HostFwds() = %d, want 1", got, h.tile.L1X.HostFwds())
 	}
 	if h.st.Get("l0x.0.invalidations") != 0 {
 		t.Fatal("an invalidation reached an L0X")

@@ -256,6 +256,9 @@ func NewL1X(eng *sim.Engine, fabric *mesi.Fabric, agent mesi.AgentID,
 // LeaseGrants counts the read and write leases granted so far.
 func (x *L1X) LeaseGrants() int64 { return x.cGrantsR.Value() + x.cGrantsW.Value() }
 
+// HostFwds counts the directory's forwards this L1X has answered.
+func (x *L1X) HostFwds() int64 { return x.cHostFwds.Value() }
+
 // ConnectL0X attaches the downlink to one accelerator's private cache.
 func (x *L1X) ConnectL0X(id AXCID, l *interconnect.Link) {
 	for int(id) >= len(x.toL0X) {

@@ -113,6 +113,7 @@ type Accelerator struct {
 	name string
 	cfg  Config
 	eng  *sim.Engine
+	tick int // engine ticker index: asleep with no invocation loaded
 
 	inv    *trace.Invocation
 	port   MemPort
@@ -191,7 +192,8 @@ func (a *Accelerator) outInc(line uint64) {
 	a.outstanding = append(a.outstanding, lineCount{line, 1})
 }
 
-// New builds an accelerator and registers it with the engine.
+// New builds an accelerator and registers it with the engine, asleep until
+// Start.
 func New(eng *sim.Engine, name string, cfg Config,
 	model energy.Model, meter *energy.Meter, st *stats.Set) *Accelerator {
 	if cfg.PipelineDepth < 1 || cfg.PipelineDepth > MaxPipelineDepth {
@@ -208,7 +210,8 @@ func New(eng *sim.Engine, name string, cfg Config,
 		cCycles:      st.Counter(name + ".cycles"),
 		cMLPMilli:    st.Counter(name + ".mlp_milli"),
 	}
-	eng.Register(a)
+	a.tick = eng.Register(a)
+	eng.Sleep(a.tick)
 	return a
 }
 
@@ -261,6 +264,7 @@ func (a *Accelerator) Start(inv *trace.Invocation, port MemPort, onDone func(now
 	a.startCycle = a.eng.Now()
 	a.chargeFrom = math.MaxUint64
 	a.cInvocations.Inc()
+	a.eng.Wake(a.tick)
 }
 
 // slot returns the iteration at age position k of the window.
@@ -412,6 +416,7 @@ func (a *Accelerator) Tick(now uint64) {
 		// Table 1's MLP column (cumulative over invocations).
 		a.cMLPMilli.Set(int64(a.AvgMLP() * 1000))
 		a.inv, a.port, a.onDone = nil, nil, nil
+		a.eng.Sleep(a.tick) // before done, which may Start the next invocation
 		if done != nil {
 			done(now)
 		}

@@ -88,6 +88,56 @@ func TestInvocationCompletes(t *testing.T) {
 	}
 }
 
+// TestUnloadedAcceleratorIsIdle: with no invocation loaded the datapath is
+// idle and its Tick does nothing, which is what lets it sleep; with
+// idle-skip off the engine ticks it anyway, before and after an invocation.
+func TestUnloadedAcceleratorIsIdle(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.SetIdleSkip(false)
+	a := New(eng, "axc0", DefaultConfig(), energy.Default(), nil, stats.NewSet())
+	port := &fakePort{eng: eng, latency: 3}
+	for i := 0; i < 2; i++ {
+		if !a.Idle() {
+			t.Fatalf("accelerator without an invocation is not idle (pass %d)", i)
+		}
+		busy := a.BusyCycles()
+		for now := eng.Now(); eng.Now() < now+10; {
+			eng.Step()
+		}
+		if a.BusyCycles() != busy {
+			t.Fatalf("unloaded accelerator counted %d busy cycles", a.BusyCycles()-busy)
+		}
+		fired := false
+		a.Start(&trace.Invocation{Iterations: iters(2, 1, 1, 2)}, port, func(uint64) { fired = true })
+		if _, ok := eng.Run(10_000, func() bool { return fired }); !ok {
+			t.Fatal("invocation never completed")
+		}
+	}
+}
+
+// TestStartFromOnDone: an invocation started from the previous one's onDone
+// runs to completion, although the accelerator sleeps as each one retires.
+func TestStartFromOnDone(t *testing.T) {
+	eng := sim.NewEngine()
+	a := New(eng, "axc0", DefaultConfig(), energy.Default(), nil, stats.NewSet())
+	inv := &trace.Invocation{Iterations: iters(4, 1, 1, 2)}
+	port := &fakePort{eng: eng, latency: 3}
+	var doneAt []uint64
+	var onDone func(now uint64)
+	onDone = func(now uint64) {
+		if doneAt = append(doneAt, now); len(doneAt) < 3 {
+			a.Start(inv, port, onDone)
+		}
+	}
+	a.Start(inv, port, onDone)
+	if _, ok := eng.Run(100_000, func() bool { return len(doneAt) == 3 }); !ok {
+		t.Fatalf("back-to-back invocations retired at %v, want 3", doneAt)
+	}
+	if d0, d1 := doneAt[1]-doneAt[0], doneAt[2]-doneAt[1]; d0 != d1 {
+		t.Fatalf("back-to-back invocations took %d and %d cycles, want equal", d0, d1)
+	}
+}
+
 func TestMLPBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MLP = 3

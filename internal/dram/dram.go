@@ -65,6 +65,8 @@ type DRAM struct {
 	model    energy.Model
 	channels []channel
 	inj      *faults.Injector
+	queued   int // commands queued over every channel
+	tick     int // engine ticker index: asleep while nothing is queued
 
 	cQueueFull   *stats.Counter
 	cSubmitted   *stats.Counter
@@ -75,7 +77,8 @@ type DRAM struct {
 	cWrites      *stats.Counter
 }
 
-// New builds a DRAM and registers it with the engine.
+// New builds a DRAM and registers it with the engine, asleep until the
+// first Submit.
 func New(eng *sim.Engine, cfg Config, model energy.Model, meter *energy.Meter, st *stats.Set) *DRAM {
 	d := &DRAM{
 		cfg:          cfg,
@@ -91,7 +94,8 @@ func New(eng *sim.Engine, cfg Config, model energy.Model, meter *energy.Meter, s
 		cReads:       st.Counter("dram.reads"),
 		cWrites:      st.Counter("dram.writes"),
 	}
-	eng.Register(d)
+	d.tick = eng.Register(d)
+	eng.Sleep(d.tick)
 	return d
 }
 
@@ -103,17 +107,10 @@ func (d *DRAM) FaultSpikes() int64 { return d.cFaultSpikes.Value() }
 
 // Idle implements sim.IdleTicker: with every command queue empty, Tick
 // cannot issue anything regardless of busyUntil, so skipping its per-cycle
-// polling is safe. A queued command keeps the controller busy even while
-// its channel waits out a burst — issue timing depends on observing
-// busyUntil cycle by cycle.
-func (d *DRAM) Idle() bool {
-	for i := range d.channels {
-		if len(d.channels[i].queue) > 0 {
-			return false
-		}
-	}
-	return true
-}
+// polling is safe (the controller then sleeps until Submit). A queued
+// command keeps the controller busy even while its channel waits out a
+// burst — issue timing depends on observing busyUntil cycle by cycle.
+func (d *DRAM) Idle() bool { return d.queued == 0 }
 
 // SetInjector attaches a fault injector; each command's service latency may
 // then spike per the plan (deterministic per channel stream).
@@ -138,7 +135,9 @@ func (d *DRAM) Submit(r Request) bool {
 		return false
 	}
 	ch.queue = append(ch.queue, r)
+	d.queued++
 	d.cSubmitted.Inc()
+	d.eng.Wake(d.tick)
 	return true
 }
 
@@ -151,6 +150,7 @@ func (d *DRAM) Tick(now uint64) {
 		}
 		req := ch.queue[0]
 		ch.queue = ch.queue[1:]
+		d.queued--
 
 		row := d.rowOf(req.Addr)
 		lat := d.cfg.RowMissLat
@@ -183,16 +183,13 @@ func (d *DRAM) Tick(now uint64) {
 			d.eng.ScheduleAt(now+lat, done)
 		}
 	}
+	if d.queued == 0 {
+		d.eng.Sleep(d.tick)
+	}
 }
 
 // QueueOccupancy returns the total queued commands across channels.
-func (d *DRAM) QueueOccupancy() int {
-	n := 0
-	for i := range d.channels {
-		n += len(d.channels[i].queue)
-	}
-	return n
-}
+func (d *DRAM) QueueOccupancy() int { return d.queued }
 
 // DumpState describes per-channel queue state for watchdog diagnostics.
 // Empty when nothing is queued.

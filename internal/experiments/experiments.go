@@ -601,7 +601,7 @@ type Table6Row struct {
 	Benchmark   string
 	TLBLookups  int64
 	RMAPLookups int64
-	// HostFwds counts MESI requests the directory forwarded into the tile.
+	// HostFwds counts MESI requests the directory forwarded into the tiles.
 	HostFwds int64
 }
 

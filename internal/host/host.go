@@ -94,6 +94,7 @@ type Core struct {
 	name string
 	cfg  Config
 	eng  *sim.Engine
+	tick int // engine ticker index: asleep with no phase loaded
 	l1   *mesi.Client
 
 	inv       *trace.Invocation
@@ -136,7 +137,8 @@ type Core struct {
 	cCommitted *stats.Counter
 }
 
-// New builds a core over its L1 client and registers it with the engine.
+// New builds a core over its L1 client and registers it with the engine,
+// asleep until Start.
 func New(eng *sim.Engine, name string, cfg Config, l1 *mesi.Client, st *stats.Set) *Core {
 	c := &Core{name: name, cfg: cfg, eng: eng, l1: l1,
 		cPhases:    st.Counter(name + ".phases"),
@@ -144,7 +146,8 @@ func New(eng *sim.Engine, name string, cfg Config, l1 *mesi.Client, st *stats.Se
 		cStores:    st.Counter(name + ".stores"),
 		cCommitted: st.Counter(name + ".committed"),
 	}
-	eng.Register(c)
+	c.tick = eng.Register(c)
+	eng.Sleep(c.tick)
 	return c
 }
 
@@ -209,6 +212,7 @@ func (c *Core) Start(inv *trace.Invocation, translate func(mem.VAddr) mem.PAddr,
 	c.head, c.dispatch, c.inROB, c.inLQ, c.inSQ = 0, 0, 0, 0, 0
 	c.chargeFrom = math.MaxUint64
 	c.cPhases.Inc()
+	c.eng.Wake(c.tick)
 }
 
 // resize returns s with length n, reusing capacity (contents undefined; the
@@ -407,6 +411,7 @@ func (c *Core) Tick(now uint64) {
 	if c.head == len(c.ops) {
 		done := c.onDone
 		c.inv, c.translate, c.onDone = nil, nil, nil
+		c.eng.Sleep(c.tick) // before done, which may Start the next phase
 		if done != nil {
 			done(now)
 		}

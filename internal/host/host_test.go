@@ -84,6 +84,49 @@ func TestPhaseCompletesAndCommitsAll(t *testing.T) {
 	}
 }
 
+// TestUnloadedCoreIsIdle: with no phase loaded the core is idle and its
+// Tick does nothing, which is what lets it sleep; with idle-skip off the
+// engine ticks it anyway, before and after a phase.
+func TestUnloadedCoreIsIdle(t *testing.T) {
+	h := newHarness(t)
+	h.eng.SetIdleSkip(false)
+	for i := 0; i < 2; i++ {
+		if !h.core.Idle() {
+			t.Fatalf("core without a phase is not idle (pass %d)", i)
+		}
+		busy, now := h.core.BusyCycles(), h.eng.Now()
+		for h.eng.Now() < now+10 {
+			h.eng.Step()
+		}
+		if h.core.BusyCycles() != busy {
+			t.Fatalf("unloaded core counted %d busy cycles", h.core.BusyCycles()-busy)
+		}
+		h.runPhase(t, &trace.Invocation{Iterations: seqIters(2, 1, 1, 1)})
+	}
+}
+
+// TestStartFromOnDone: a phase started from the previous one's onDone runs
+// to completion, although the core sleeps as each phase retires.
+func TestStartFromOnDone(t *testing.T) {
+	h := newHarness(t)
+	inv := &trace.Invocation{Iterations: seqIters(4, 1, 2, 1)}
+	translate := func(va mem.VAddr) mem.PAddr { return h.pt.Translate(1, va) }
+	phases := 0
+	var onDone func(now uint64)
+	onDone = func(uint64) {
+		if phases++; phases < 3 {
+			h.core.Start(inv, translate, onDone)
+		}
+	}
+	h.core.Start(inv, translate, onDone)
+	if _, ok := h.eng.Run(5_000_000, func() bool { return phases == 3 }); !ok {
+		t.Fatalf("%d back-to-back phases retired, want 3", phases)
+	}
+	if got, want := h.st.Get("host.committed"), int64(3*4*(1+2+1)); got != want {
+		t.Fatalf("committed = %d, want %d", got, want)
+	}
+}
+
 func TestStoresVisibleAfterPhase(t *testing.T) {
 	h := newHarness(t)
 	inv := &trace.Invocation{Iterations: []trace.Iteration{

@@ -49,6 +49,25 @@ func spec(bench, system string) systems.Spec {
 	return systems.Spec{Bench: bench, System: system}
 }
 
+// waitDeadline bounds every wait for a scheduler state. The states come
+// within milliseconds; the deadline only turns a missed one into a failure
+// instead of a hang until the test binary's timeout.
+const waitDeadline = 30 * time.Second
+
+// waitFor polls cond with the scheduler's counters every millisecond until
+// it holds, failing the test with the last counters once waitDeadline has
+// passed.
+func waitFor(t *testing.T, svc *Service, what string, cond func(schedCounters) bool) {
+	t.Helper()
+	deadline := time.Now().Add(waitDeadline)
+	for sc := svc.sched.counters(); !cond(sc); sc = svc.sched.counters() {
+		if time.Now().After(deadline) {
+			t.Fatalf("waited %v for %s; scheduler counters %+v", waitDeadline, what, sc)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSubmitCoalesces: concurrent submits of one spec share a single
 // execution.
 func TestSubmitCoalesces(t *testing.T) {
@@ -76,13 +95,8 @@ func TestSubmitCoalesces(t *testing.T) {
 		}(i)
 	}
 	// Let every caller attach before the job completes.
-	for {
-		sc := svc.sched.counters()
-		if sc.coalesced == callers-1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, svc, "every caller coalesced",
+		func(sc schedCounters) bool { return sc.coalesced == callers-1 })
 	close(release)
 	wg.Wait()
 	for i := 1; i < callers; i++ {
@@ -178,13 +192,9 @@ func TestQueueShedsWhenFull(t *testing.T) {
 	}
 	submit(spec("adpcm", "fusion")) // occupies the worker
 	// Wait for the worker to pick it up so the queue is truly empty.
-	for svc.sched.counters().inflight != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, svc, "1 job in flight", func(sc schedCounters) bool { return sc.inflight == 1 })
 	submit(spec("adpcm", "shared")) // occupies the queue slot
-	for svc.sched.counters().inflight != 2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, svc, "2 jobs in flight", func(sc schedCounters) bool { return sc.inflight == 2 })
 	_, err := svc.sched.Submit(bg, spec("fft", "fusion"), 0)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("overflow submit returned %v, want ErrBusy", err)
@@ -248,9 +258,7 @@ func TestLastWaiterCancelsJob(t *testing.T) {
 		_, err := svc.sched.Submit(ctx, spec("adpcm", "fusion"), 0)
 		done <- err
 	}()
-	for svc.sched.counters().inflight != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, svc, "1 job in flight", func(sc schedCounters) bool { return sc.inflight == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoning waiter got %v, want context.Canceled", err)
@@ -277,22 +285,18 @@ func TestShutdownDrains(t *testing.T) {
 		defer wg.Done()
 		got, _ = svc.sched.Submit(context.Background(), spec("adpcm", "fusion"), 0)
 	}()
-	for svc.sched.counters().inflight != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, svc, "1 job in flight", func(sc schedCounters) bool { return sc.inflight == 1 })
 	shut := make(chan error, 1)
 	go func() { shut <- svc.Shutdown(context.Background()) }()
 	// Draining: a fresh submit is refused immediately. A probe that races
 	// ahead of the drain flag gets admitted and would block on the busy
 	// worker, so each probe carries its own short deadline.
-	for {
+	waitFor(t, svc, "a submit refused with ErrDraining", func(schedCounters) bool {
 		pctx, pcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer pcancel()
 		_, err := svc.sched.Submit(pctx, spec("fft", "fusion"), 0)
-		pcancel()
-		if errors.Is(err, ErrDraining) {
-			break
-		}
-	}
+		return errors.Is(err, ErrDraining)
+	})
 	close(release)
 	if err := <-shut; err != nil {
 		t.Fatalf("clean drain returned %v", err)
@@ -313,9 +317,7 @@ func TestShutdownDeadlineCancelsJobs(t *testing.T) {
 		return cell
 	})
 	go svc.sched.Submit(context.Background(), spec("adpcm", "fusion"), 0)
-	for svc.sched.counters().inflight != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, svc, "1 job in flight", func(sc schedCounters) bool { return sc.inflight == 1 })
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := svc.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -402,6 +404,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		"unknown-field":  `{"benchmarks": ["adpcm"]}`,
 		"unknown-bench":  `{"benches": ["nope"], "systems": ["fusion"]}`,
 		"unknown-system": `{"benches": ["adpcm"], "systems": ["quantum"]}`,
+		"negative-lease": `{"cells": [{"bench": "adpcm", "system": "fusion", "lease_scale": -1}]}`,
 		"empty":          `{}`,
 	} { //lint:ordered each case asserts independently; no cross-case state
 		resp, rb := postSweep(t, ts, body)
@@ -428,16 +431,18 @@ func TestHTTP429WhenSaturated(t *testing.T) {
 	})
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-	// Saturate: one job on the worker, one in the queue.
+	// Saturate: one job on the worker, one in the queue. The jobs are
+	// released first on return, a failed one included, so the saturating
+	// request is done before ts.Close waits for it.
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(release)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		postSweep(t, ts, `{"benches": ["adpcm"], "systems": ["fusion", "shared"]}`)
 	}()
-	for svc.sched.counters().inflight != 2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, svc, "2 jobs in flight", func(sc schedCounters) bool { return sc.inflight == 2 })
 	resp, body := postSweep(t, ts, `{"benches": ["fft"], "systems": ["fusion"]}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d (%s), want 429", resp.StatusCode, body)
@@ -445,8 +450,6 @@ func TestHTTP429WhenSaturated(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without a Retry-After hint")
 	}
-	close(release)
-	wg.Wait()
 }
 
 // TestHTTPCellAndHealthAndStats exercises the small read-only endpoints.

@@ -35,3 +35,25 @@ func TestScheduleCallZeroAlloc(t *testing.T) {
 		t.Fatalf("handler fired %d times, closure %d; want equal and nonzero", h.fired, closures)
 	}
 }
+
+// TestSleepWakeZeroAlloc: moving tickers in and out of the awake set, in
+// every word of it, and stepping over the sleeping ones allocate nothing.
+func TestSleepWakeZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	const n = 130
+	for i := 0; i < n; i++ {
+		eng.Sleep(eng.Register(tickFunc(func(uint64) {})))
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		for _, i := range []int{0, 63, 64, n - 1} {
+			eng.Wake(i)
+			eng.Sleep(i)
+		}
+		eng.Wake(n - 1)
+		eng.Step()
+		eng.Sleep(n - 1)
+		eng.Step()
+	}); avg != 0 {
+		t.Fatalf("Sleep+Wake+Step allocated %.1f per op, want 0", avg)
+	}
+}

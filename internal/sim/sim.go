@@ -6,22 +6,26 @@
 //
 //  1. The event phase: callbacks scheduled for the current cycle run in
 //     scheduling order (stable FIFO among events that share a cycle).
-//  2. The tick phase: every registered Ticker runs once, in registration
-//     order.
+//  2. The tick phase: every awake Ticker runs once, in registration
+//     order. A ticker with nothing loaded sleeps (see Engine.Sleep) and is
+//     not called until the component that hands it work wakes it.
 //
 // Both orderings are fully deterministic, which matters for a coherence
 // simulator: two runs with the same inputs produce bit-identical message
 // interleavings and statistics.
 //
 // Run additionally fast-forwards over quiescent stretches: when every
-// registered Ticker declares itself idle (see IdleTicker) and no event is
-// due, the clock jumps straight to the next event instead of executing
-// empty cycles. The jump is invisible to components — cycle counts, event
+// awake Ticker declares itself idle (see IdleTicker) and no event is due,
+// the clock jumps straight to the next event instead of executing empty
+// cycles. The jump is invisible to components — cycle counts, event
 // ordering, predicate observation points, and watchdog trip cycles are all
 // identical to per-cycle stepping.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Ticker is a component that does work every cycle: drains its inbound
 // queues, advances its pipeline, and sends messages.
@@ -42,7 +46,7 @@ type Ticker interface {
 // its next Tick or in the event callback that changes it — so the totals
 // equal per-cycle stepping. Tickers that do not implement the interface
 // conservatively count as always busy, which disables fast-forwarding for
-// the whole engine.
+// the whole engine while they are awake.
 type IdleTicker interface {
 	Idle() bool
 }
@@ -51,7 +55,7 @@ type IdleTicker interface {
 // ticked again no later than a specific future cycle (the watchdog's trip
 // deadline is the canonical case). WakeAt returns that cycle; ok=false
 // means the ticker imposes no deadline. A quiescence fast-forward never
-// jumps past any waker's deadline.
+// jumps past any awake waker's deadline; a sleeping ticker has none.
 type Waker interface {
 	WakeAt(now uint64) (at uint64, ok bool)
 }
@@ -81,22 +85,29 @@ type event struct {
 	op  uint8
 }
 
+// registered is a Ticker with its IdleTicker and Waker views, nil if not
+// implemented.
+type registered struct {
+	t    Ticker
+	idle IdleTicker
+	wake Waker
+}
+
 // Engine is the simulation clock and event queue. It is not safe for
 // concurrent use; each simulation is single-threaded by design (a sweep
 // parallelizes across engines, never within one).
 type Engine struct {
-	now     uint64
-	sched   *wheelScheduler
-	tickers []Ticker
+	now   uint64
+	sched *wheelScheduler
 
-	// idlers[i] is tickers[i]'s IdleTicker view, nil if not implemented.
-	// busyTickers counts the nil entries: fast-forwarding requires every
-	// ticker to be able to prove idleness, so one opaque ticker pins the
-	// engine to per-cycle stepping.
-	idlers      []IdleTicker
-	busyTickers int
-	wakers      []Waker
-	noIdleSkip  bool
+	// tickers in registration order, and awake with one bit per ticker,
+	// set unless it sleeps (Sleep). Only awake tickers tick and answer
+	// skipTarget's polls. Fast-forwarding requires every awake ticker to
+	// prove idleness, so one awake opaque ticker pins the engine to
+	// per-cycle stepping.
+	tickers    []registered
+	awake      []uint64
+	noIdleSkip bool
 
 	// progress, when set, is invoked by Progress — the heartbeat sink for
 	// a forward-progress Watchdog.
@@ -122,23 +133,49 @@ func NewEngine() *Engine {
 // Now returns the current cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
-// Register adds a Ticker. Tick order is registration order.
-func (e *Engine) Register(t Ticker) {
-	e.tickers = append(e.tickers, t)
-	it, ok := t.(IdleTicker)
-	if !ok {
-		e.busyTickers++
+// Register adds a Ticker, awake, and returns its index for Sleep and Wake.
+// Tick order is registration order.
+func (e *Engine) Register(t Ticker) int {
+	i := len(e.tickers)
+	it, _ := t.(IdleTicker)
+	w, _ := t.(Waker)
+	e.tickers = append(e.tickers, registered{t, it, w})
+	if i>>6 == len(e.awake) {
+		e.awake = append(e.awake, 0)
 	}
-	e.idlers = append(e.idlers, it)
-	if w, ok := t.(Waker); ok {
-		e.wakers = append(e.wakers, w)
+	e.Wake(i)
+	return i
+}
+
+// Sleep takes ticker i out of the tick phase, and out of the Idle and
+// WakeAt polls of a fast-forward, until Wake(i). A ticker may sleep only
+// while its Tick is a no-op and it has no WakeAt deadline, and whatever
+// hands it work must wake it. With idle-skip disabled Sleep does nothing,
+// so every ticker ticks on every cycle.
+func (e *Engine) Sleep(i int) {
+	if !e.noIdleSkip {
+		e.awake[i>>6] &^= 1 << (i & 63)
 	}
 }
 
+// Wake returns ticker i to the tick phase. Woken in the event phase or by a
+// ticker registered before it, it ticks in the current cycle; woken by
+// itself or by a later ticker, in the next one.
+func (e *Engine) Wake(i int) { e.awake[i>>6] |= 1 << (i & 63) }
+
 // SetIdleSkip enables or disables quiescence fast-forwarding in Run. It is
-// on by default; disabling it forces per-cycle stepping, which is useful
-// for A/B-validating that a skip never changes simulation results.
-func (e *Engine) SetIdleSkip(enabled bool) { e.noIdleSkip = !enabled }
+// on by default; disabling it also wakes every ticker and makes Sleep a
+// no-op, so the engine ticks every ticker on every cycle, which is useful
+// for A/B-validating that sleeping and skipping never change simulation
+// results.
+func (e *Engine) SetIdleSkip(enabled bool) {
+	e.noIdleSkip = !enabled
+	if !enabled {
+		for i := range e.tickers {
+			e.Wake(i)
+		}
+	}
+}
 
 // Schedule runs fn delay cycles from now. A delay of zero runs fn later in
 // the current cycle's event phase if that phase is still draining, otherwise
@@ -225,20 +262,27 @@ func (e *Engine) Step() {
 	// zero delay while draining.
 	e.sched.advance(e.now)
 	e.sched.fire(e.now)
-	// Tick phase.
-	for _, t := range e.tickers {
-		t.Tick(e.now)
+	// Tick phase: the awake tickers in registration order. The set is
+	// re-read after every Tick, so a ticker woken by an earlier one still
+	// ticks in this cycle.
+	for w := 0; w < len(e.awake); w++ {
+		for m := e.awake[w]; m != 0; {
+			b := bits.TrailingZeros64(m)
+			e.tickers[w<<6|b].t.Tick(e.now)
+			m = e.awake[w] &^ (2<<b - 1)
+		}
 	}
 	e.now++
 }
 
 // skipTarget reports the cycle Run may jump to without executing the
 // intervening cycles, and whether such a jump is possible. A jump is legal
-// only when no event is due at the current cycle and every ticker proves
-// itself idle; it lands on the earliest of the next event, any waker's
-// deadline, and limit (Run's cycle budget).
+// only when no event is due at the current cycle and every awake ticker
+// proves itself idle; it lands on the earliest of the next event, any awake
+// waker's deadline, and limit (Run's cycle budget). Sleeping tickers are
+// idle by Sleep's contract and are not asked.
 func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
-	if e.noIdleSkip || e.busyTickers > 0 {
+	if e.noIdleSkip {
 		return 0, false
 	}
 	target := limit
@@ -252,17 +296,20 @@ func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
 	if target <= e.now {
 		return 0, false
 	}
-	for _, it := range e.idlers {
-		if !it.Idle() {
-			return 0, false
-		}
-	}
-	for _, w := range e.wakers {
-		if at, ok := w.WakeAt(e.now); ok && at < target {
-			if at <= e.now {
+	for w, m := range e.awake {
+		for ; m != 0; m &= m - 1 {
+			r := &e.tickers[w<<6|bits.TrailingZeros64(m)]
+			if r.idle == nil || !r.idle.Idle() {
 				return 0, false
 			}
-			target = at
+			if r.wake != nil {
+				if at, ok := r.wake.WakeAt(e.now); ok && at < target {
+					if at <= e.now {
+						return 0, false
+					}
+					target = at
+				}
+			}
 		}
 	}
 	return target, true
@@ -273,7 +320,7 @@ func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
 // representable cycle runs to that cycle). It returns the number of cycles
 // executed and whether the predicate was satisfied.
 //
-// Quiescent stretches — every ticker idle, no event due — are
+// Quiescent stretches — every awake ticker idle, no event due — are
 // fast-forwarded: the clock jumps to the next event (or waker deadline, or
 // the cycle budget) in one assignment. Skipped cycles count toward
 // maxCycles exactly as if they had been stepped, and pred is next observed

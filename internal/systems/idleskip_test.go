@@ -1,9 +1,11 @@
 package systems
 
-// A/B validation of the engine's quiescence fast-forward: a full system
-// run with idle-skip enabled must produce a byte-identical report to the
-// same run forced to step every cycle. Cycle counts, stats, energy, and
-// the final memory image all participate via renderResult.
+// A/B validation of the engine's quiescence fast-forward and awake set: a
+// full system run with idle-skip enabled (sleeping tickers left out of the
+// tick phase, quiescent stretches jumped) must produce a byte-identical
+// report to the same run forced to tick every ticker on every cycle. Cycle
+// counts, stats, energy, and the final memory image all participate via
+// renderResult.
 
 import (
 	"context"
@@ -26,7 +28,7 @@ func (p *stepProbe) Idle() bool   { return true }
 
 // runProbed runs b under cfg with a stepProbe and returns the result and the
 // number of cycles the engine stepped. skip=false forces the engine to step
-// every cycle.
+// every cycle and to tick every ticker, asleep or not.
 func runProbed(t *testing.T, b *workloads.Benchmark, cfg Config, skip bool) (*Result, uint64) {
 	t.Helper()
 	m := newMachine()

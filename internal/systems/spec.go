@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"fusion/internal/faults"
@@ -111,11 +112,15 @@ func (s Spec) Normalized() Spec {
 }
 
 // Validate reports whether the spec names a known benchmark, system, and
-// policy.
+// policy, with a finite, non-negative lease scale (zero is the default,
+// 1.0). A negative scale would run as 1.0 under a key of its own.
 func (s Spec) Validate() error {
 	if _, ok := ParseKind(s.System); !ok {
 		return fmt.Errorf("spec: unknown system %q (valid: %s)",
 			s.System, strings.Join(KindNames(), ", "))
+	}
+	if s.LeaseScale < 0 || math.IsNaN(s.LeaseScale) || math.IsInf(s.LeaseScale, 0) {
+		return fmt.Errorf("spec: lease scale %v is not a finite, non-negative factor", s.LeaseScale)
 	}
 	switch strings.ToLower(strings.TrimSpace(s.Policy)) {
 	case "", "heuristic", "learned":

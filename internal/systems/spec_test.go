@@ -2,6 +2,7 @@ package systems
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -108,6 +109,23 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if _, err := (Spec{Bench: "adpcm", System: "quantum"}).Config(); err == nil {
 		t.Fatal("Config() accepted an unknown system")
+	}
+}
+
+// TestSpecValidateLeaseScale: a negative, NaN or infinite lease scale is
+// rejected (a negative one would run as 1.0 under a key of its own); zero,
+// the default, and any finite positive scale pass.
+func TestSpecValidateLeaseScale(t *testing.T) {
+	for _, sc := range []float64{-1, -0.25, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := (Spec{Bench: "adpcm", System: "fusion", LeaseScale: sc}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "lease scale") {
+			t.Errorf("lease scale %v not rejected usefully: %v", sc, err)
+		}
+	}
+	for _, sc := range []float64{0, 0.25, 1, 4, 1e6} {
+		if err := (Spec{Bench: "adpcm", System: "fusion", LeaseScale: sc}).Validate(); err != nil {
+			t.Errorf("lease scale %v rejected: %v", sc, err)
+		}
 	}
 }
 

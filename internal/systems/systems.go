@@ -259,7 +259,7 @@ type Result struct {
 	HostTiles, HostDMA, HostP2P interconnect.Traffic
 	TLBLookups, RMAPLookups     int64 // AX-TLB and AX-RMAP lookups (Table 6)
 	LeaseGrants                 int64 // L1X read + write lease grants
-	DirFwdsToTile               int64 // host requests forwarded to tile 0 (Table 6)
+	DirFwdsToTile               int64 // host requests forwarded to the tiles (Table 6)
 	Faults                      int64 // injected link delays and DRAM spikes
 
 	// FinalVersions is the host backing store's view of every program line
@@ -547,6 +547,7 @@ func (m *machine) count(res *Result) {
 		res.RMAPLookups += t.RMAP.Lookups()
 		res.LeaseGrants += t.L1X.LeaseGrants()
 		res.ForwardedBlocks += t.ForwardedBlocks()
+		res.DirFwdsToTile += t.L1X.HostFwds()
 		res.Faults += t.Faults()
 	}
 	if m.shared != nil {
@@ -564,7 +565,9 @@ func (m *machine) count(res *Result) {
 		res.DMATransfers = m.dma.Transfers()
 		res.DMABytes = 64 * res.DMATransfers
 	}
-	res.DirFwdsToTile = m.dir.FwdsToTile()
+	if len(m.tiles) == 0 {
+		res.DirFwdsToTile = m.dir.FwdsToTile() // SHARED's L1X is the directory's TileAgent
+	}
 	res.Faults += m.fab.Faults() + m.dram.FaultSpikes()
 }
 

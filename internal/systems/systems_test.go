@@ -90,11 +90,12 @@ func TestDxForwardsBlocks(t *testing.T) {
 	verifyGolden(t, "fft", res)
 }
 
-// typedCount is one typed count of Result and the named counters it sums.
+// typedCount is one typed count of Result and the named counters it sums;
+// untiled, if set, names them instead on a system without ACC tiles.
 type typedCount struct {
-	field string
-	get   func(*Result) int64
-	names *regexp.Regexp
+	field          string
+	get            func(*Result) int64
+	names, untiled *regexp.Regexp
 }
 
 // typedCounts lists every typed count with the counters it must equal. A
@@ -102,7 +103,7 @@ type typedCount struct {
 func typedCounts() []typedCount {
 	var out []typedCount
 	add := func(field, names string, get func(*Result) int64) {
-		out = append(out, typedCount{field, get, regexp.MustCompile(names)})
+		out = append(out, typedCount{field: field, get: get, names: regexp.MustCompile(names)})
 	}
 	const tile = `^(t\d+\.)?`
 	add("DMATransfers", `^dma\.(reads|writes)$`, func(r *Result) int64 { return r.DMATransfers })
@@ -111,7 +112,8 @@ func typedCounts() []typedCount {
 	add("TLBLookups", tile+`axtlb\.lookups$`, func(r *Result) int64 { return r.TLBLookups })
 	add("RMAPLookups", tile+`axrmap\.lookups$`, func(r *Result) int64 { return r.RMAPLookups })
 	add("LeaseGrants", tile+`l1x\.grants_(read|write)$`, func(r *Result) int64 { return r.LeaseGrants })
-	add("DirFwdsToTile", `^dir\.fwd_to_tile$`, func(r *Result) int64 { return r.DirFwdsToTile })
+	add("DirFwdsToTile", tile+`l1x\.host_fwds$`, func(r *Result) int64 { return r.DirFwdsToTile })
+	out[len(out)-1].untiled = regexp.MustCompile(`^dir\.fwd_to_tile$`)
 	add("Faults", `\.faults$|^dram\.fault_spikes$`, func(r *Result) int64 { return r.Faults })
 	for _, l := range []struct {
 		field, names string
@@ -135,7 +137,9 @@ func typedCounts() []typedCount {
 // other typed count, to the counters: each must equal the sum of the named
 // counters it stands for, whatever tile or slot they sit in. It covers every
 // system on fft and hist (fault-free and under a fault plan) and FUSION-Dx
-// on every benchmark at 1 and 2 tiles.
+// on every benchmark at 1 and 2 tiles. DirFwdsToTile sums every tile L1X's
+// host forwards, which at 1 tile are the directory's forwards to its
+// TileAgent, so Table 6 reads the same count as before tiles were summed.
 func TestForwardedBlocksCountsEveryL0X(t *testing.T) {
 	type cell struct {
 		bench  string
@@ -168,10 +172,15 @@ func TestForwardedBlocksCountsEveryL0X(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
+		untiled := c.kind == Scratch || c.kind == Shared
 		for _, tc := range counts {
+			names := tc.names
+			if untiled && tc.untiled != nil {
+				names = tc.untiled
+			}
 			var sum int64
 			for _, n := range res.Stats.Names() {
-				if tc.names.MatchString(n) {
+				if names.MatchString(n) {
 					sum += res.Stats.Get(n)
 					tile1 = tile1 || strings.HasPrefix(n, "t1.") && res.Stats.Get(n) > 0
 				}
@@ -179,6 +188,9 @@ func TestForwardedBlocksCountsEveryL0X(t *testing.T) {
 			if got := tc.get(res); got != sum {
 				t.Errorf("%+v: %s = %d, its counters sum to %d", c, tc.field, got, sum)
 			}
+		}
+		if dir := res.Stats.Get("dir.fwd_to_tile"); c.tiles == 1 && res.DirFwdsToTile != dir {
+			t.Errorf("%+v: DirFwdsToTile = %d at 1 tile, dir.fwd_to_tile = %d", c, res.DirFwdsToTile, dir)
 		}
 		if res.DMABytes != 64*res.DMATransfers {
 			t.Errorf("%+v: DMABytes = %d, want 64 x %d transfers", c, res.DMABytes, res.DMATransfers)

@@ -10,9 +10,12 @@
 # (removed on exit), the change from this checkout. Pair NN runs both sides
 # once, parent first in odd pairs and change first in even ones, for
 # BENCHMARK.json's run_seconds each, and appends each run as set pair-NN to
-# OUTDIR/parent.json and OUTDIR/change.json (OUTDIR defaults to a new
+# OUTDIR/parent.json and OUTDIR/change.json and its final JSON line to
+# OUTDIR/parent.lines and OUTDIR/change.lines (OUTDIR defaults to a new
 # directory under $TMPDIR and is kept). The script ends with
-# `fusionperf -compare -benchmark BENCHMARK.json parent.json change.json`.
+# `fusionperf -compare -benchmark BENCHMARK.json parent.json change.json`
+# and, for each end-to-end metric of BENCHMARK.json (all lower-is-better),
+# the number of pairs the change won, lost and tied.
 # Nothing is written inside the checkout.
 set -eu
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
@@ -32,12 +35,18 @@ out=$(cd "$out" && pwd)
 git clone -q --shared --no-checkout "$repo" "$tmp/parent"
 git -C "$tmp/parent" checkout -q --detach "$rev"
 
-# side NAME DIR PAIR: one run of DIR's fusionperf, appended as set PAIR.
+# side NAME DIR PAIR: one run of DIR's fusionperf, appended as set PAIR;
+# its final JSON line is appended to NAME.lines.
 side() {
 	echo "== $3 $1 ($workload, seed $seed)" >&2
 	(cd "$2" && CARGO_TARGET_DIR="$tmp/build-$1" sh bench/run.sh --workload "$workload" \
-		--seed "$seed" --seconds "$seconds" --trace 0 --out "$out/$1.json" --set "$3")
+		--seed "$seed" --seconds "$seconds" --trace 0 --out "$out/$1.json" --set "$3") >"$tmp/line"
+	cat "$tmp/line"
+	tail -n 1 "$tmp/line" >>"$out/$1.lines"
 }
+
+: >"$out/parent.lines"
+: >"$out/change.lines"
 
 i=1
 while [ "$i" -le "$pairs" ]; do
@@ -55,3 +64,33 @@ done
 echo "results: $out/parent.json $out/change.json (parent $rev)" >&2
 "$tmp/build-change/fusionperf" -compare -benchmark "$repo/BENCHMARK.json" \
 	"$out/parent.json" "$out/change.json"
+
+# Pairs won, lost and tied per end-to-end metric: line N of each .lines file
+# is pair N's run, and a lower value wins.
+metrics=$(sed -n '/"end_to_end"/,/"per_layer"/s/.*"name": *"\([^"]*\)".*/\1/p' \
+	"$repo/BENCHMARK.json" | tr '\n' ' ')
+awk -v metrics="$metrics" '
+function val(line, m,   key, i, v) {
+	key = "\"" m "\":{\"value\":"
+	if (!(i = index(line, key))) return ""
+	v = substr(line, i + length(key))
+	sub(/[,}].*/, "", v)
+	return v
+}
+FNR == NR { parent[FNR] = $0; next }
+{ change[FNR] = $0; n = FNR }
+END {
+	printf "\n%-12s %4s %5s %5s  of %d pairs (change vs parent; lower wins)\n", "metric", "won", "lost", "tied", n
+	k = split(metrics, ms, " ")
+	for (j = 1; j <= k; j++) {
+		won = lost = tied = 0
+		for (i = 1; i <= n; i++) {
+			a = val(parent[i], ms[j]); b = val(change[i], ms[j])
+			if (a == "" || b == "") continue
+			if (b + 0 < a + 0) won++
+			else if (b + 0 > a + 0) lost++
+			else tied++
+		}
+		printf "%-12s %4d %5d %5d\n", ms[j], won, lost, tied
+	}
+}' "$out/parent.lines" "$out/change.lines"
