@@ -59,8 +59,10 @@ bench-pairs:
 # cells-diff: build fusionsim from PARENT (in a clone under $TMPDIR) and from
 # the working tree, run every benchmark on every system under the default,
 # -large, -writethrough and -faultseed 7 configurations plus the watchdog,
-# cycle-budget, paranoid and faulted-watchdog failure paths, and fail on any
-# byte of difference. A refactor that claims identical results runs this.
+# cycle-budget, paranoid and faulted-watchdog failure paths, and the seeded
+# random programs 1-8 (saved by PARENT's tracegen, run with -benchfile)
+# under the default and -faultseed 7, and fail on any byte of difference.
+# A refactor that claims identical results runs this.
 cells-diff:
 	./scripts/cells_diff.sh $(PARENT)
 

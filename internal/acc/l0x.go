@@ -34,8 +34,9 @@ type L0XConfig struct {
 	StatPrefix string
 }
 
-// l0txn is one outstanding miss. Completed txns recycle through a free list
-// (waiters capacity included).
+// l0txn is one outstanding miss. It lives by value in the L0X's MSHR-slot
+// table and is reset (keeping its waiters capacity) when Allocate hands
+// the slot out.
 type l0txn struct {
 	addr    uint64
 	write   bool
@@ -70,10 +71,10 @@ type L0X struct {
 	// within a tile); nil means no forwarding link to that sibling.
 	fwdTo []*interconnect.Link
 	// txns is keyed by MSHR slot: the miss record for the line in slot s
-	// of the MSHR file. Slot resolution is the MSHR's bitmap walk, so the
-	// per-access "is a miss outstanding" question never touches a map.
-	txns     []*l0txn
-	freeTxns []*l0txn
+	// of the MSHR file, read only while the slot is allocated. Slot
+	// resolution is the MSHR's bitmap walk, so the per-access "is a miss
+	// outstanding" question never touches a map.
+	txns []l0txn
 
 	// fwdTable maps line addresses to the consumer accelerator that should
 	// receive the dirty line directly (FUSION-Dx, Section 3.2). It is
@@ -126,7 +127,7 @@ func NewL0X(eng *sim.Engine, id AXCID, pid mem.PID, cfg L0XConfig,
 		arr:           cache.NewArray(cfg.Cache),
 		mshr:          cache.NewMSHR(cfg.MSHRs),
 		eng:           eng,
-		txns:          make([]*l0txn, cfg.MSHRs),
+		txns:          make([]l0txn, cfg.MSHRs),
 		fwdTable:      flat.New[AXCID](64),
 		meter:         meter,
 		cAccesses:     st.Counter(name + ".accesses"),
@@ -246,7 +247,7 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 	}
 
 	if slot := c.mshr.Slot(a); slot >= 0 {
-		t := c.txns[slot]
+		t := &c.txns[slot]
 		t.waiters = append(t.waiters, l0waiter{kind, va, done})
 		return true
 	}
@@ -254,10 +255,9 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 		c.cMSHRFull.Inc()
 		return false
 	}
-	t := c.newTxn()
-	t.addr, t.write = a, kind == mem.Store
-	t.waiters = append(t.waiters, l0waiter{kind, va, done})
-	c.txns[c.mshr.Allocate(a)] = t
+	t := &c.txns[c.mshr.Allocate(a)]
+	*t = l0txn{addr: a, write: kind == mem.Store,
+		waiters: append(t.waiters[:0], l0waiter{kind, va, done})}
 	c.cMisses.Inc()
 	mt := MsgGetL
 	if t.write {
@@ -271,26 +271,6 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 	req.Lease = c.cfg.LeaseTime // duration; the L1X anchors it at grant time
 	c.toL1X.Send(req)
 	return true
-}
-
-// newTxn returns a zeroed miss record, reusing a recycled one if possible.
-func (c *L0X) newTxn() *l0txn {
-	if n := len(c.freeTxns); n > 0 {
-		t := c.freeTxns[n-1]
-		c.freeTxns[n-1] = nil
-		c.freeTxns = c.freeTxns[:n-1]
-		w := t.waiters[:0]
-		*t = l0txn{waiters: w}
-		return t
-	}
-	return &l0txn{}
-}
-
-func (c *L0X) freeTxn(t *l0txn) {
-	for i := range t.waiters {
-		t.waiters[i] = l0waiter{}
-	}
-	c.freeTxns = append(c.freeTxns, t)
 }
 
 func (c *L0X) hit(done func(uint64)) {
@@ -318,28 +298,25 @@ func (c *L0X) Handle(msg interconnect.Message) {
 // terminal path (the all-ways-busy retry retains it). A grant with no
 // transaction is possible under FUSION-Dx — a forward raced ahead of the
 // L1X's (stalled) grant and already satisfied the miss — and just refreshes
-// the lease.
+// the lease. The miss record stays readable after Free until Access
+// allocates the slot again: the waiter loops only schedule work.
 func (c *L0X) fill(m *TileMsg) {
 	a := uint64(m.Addr.LineAddr())
 	slot := c.mshr.Slot(a)
-	var t *l0txn
-	if slot >= 0 {
-		t = c.txns[slot]
-	}
-	if t == nil {
+	if slot < 0 {
 		if l := c.arr.LookupPID(a, c.pid); l != nil && m.Lease > l.LTime {
 			l.LTime = m.Lease
 		}
 		c.pool.Put(m)
 		return
 	}
+	t := &c.txns[slot]
 	if m.NoAlloc {
 		// HYDRA bypass: the L1X declined to allocate and sent the data with
 		// no lease at all. Serve the waiting loads one-shot — the payload is
 		// the globally ordered version, observed strictly — and install
 		// nothing. Store waiters (merged behind the read miss) re-request a
 		// real write epoch, which forces allocation.
-		c.txns[slot] = nil
 		c.mshr.Free(a)
 		c.eng.Progress() // miss resolved: heartbeat
 		for _, w := range t.waiters {
@@ -353,7 +330,6 @@ func (c *L0X) fill(m *TileMsg) {
 			}
 			c.eng.Schedule(c.cfg.HitLatency, w.done)
 		}
-		c.freeTxn(t)
 		c.pool.Put(m)
 		return
 	}
@@ -368,14 +344,12 @@ func (c *L0X) fill(m *TileMsg) {
 		}
 		// No Progress beat here: this is a retry loop, and a persistent
 		// dead-grant spin must still trip the watchdog.
-		c.txns[slot] = nil
 		c.mshr.Free(a)
 		c.cDeadGrants.Inc()
 		for _, w := range t.waiters {
 			w := w
 			c.eng.Schedule(1, func(uint64) { c.retryAccess(w.kind, w.va, w.done) })
 		}
-		c.freeTxn(t)
 		c.pool.Put(m)
 		return
 	}
@@ -385,7 +359,6 @@ func (c *L0X) fill(m *TileMsg) {
 		c.eng.Schedule(1, func(uint64) { c.fill(m) })
 		return
 	}
-	c.txns[slot] = nil
 	c.mshr.Free(a)
 	c.eng.Progress() // miss resolved: heartbeat
 
@@ -417,7 +390,6 @@ func (c *L0X) fill(m *TileMsg) {
 		}
 		c.eng.Schedule(c.cfg.HitLatency, w.done)
 	}
-	c.freeTxn(t)
 	c.pool.Put(m)
 }
 
@@ -432,7 +404,7 @@ func (c *L0X) retryAccess(kind mem.AccessKind, va mem.VAddr, done func(uint64)) 
 func (c *L0X) installLine(a uint64, lease uint64, write bool, ver uint64) *cache.Line {
 	l := c.arr.LookupPID(a, c.pid)
 	if l == nil {
-		v := c.pickVictim(a)
+		v := c.arr.VictimUnpinned(a, c.pinned)
 		if v == nil {
 			return nil
 		}
@@ -458,20 +430,9 @@ func (c *L0X) installLine(a uint64, lease uint64, write bool, ver uint64) *cache
 	return l
 }
 
-// pickVictim chooses a fillable way, skipping lines tied to open txns.
-func (c *L0X) pickVictim(a uint64) *cache.Line {
-	for i := 0; i < c.arr.Params().Ways; i++ {
-		v := c.arr.Victim(a)
-		if !v.Valid {
-			return v
-		}
-		if c.mshr.Slot(v.Addr) < 0 {
-			return v
-		}
-		c.arr.Touch(v)
-	}
-	return nil
-}
+// pinned reports whether a line is tied to an open miss and must not be
+// chosen as a victim.
+func (c *L0X) pinned(l *cache.Line) bool { return c.mshr.Slot(l.Addr) >= 0 }
 
 // dropLine evicts a line: dirty data is forwarded (Dx) or written back. A
 // clean line still holding a write epoch (write-through mode, or an epoch
@@ -582,8 +543,7 @@ func (c *L0X) receiveForward(m *TileMsg) {
 	// ahead of the push). The forward satisfies it; the L1X's eventual
 	// grant, if any, arrives with no transaction and is ignored by fill.
 	if slot := c.mshr.Slot(a); slot >= 0 {
-		t := c.txns[slot]
-		c.txns[slot] = nil
+		t := &c.txns[slot]
 		c.mshr.Free(a)
 		c.eng.Progress()
 		for _, w := range t.waiters {
@@ -599,7 +559,6 @@ func (c *L0X) receiveForward(m *TileMsg) {
 			}
 			c.eng.Schedule(c.cfg.HitLatency, w.done)
 		}
-		c.freeTxn(t)
 	}
 	c.pool.Put(m)
 }
@@ -635,7 +594,7 @@ func (c *L0X) DumpState() string {
 	fmt.Fprintf(&b, "%s: %d open txns, %d/%d MSHRs\n",
 		c.name, c.mshr.Len(), c.mshr.Len(), c.cfg.MSHRs)
 	for _, a := range addrs {
-		t := c.txns[c.mshr.Slot(a)]
+		t := &c.txns[c.mshr.Slot(a)]
 		kind := "GetL"
 		if t.write {
 			kind = "GetW"

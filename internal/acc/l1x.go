@@ -32,17 +32,18 @@ type L1XConfig struct {
 	StatPrefix string
 }
 
-// l1txn is one outstanding host-side (MESI) fetch. Completed txns recycle
-// through a free list (waiters capacity included).
+// l1txn is one outstanding host-side (MESI) fetch. It lives by value in
+// the L1X's MSHR-slot table and is reset (keeping its waiters capacity)
+// when Allocate hands the slot out.
 type l1txn struct {
 	va         uint64 // virtual line address
 	pa         mem.PAddr
-	pid        mem.PID
 	waiters    []*TileMsg // lease requests to replay once data arrives
-	arrived    bool
 	ver        uint64
 	acksNeeded int // -1 until the data response reports the count
 	acksGot    int
+	pid        mem.PID
+	arrived    bool
 }
 
 const (
@@ -77,18 +78,18 @@ type L1X struct {
 	toL0X []*interconnect.Link
 
 	// txns is keyed by MSHR slot (the file is keyed by virtual line
-	// address); a pending fetch's physical address lives on the txn, so
-	// the PA->VA question is a walk of the MSHR occupancy bitmap.
-	txns     []*l1txn
-	freeTxns []*l1txn // recycled fetch records
+	// address) and read only while the slot is allocated; a pending
+	// fetch's physical address lives on the txn, so the PA->VA question is
+	// a walk of the MSHR occupancy bitmap.
+	txns []l1txn
 	// waiting and holder are per-(set, way) line-slot arrays parallel to
 	// the tag array (cache.Array.SlotOf): the stall list and sole
 	// read-lease holder belong to the line currently in the slot. A line
 	// can only leave the array with no open write epoch, hence with an
-	// empty stall list (evictLine checks), so slot reuse is safe.
+	// empty stall list (pinned and leaseWait check), so slot reuse is safe.
 	waiting [][]*TileMsg
 	holder  []int
-	evict   []evictEntry // awaiting PutAck; can serve host Fwds
+	evict   cache.EvictBuffer // awaiting PutAck; can serve host Fwds
 
 	tilePool TileMsgPool
 	mesiPool mesi.MsgPool
@@ -162,45 +163,6 @@ func (x *L1X) SetDeadline(d uint64) { x.deadline = d }
 // but a grant pinpoints where a stale version entered the tile.
 func (x *L1X) SetObserver(o obs.Observer) { x.obsv = o }
 
-type evictBuf struct {
-	ver   uint64
-	dirty bool
-}
-
-// evictEntry is one writeback awaiting the directory's PutAck. The handful
-// in flight live in a linear list: shorter than a map bucket walk, and
-// deletion is a swap with the tail.
-type evictEntry struct {
-	pa mem.PAddr
-	evictBuf
-}
-
-// evictFind returns the index of pa's eviction buffer, or -1.
-func (x *L1X) evictFind(pa mem.PAddr) int {
-	for i := range x.evict {
-		if x.evict[i].pa == pa {
-			return i
-		}
-	}
-	return -1
-}
-
-// evictPut records (or refreshes) the eviction buffer for pa.
-func (x *L1X) evictPut(pa mem.PAddr, b evictBuf) {
-	if i := x.evictFind(pa); i >= 0 {
-		x.evict[i].evictBuf = b
-		return
-	}
-	x.evict = append(x.evict, evictEntry{pa: pa, evictBuf: b})
-}
-
-// evictRemove drops entry i by swapping the tail in.
-func (x *L1X) evictRemove(i int) {
-	last := len(x.evict) - 1
-	x.evict[i] = x.evict[last]
-	x.evict = x.evict[:last]
-}
-
 // Translator is the AX-TLB interface (satisfied by *vm.TLB).
 type Translator interface {
 	Translate(pid mem.PID, va mem.VAddr) (mem.PAddr, uint64)
@@ -227,7 +189,7 @@ func NewL1X(eng *sim.Engine, fabric *mesi.Fabric, agent mesi.AgentID,
 		agent:       agent,
 		tlb:         tlb,
 		rmap:        rmap,
-		txns:        make([]*l1txn, cfg.MSHRs),
+		txns:        make([]l1txn, cfg.MSHRs),
 		waiting:     make([][]*TileMsg, arr.NumLines()),
 		holder:      holder,
 		meter:       meter,
@@ -487,25 +449,12 @@ func (x *L1X) wake(slot int) {
 	}
 }
 
-// newTxn returns a zeroed fetch record, reusing a recycled one if possible.
-func (x *L1X) newTxn() *l1txn {
-	if n := len(x.freeTxns); n > 0 {
-		t := x.freeTxns[n-1]
-		x.freeTxns[n-1] = nil
-		x.freeTxns = x.freeTxns[:n-1]
-		w := t.waiters[:0]
-		*t = l1txn{waiters: w}
-		return t
-	}
-	return &l1txn{}
-}
-
 // missFetch starts (or joins) a host-side fetch. The tile always requests
 // exclusive (GetM): the L1X caches every block in E/M regardless of the
 // accelerator operation (Section 3.2).
 func (x *L1X) missFetch(a uint64, m *TileMsg) {
 	if slot := x.mshr.Slot(a); slot >= 0 {
-		t := x.txns[slot]
+		t := &x.txns[slot]
 		t.waiters = append(t.waiters, m)
 		return
 	}
@@ -530,10 +479,9 @@ func (x *L1X) missFetch(a uint64, m *TileMsg) {
 	}
 
 	x.cMisses.Inc()
-	t := x.newTxn()
-	t.va, t.pa, t.pid, t.acksNeeded = a, pa, m.PID, -1
-	t.waiters = append(t.waiters, m)
-	x.txns[x.mshr.Allocate(a)] = t
+	t := &x.txns[x.mshr.Allocate(a)]
+	*t = l1txn{va: a, pa: pa, pid: m.PID, acksNeeded: -1,
+		waiters: append(t.waiters[:0], m)}
 	if x.obsv != nil {
 		x.obsv.Record(obs.Event{Cycle: x.eng.Now(), Agent: x.name, Kind: obs.L1XFetch, Addr: a, PA: uint64(pa)})
 	}
@@ -559,9 +507,7 @@ func (x *L1X) resolveSynonym(a uint64, m *TileMsg, pa mem.PAddr, ptr vm.Pointer)
 	}
 	x.cSynEvict.Inc()
 	ver, dirty, gtime := old.Ver, old.Dirty, old.GTime
-	x.rmap.Remove(pa)
-	x.holder[oldSlot] = holderAbsent
-	*old = cache.Line{}
+	x.drop(old)
 
 	l := x.install(a, m.PID, pa, ver)
 	if l == nil {
@@ -591,9 +537,7 @@ func (x *L1X) HandleMESI(m *mesi.Msg) {
 		// the dirty version back to the directory.
 		x.hostInvalidate(m)
 	case mesi.MsgPutAck:
-		if i := x.evictFind(m.Addr.LineAddr()); i >= 0 {
-			x.evictRemove(i)
-		}
+		x.evict.Take(uint64(m.Addr.LineAddr()))
 		x.mesiPool.Put(m)
 	case mesi.MsgInvAck:
 		// GetM with requester-collected acks: the tile counts them like any
@@ -610,7 +554,7 @@ func (x *L1X) HandleMESI(m *mesi.Msg) {
 func (x *L1X) slotByPA(pa mem.PAddr) int {
 	for w := x.mshr.Occupied(); w != 0; w &= w - 1 {
 		s := bits.TrailingZeros64(w)
-		if t := x.txns[s]; t != nil && t.pa == pa {
+		if x.txns[s].pa == pa {
 			return s
 		}
 	}
@@ -623,7 +567,7 @@ func (x *L1X) invAck(m *mesi.Msg) {
 	if slot < 0 {
 		sim.Failf(x.name, x.eng.Now(), x.DumpState(), "InvAck with no fetch: %s", m)
 	}
-	t := x.txns[slot]
+	t := &x.txns[slot]
 	t.acksGot++
 	x.maybeFill(t)
 }
@@ -635,7 +579,7 @@ func (x *L1X) fillFromHost(m *mesi.Msg) {
 	if slot < 0 {
 		sim.Failf(x.name, x.eng.Now(), x.DumpState(), "data with no fetch: %s", m)
 	}
-	t := x.txns[slot]
+	t := &x.txns[slot]
 	t.arrived = true
 	t.ver = m.Ver
 	if t.acksNeeded == -1 {
@@ -644,6 +588,9 @@ func (x *L1X) fillFromHost(m *mesi.Msg) {
 	x.maybeFill(t)
 }
 
+// maybeFill installs a completed fetch (or bypasses it) and replays its
+// waiters. The record stays readable after Free until missFetch allocates
+// the slot again: the waiter loops only schedule work.
 func (x *L1X) maybeFill(t *l1txn) {
 	if !t.arrived || t.acksGot < t.acksNeeded {
 		return
@@ -657,16 +604,21 @@ func (x *L1X) maybeFill(t *l1txn) {
 		x.eng.Schedule(2, func(uint64) { x.maybeFill(t) })
 		return
 	}
-	x.txns[x.mshr.Free(t.va)] = nil
+	x.closeFetch(t)
+	for _, w := range t.waiters {
+		x.scheduleProcess(1, w)
+	}
+}
+
+// closeFetch frees t's MSHR slot and unblocks the directory: the host
+// fetch has resolved.
+func (x *L1X) closeFetch(t *l1txn) {
+	x.mshr.Free(t.va)
 	x.eng.Progress() // host fetch resolved: heartbeat
 	unb := x.mesiPool.Get()
 	unb.Type, unb.Addr, unb.Src, unb.Dst, unb.Excl =
 		mesi.MsgUnblock, t.pa, x.agent, mesi.DirID, true
 	x.fabric.Send(unb)
-	for _, w := range t.waiters {
-		x.scheduleProcess(1, w)
-	}
-	x.freeTxns = append(x.freeTxns, t)
 }
 
 // bypassDecision reports whether the completed fetch t should skip
@@ -718,22 +670,16 @@ func (x *L1X) bypassFill(t *l1txn) {
 		link.Send(g)
 		x.tilePool.Put(w)
 	}
-	x.txns[x.mshr.Free(t.va)] = nil
-	x.eng.Progress() // host fetch resolved: heartbeat
-	unb := x.mesiPool.Get()
-	unb.Type, unb.Addr, unb.Src, unb.Dst, unb.Excl =
-		mesi.MsgUnblock, t.pa, x.agent, mesi.DirID, true
-	x.fabric.Send(unb)
-	x.evictPut(t.pa, evictBuf{ver: t.ver})
+	x.closeFetch(t)
+	x.evict.Put(uint64(t.pa), t.ver, false)
 	put := x.mesiPool.Get()
 	put.Type, put.Addr, put.Src, put.Dst = mesi.MsgPutE, t.pa, x.agent, mesi.DirID
 	x.fabric.Send(put)
-	x.freeTxns = append(x.freeTxns, t)
 }
 
 // install places a host-fetched line in the array.
 func (x *L1X) install(va uint64, pid mem.PID, pa mem.PAddr, ver uint64) *cache.Line {
-	v := x.pickVictim(va)
+	v := x.arr.VictimUnpinned(va, x.pinned)
 	if v == nil {
 		return nil
 	}
@@ -753,21 +699,19 @@ func (x *L1X) install(va uint64, pid mem.PID, pa mem.PAddr, ver uint64) *cache.L
 	return v
 }
 
-// pickVictim avoids lines with live leases, open write epochs, or pending
-// transactions — evicting a leased line would break the GTIME contract.
-func (x *L1X) pickVictim(va uint64) *cache.Line {
-	now := x.eng.Now()
-	for i := 0; i < x.arr.Params().Ways; i++ {
-		v := x.arr.Victim(va)
-		if !v.Valid {
-			return v
-		}
-		if x.mshr.Slot(v.Addr) < 0 && !v.WLock && v.GTime <= now {
-			return v
-		}
-		x.arr.Touch(v)
-	}
-	return nil
+// pinned reports whether a line must not be chosen as a victim: it has a
+// pending transaction, an open write epoch or a live lease — evicting a
+// leased line would break the GTIME contract.
+func (x *L1X) pinned(l *cache.Line) bool {
+	return x.mshr.Slot(l.Addr) >= 0 || l.WLock || l.GTime > x.eng.Now()
+}
+
+// drop removes a valid line from the tile: its AX-RMAP entry, its lease
+// holder and its tag. Every path that gives a line up ends here.
+func (x *L1X) drop(l *cache.Line) {
+	x.rmap.Remove(l.PAddr)
+	x.holder[x.arr.SlotOf(l.Addr, l)] = holderAbsent
+	*l = cache.Line{}
 }
 
 // evictLine pushes a victim back to the host: PutM when dirty, otherwise an
@@ -778,19 +722,14 @@ func (x *L1X) evictLine(v *cache.Line) {
 		return
 	}
 	x.cEvictions.Inc()
-	x.rmap.Remove(v.PAddr)
-	x.holder[x.arr.SlotOf(v.Addr, v)] = holderAbsent
+	x.evict.Put(uint64(v.PAddr), v.Ver, v.Dirty)
 	put := x.mesiPool.Get()
+	put.Type, put.Addr, put.Src, put.Dst = mesi.MsgPutE, v.PAddr, x.agent, mesi.DirID
 	if v.Dirty {
-		x.evictPut(v.PAddr, evictBuf{ver: v.Ver, dirty: true})
-		put.Type, put.Addr, put.Src, put.Dst, put.Ver =
-			mesi.MsgPutM, v.PAddr, x.agent, mesi.DirID, v.Ver
-	} else {
-		x.evictPut(v.PAddr, evictBuf{ver: v.Ver})
-		put.Type, put.Addr, put.Src, put.Dst = mesi.MsgPutE, v.PAddr, x.agent, mesi.DirID
+		put.Type, put.Ver = mesi.MsgPutM, v.Ver
 	}
 	x.fabric.Send(put)
-	*v = cache.Line{}
+	x.drop(v)
 }
 
 // evictNoNotice drops a synonym duplicate, writing back dirty data.
@@ -801,9 +740,7 @@ func (x *L1X) evictNoNotice(v *cache.Line) {
 			mesi.MsgPutM, v.PAddr, x.agent, mesi.DirID, v.Ver
 		x.fabric.Send(put)
 	}
-	x.rmap.Remove(v.PAddr)
-	x.holder[x.arr.SlotOf(v.Addr, v)] = holderAbsent
-	*v = cache.Line{}
+	x.drop(v)
 }
 
 // hostInvalidate answers a directory invalidation (a DMA write to a line
@@ -817,12 +754,9 @@ func (x *L1X) hostInvalidate(m *mesi.Msg) {
 	if !ok {
 		// Not resident: either never cached here, or an eviction is in
 		// flight — the buffered copy still carries the version the
-		// directory must not lose.
-		var buf evictBuf
-		if i := x.evictFind(pa); i >= 0 {
-			buf = x.evict[i].evictBuf
-		}
-		x.invAckHost(m, buf.ver, buf.dirty)
+		// directory must not lose. The entry stays for the PutAck.
+		ver, dirty, _ := x.evict.Get(uint64(pa))
+		x.invAckHost(m, ver, dirty)
 		return
 	}
 	x.tryInvalidate(m, ptr, true)
@@ -835,35 +769,43 @@ func (x *L1X) tryInvalidate(m *mesi.Msg, ptr vm.Pointer, first bool) {
 	va := uint64(ptr.VAddr.LineAddr())
 	l := x.arr.LookupPID(va, ptr.PID)
 	if l == nil {
-		var buf evictBuf
-		if i := x.evictFind(pa); i >= 0 {
-			buf = x.evict[i].evictBuf
-		}
-		x.invAckHost(m, buf.ver, buf.dirty)
+		ver, dirty, _ := x.evict.Get(uint64(pa))
+		x.invAckHost(m, ver, dirty)
 		return
 	}
-	now := x.eng.Now()
-	if l.GTime > now || l.WLock {
-		if first {
-			x.cFwdStalled.Inc()
-			if x.obsv != nil {
-				x.obsv.Record(obs.Event{Cycle: now, Agent: x.name, Kind: obs.FwdParked, Addr: va,
-					Msg: "inv", Lease: l.GTime})
-			}
-		}
-		wake := l.GTime + x.cfg.LeaseSlack
-		if wake <= now {
-			wake = now + x.cfg.LeaseSlack
-		}
+	if wake, wait := x.leaseWait(l, first, "inv"); wait {
 		x.eng.ScheduleAt(wake, func(uint64) { x.tryInvalidate(m, ptr, false) })
 		return
 	}
 	x.access()
 	ver, dirty := l.Ver, l.Dirty
-	x.rmap.Remove(pa)
-	x.holder[x.arr.SlotOf(va, l)] = holderAbsent
-	*l = cache.Line{}
+	x.drop(l)
 	x.invAckHost(m, ver, dirty)
+}
+
+// leaseWait reports whether l still has L0X leases or an open write epoch,
+// and if so the cycle to retry at: GTIME plus the lease slack, or the
+// slack from now once GTIME has passed. The first park of a request
+// (first) is counted and observed as a parked forward; msg names the
+// request in the observation ("inv" for an invalidation, empty for a
+// forward).
+func (x *L1X) leaseWait(l *cache.Line, first bool, msg string) (wake uint64, wait bool) {
+	now := x.eng.Now()
+	if l.GTime <= now && !l.WLock {
+		return 0, false
+	}
+	if first {
+		x.cFwdStalled.Inc()
+		if x.obsv != nil {
+			x.obsv.Record(obs.Event{Cycle: now, Agent: x.name, Kind: obs.FwdParked, Addr: l.Addr,
+				Msg: msg, Lease: l.GTime})
+		}
+	}
+	wake = l.GTime + x.cfg.LeaseSlack
+	if wake <= now {
+		wake = now + x.cfg.LeaseSlack
+	}
+	return wake, true
 }
 
 // invAckHost sends the invalidation ack (with the dropped line's version,
@@ -889,11 +831,9 @@ func (x *L1X) hostForward(m *mesi.Msg) {
 	}
 	ptr, ok := x.rmap.Lookup(pa)
 	if !ok {
-		if i := x.evictFind(pa); i >= 0 {
+		if ver, dirty, ok := x.evict.Take(uint64(pa)); ok {
 			// Eviction raced with the forward: serve from the buffer.
-			buf := x.evict[i].evictBuf
-			x.evictRemove(i)
-			x.respondHost(m, buf.ver, buf.dirty)
+			x.respondHost(m, ver, dirty)
 			return
 		}
 		sim.Failf(x.name, x.eng.Now(), x.DumpState(), "host fwd for unmapped line %s", m)
@@ -908,37 +848,22 @@ func (x *L1X) tryRelinquish(m *mesi.Msg, ptr vm.Pointer, first bool) {
 	va := uint64(ptr.VAddr.LineAddr())
 	l := x.arr.LookupPID(va, ptr.PID)
 	if l == nil {
-		if i := x.evictFind(pa); i >= 0 {
-			buf := x.evict[i].evictBuf
-			x.evictRemove(i)
-			x.respondHost(m, buf.ver, buf.dirty)
+		if ver, dirty, ok := x.evict.Take(uint64(pa)); ok {
+			x.respondHost(m, ver, dirty)
 			return
 		}
 		sim.Failf(x.name, x.eng.Now(), x.DumpState(), "rmap points at absent line %s", m)
 	}
-	now := x.eng.Now()
-	if l.GTime > now || l.WLock {
-		// L0X leases outstanding: park the response until they lapse. The
-		// L1X alone absorbs the stall; no message ever disturbs an L0X
-		// (Figure 4, right: the writeback buffer).
-		if first {
-			x.cFwdStalled.Inc()
-			if x.obsv != nil {
-				x.obsv.Record(obs.Event{Cycle: now, Agent: x.name, Kind: obs.FwdParked, Addr: va, Lease: l.GTime})
-			}
-		}
-		wake := l.GTime + x.cfg.LeaseSlack
-		if wake <= now {
-			wake = now + x.cfg.LeaseSlack
-		}
+	// L0X leases outstanding: park the response until they lapse. The L1X
+	// alone absorbs the stall; no message ever disturbs an L0X (Figure 4,
+	// right: the writeback buffer).
+	if wake, wait := x.leaseWait(l, first, ""); wait {
 		x.eng.ScheduleAt(wake, func(uint64) { x.tryRelinquish(m, ptr, false) })
 		return
 	}
 	x.access()
 	ver, dirty := l.Ver, l.Dirty
-	x.rmap.Remove(pa)
-	x.holder[x.arr.SlotOf(va, l)] = holderAbsent
-	*l = cache.Line{}
+	x.drop(l)
 	x.respondHost(m, ver, dirty)
 }
 
@@ -973,7 +898,7 @@ func (x *L1X) FlushAll() {
 }
 
 // Outstanding reports in-flight host fetches plus eviction buffers.
-func (x *L1X) Outstanding() int { return x.mshr.Len() + len(x.evict) }
+func (x *L1X) Outstanding() int { return x.mshr.Len() + x.evict.Len() }
 
 // DumpState summarizes in-flight host fetches, stalled lease requests, and
 // eviction buffers for watchdog/failure diagnostics. Empty when idle.
@@ -984,14 +909,14 @@ func (x *L1X) DumpState() string {
 			stalled++
 		}
 	}
-	if x.mshr.Len() == 0 && stalled == 0 && len(x.evict) == 0 {
+	if x.mshr.Len() == 0 && stalled == 0 && x.evict.Len() == 0 {
 		return ""
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d host fetches, %d wlock queues, %d evict buffers, %d/%d MSHRs\n",
-		x.name, x.mshr.Len(), stalled, len(x.evict), x.mshr.Len(), x.cfg.MSHRs)
+		x.name, x.mshr.Len(), stalled, x.evict.Len(), x.mshr.Len(), x.cfg.MSHRs)
 	for _, va := range x.mshr.Outstanding() {
-		t := x.txns[x.mshr.Slot(va)]
+		t := &x.txns[x.mshr.Slot(va)]
 		fmt.Fprintf(&b, "  fetch va=%#x pa=%#x arrived=%v acks=%d/%d waiters=%d\n",
 			t.va, uint64(t.pa), t.arrived, t.acksGot, t.acksNeeded, len(t.waiters))
 	}

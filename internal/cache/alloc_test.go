@@ -34,3 +34,31 @@ func TestFillInAllocatedChunkZeroAlloc(t *testing.T) {
 		t.Fatalf("fills within an allocated chunk allocated %.1f per op, want 0", avg)
 	}
 }
+
+// pinSet is a controller-like pin test: a method value is what the
+// controllers pass to VictimUnpinned.
+type pinSet struct{ addrs [4]uint64 }
+
+func (p *pinSet) pinned(l *Line) bool {
+	for _, a := range p.addrs {
+		if l.Addr == a {
+			return true
+		}
+	}
+	return false
+}
+
+func TestVictimUnpinnedZeroAlloc(t *testing.T) {
+	a := NewArray(Params{SizeBytes: 512, Ways: 4, LineBytes: 64}) // 2 sets
+	for i := uint64(0); i < 4; i++ {
+		a.Fill(a.Victim(i*128), i*128, 0)
+	}
+	p := &pinSet{addrs: [4]uint64{0, 128, 256, 1}} // every way but 384's
+	if avg := testing.AllocsPerRun(1000, func() {
+		if a.VictimUnpinned(0, p.pinned) == nil {
+			t.Fatal("no victim with an unpinned way")
+		}
+	}); avg != 0 {
+		t.Fatalf("VictimUnpinned allocated %.1f per op, want 0", avg)
+	}
+}

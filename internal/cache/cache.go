@@ -228,6 +228,24 @@ func (a *Array) Victim(addr uint64) *Line {
 	return victim
 }
 
+// VictimUnpinned is Victim for a controller that must not displace some
+// lines — those with an outstanding miss, a live lease or an open write
+// epoch. It returns an invalid way, or else the least-recently-used line
+// for which pinned reports false. Each pinned candidate is rotated to
+// most-recently-used with Touch before the next try, at most once per
+// way, so the walk leaves the LRU stamps as that many Touch calls would.
+// It returns nil when every way is pinned.
+func (a *Array) VictimUnpinned(addr uint64, pinned func(*Line) bool) *Line {
+	for range a.ways {
+		v := a.Victim(addr)
+		if !v.Valid || !pinned(v) {
+			return v
+		}
+		a.Touch(v)
+	}
+	return nil
+}
+
 // Fill installs addr into line (typically a Victim result), resetting all
 // metadata and refreshing LRU.
 func (a *Array) Fill(l *Line, addr uint64, pid mem.PID) {

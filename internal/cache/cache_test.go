@@ -216,6 +216,94 @@ func TestLRUNeverEvictsMRUProperty(t *testing.T) {
 	}
 }
 
+// oldVictimLoop is the victim walk each controller carried before
+// VictimUnpinned: the reference it must match line for line.
+func oldVictimLoop(a *Array, addr uint64, pinned func(*Line) bool) *Line {
+	for i := 0; i < a.Params().Ways; i++ {
+		v := a.Victim(addr)
+		if !v.Valid {
+			return v
+		}
+		if !pinned(v) {
+			return v
+		}
+		a.Touch(v)
+	}
+	return nil
+}
+
+func TestVictimUnpinnedPrefersInvalidWay(t *testing.T) {
+	a := NewArray(Params{SizeBytes: 512, Ways: 4, LineBytes: 64}) // 2 sets
+	a.Fill(a.Victim(0), 0, 0)
+	a.Fill(a.Victim(128), 128, 0)
+	calls := 0
+	v := a.VictimUnpinned(256, func(*Line) bool { calls++; return true })
+	if v == nil || v.Valid {
+		t.Fatalf("VictimUnpinned = %+v, want an invalid way", v)
+	}
+	if calls != 0 {
+		t.Fatalf("pin test called %d times with an invalid way free, want 0", calls)
+	}
+}
+
+func TestVictimUnpinnedAllPinned(t *testing.T) {
+	a := NewArray(Params{SizeBytes: 512, Ways: 4, LineBytes: 64})
+	for i := uint64(0); i < 4; i++ {
+		a.Fill(a.Victim(i*128), i*128, 0)
+	}
+	calls := 0
+	if v := a.VictimUnpinned(0, func(*Line) bool { calls++; return true }); v != nil {
+		t.Fatalf("VictimUnpinned = %+v with every way pinned, want nil", v)
+	}
+	if calls != 4 {
+		t.Fatalf("pin test called %d times, want once per way (4)", calls)
+	}
+}
+
+// TestVictimUnpinnedMatchesLoop drives two identical arrays through the
+// same fills and lookups, picking victims with VictimUnpinned in one and
+// the controllers' old loop in the other under random pin patterns: both
+// must pick the same way and leave the same LRU stamps.
+func TestVictimUnpinnedMatchesLoop(t *testing.T) {
+	const ways, sets = 4, 4
+	p := Params{SizeBytes: ways * sets * 64, Ways: ways, LineBytes: 64}
+	rng := rand.New(rand.NewSource(1))
+	a, ref := NewArray(p), NewArray(p)
+	for step := 0; step < 2000; step++ {
+		addr := uint64(rng.Intn(4*ways*sets)) * 64
+		if rng.Intn(3) == 0 {
+			a.Lookup(addr)
+			ref.Lookup(addr)
+			continue
+		}
+		if a.Peek(addr) != nil {
+			continue
+		}
+		pins := rng.Uint64()
+		pinned := func(l *Line) bool { return pins>>(l.Addr/64%64)&1 != 0 }
+		v, rv := a.VictimUnpinned(addr, pinned), oldVictimLoop(ref, addr, pinned)
+		if (v == nil) != (rv == nil) {
+			t.Fatalf("step %d: VictimUnpinned = %v, loop = %v", step, v, rv)
+		}
+		if v != nil {
+			if a.SlotOf(addr, v) != ref.SlotOf(addr, rv) {
+				t.Fatalf("step %d: VictimUnpinned picked slot %d, loop slot %d",
+					step, a.SlotOf(addr, v), ref.SlotOf(addr, rv))
+			}
+			a.Fill(v, addr, 0)
+			ref.Fill(rv, addr, 0)
+		}
+		for i := 0; i < a.NumLines(); i++ {
+			if *a.LineAt(i) != *ref.LineAt(i) {
+				t.Fatalf("step %d: line %d is %+v, loop left %+v", step, i, *a.LineAt(i), *ref.LineAt(i))
+			}
+		}
+		if a.stamp != ref.stamp {
+			t.Fatalf("step %d: stamp %d, loop %d", step, a.stamp, ref.stamp)
+		}
+	}
+}
+
 func BenchmarkLookupHit(b *testing.B) {
 	a := NewArray(Params{SizeBytes: 65536, Ways: 8, LineBytes: 64})
 	a.Fill(a.Victim(0x4000), 0x4000, 0)

@@ -14,17 +14,19 @@ import (
 // the memory system.
 //
 // The file is a dense register bank, as in hardware: a uint64 occupancy
-// bitmap plus flat address/stamp arrays, indexed by slot. Lookups walk the
-// occupancy word with bits.TrailingZeros64 — at most capacity compares, no
-// hashing, no pointers. The slot number is stable for the lifetime of the
-// miss, so controllers key their per-miss transaction state by slot in a
-// flat array instead of a map (see acc.L0X, acc.L1X, mesi.Client).
+// bitmap plus flat address/stamp arrays of capacity entries, indexed by
+// slot. Lookups walk the occupancy word with bits.TrailingZeros64 — at most
+// capacity compares, no hashing, no pointers. The slot number is stable for
+// the lifetime of the miss, so controllers keep their per-miss records by
+// value in a slot-indexed slice instead of a map (see acc.L0X, acc.L1X,
+// mesi.Client). Every controller builds one file per run, so the arrays
+// are sized to its capacity rather than to the 64-slot limit.
 type MSHR struct {
 	capacity int
 	count    int
-	occ      uint64 // bit s set: slot s holds an outstanding miss
-	addrs    [64]uint64
-	stamps   [64]uint64 // allocation order, for deterministic iteration
+	occ      uint64   // bit s set: slot s holds an outstanding miss
+	addrs    []uint64 // by slot
+	stamps   []uint64 // by slot: allocation order, for deterministic iteration
 	clock    uint64
 }
 
@@ -34,7 +36,8 @@ func NewMSHR(capacity int) *MSHR {
 	if capacity < 1 || capacity > 64 {
 		sim.Failf("cache", 0, "", "MSHR capacity %d out of range [1,64]", capacity)
 	}
-	return &MSHR{capacity: capacity}
+	regs := make([]uint64, 2*capacity)
+	return &MSHR{capacity: capacity, addrs: regs[:capacity:capacity], stamps: regs[capacity:]}
 }
 
 // Slot returns the slot holding addr, or -1.

@@ -55,6 +55,34 @@ func TestMSHRCapacity(t *testing.T) {
 	}
 }
 
+// TestMSHRSlotsWithinCapacity fills files of every size class the
+// controllers use, and the 1- and 64-entry bounds: every slot handed out is
+// below the capacity, distinct, and holds its own address.
+func TestMSHRSlotsWithinCapacity(t *testing.T) {
+	for _, n := range []int{1, 8, 16, 64} {
+		m := NewMSHR(n)
+		seen := map[int]bool{}
+		for i := 0; i < n; i++ {
+			s := m.Allocate(uint64(i) * 64)
+			if s < 0 || s >= n || seen[s] {
+				t.Fatalf("capacity %d: allocation %d got slot %d", n, i, s)
+			}
+			seen[s] = true
+		}
+		if !m.Full() || m.Allocate(uint64(n)*64) >= 0 {
+			t.Fatalf("capacity %d: not full after %d allocations", n, n)
+		}
+		for i := 0; i < n; i++ {
+			if s := m.Slot(uint64(i) * 64); m.AddrAt(s) != uint64(i)*64 {
+				t.Fatalf("capacity %d: slot %d holds %#x, want %#x", n, s, m.AddrAt(s), i*64)
+			}
+		}
+		if got := m.Outstanding(); len(got) != n || got[n-1] != uint64(n-1)*64 {
+			t.Fatalf("capacity %d: Outstanding = %v", n, got)
+		}
+	}
+}
+
 func TestMSHRFreeUnknown(t *testing.T) {
 	m := NewMSHR(2)
 	if s := m.Free(0x999); s != -1 {

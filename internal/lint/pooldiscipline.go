@@ -8,13 +8,12 @@ import (
 )
 
 // PoolDiscipline enforces the free-list ownership protocol that PR 4's
-// allocation diet rests on: a value drawn from a message pool
-// (mesi.MsgPool.Get, acc.TileMsgPool.Get) or a transaction free list
-// (newTxn) is owned by the acquiring function until it either releases it
-// exactly once (Put, freeTxn) or transfers ownership — sends it on a
-// fabric, parks it in a field, appends it to a free list, returns it, or
-// captures it in a closure. The analyzer walks every path of the
-// function's CFG and reports:
+// allocation diet rests on: a message drawn from a pool
+// (mesi.MsgPool.Get, acc.TileMsgPool.Get) is owned by the acquiring
+// function until it either releases it exactly once (Put) or transfers
+// ownership — sends it on a fabric, parks it in a field, appends it to a
+// free list, returns it, or captures it in a closure. The analyzer walks
+// every path of the function's CFG and reports:
 //
 //   - a leak: some path reaches return with the value still owned
 //     (the runtime counterpart is a message that never re-enters any
@@ -93,48 +92,27 @@ type poolAnalysis struct {
 	info *types.Info
 }
 
-// isAcquire reports whether call draws a pooled value: Get on a message
-// pool or newTxn on a controller's transaction free list.
+// isAcquire reports whether call draws a pooled message: Get on a
+// message pool.
 func (a *poolAnalysis) isAcquire(call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s := a.info.Selections[sel]
-	if s == nil || s.Kind() != types.MethodVal {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Get":
-		return a.isPoolType(s.Recv())
-	case "newTxn":
-		return moduleLocalRecv(a.pass.Module, s.Recv())
-	}
-	return false
+	return a.isPoolMethod(call, "Get")
 }
 
-// isRelease reports whether call returns ownership to a free list: Put on
-// a message pool or freeTxn on a controller. The released operand is the
-// call's single argument.
+// isRelease reports whether call returns a message to its free list: Put
+// on a message pool. The released operand is the call's single argument.
 func (a *poolAnalysis) isRelease(call *ast.CallExpr) bool {
-	if len(call.Args) != 1 {
-		return false
-	}
+	return len(call.Args) == 1 && a.isPoolMethod(call, "Put")
+}
+
+// isPoolMethod reports whether call is the method name on one of the
+// module's message pools.
+func (a *poolAnalysis) isPoolMethod(call *ast.CallExpr, name string) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	if !ok || sel.Sel.Name != name {
 		return false
 	}
 	s := a.info.Selections[sel]
-	if s == nil || s.Kind() != types.MethodVal {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Put":
-		return a.isPoolType(s.Recv())
-	case "freeTxn":
-		return moduleLocalRecv(a.pass.Module, s.Recv())
-	}
-	return false
+	return s != nil && s.Kind() == types.MethodVal && a.isPoolType(s.Recv())
 }
 
 // isPoolType reports whether t is one of the module's message pools.
@@ -150,17 +128,6 @@ func (a *poolAnalysis) isPoolType(t types.Type) bool {
 	mod := a.pass.Module.Path
 	return (path == mod+"/internal/mesi" && name == "MsgPool") ||
 		(path == mod+"/internal/acc" && name == "TileMsgPool")
-}
-
-// moduleLocalRecv reports whether the method receiver is a type declared
-// inside this module (newTxn/freeTxn are per-controller conventions, not a
-// single type).
-func moduleLocalRecv(mod *Module, t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil && moduleLocal(mod, named.Obj().Pkg().Path())
 }
 
 func (a *poolAnalysis) checkFunc(fn funcUnit) {

@@ -53,29 +53,3 @@ func tileLeak(p *acc.TileMsgPool, flag bool) {
 	}
 	p.Put(m)
 }
-
-// txn/tctrl model a controller-local transaction free list (the newTxn /
-// freeTxn convention pooldiscipline tracks by method name).
-type txn struct{ addr uint64 }
-
-type tctrl struct{ free []*txn }
-
-func (t *tctrl) newTxn() *txn {
-	if n := len(t.free); n > 0 {
-		x := t.free[n-1]
-		t.free = t.free[:n-1]
-		return x
-	}
-	return &txn{}
-}
-
-func (t *tctrl) freeTxn(x *txn) { t.free = append(t.free, x) }
-
-// txnLeak forgets to free the transaction when flag is set.
-func (t *tctrl) txnLeak(flag bool) {
-	x := t.newTxn() // want "not released on every path"
-	x.addr = 1
-	if !flag {
-		t.freeTxn(x)
-	}
-}

@@ -12,9 +12,10 @@ import (
 	"fusion/internal/stats"
 )
 
-// txn tracks one outstanding miss transaction at a client. Completed txns
-// are recycled through a per-client free list (waiters capacity included),
-// so steady-state misses allocate nothing.
+// txn tracks one outstanding miss transaction at a client. It lives by
+// value in the client's MSHR-slot table and is reset (keeping its waiters
+// capacity) when Allocate hands the slot out, so steady-state misses
+// allocate nothing.
 type txn struct {
 	addr        uint64
 	write       bool // GetM (vs GetS)
@@ -32,23 +33,6 @@ type waiter struct {
 	done func(now uint64)
 }
 
-// evicting tracks a dirty or exclusive line between PutM/PutE and PutAck; the
-// client can still answer forwarded requests from this buffer, which resolves
-// the eviction/forward race without extra directory states. Stored by value:
-// entries are immutable after insert, so no heap object is needed.
-type evicting struct {
-	ver   uint64
-	dirty bool
-}
-
-// evictEntry is one slot of the linear eviction-buffer list. The buffer is
-// bounded by the ways of a set times in-flight evictions (always a handful),
-// so a scanned slice beats a map.
-type evictEntry struct {
-	addr uint64
-	evicting
-}
-
 // Client is a MESI L1 cache controller: the host core's L1D. It exposes a
 // processor-side Access API and speaks the directory protocol on the fabric.
 type Client struct {
@@ -60,9 +44,10 @@ type Client struct {
 
 	hitLatency uint64
 
-	txns     []*txn // parallel to MSHR slots
-	freeTxns []*txn
-	evicting []evictEntry
+	txns []txn // by MSHR slot; read only while the slot is allocated
+	// evicting holds dirty or exclusive lines between PutM/PutE and
+	// PutAck, so a racing forward or invalidation is still answered.
+	evicting cache.EvictBuffer
 	pool     MsgPool
 
 	model     energy.Model
@@ -116,7 +101,7 @@ func NewClient(f *Fabric, id AgentID, cfg ClientConfig,
 		arr:        cache.NewArray(cfg.Cache),
 		mshr:       cache.NewMSHR(cfg.MSHRs),
 		hitLatency: cfg.HitLatency,
-		txns:       make([]*txn, cfg.MSHRs),
+		txns:       make([]txn, cfg.MSHRs),
 		model:      model,
 		meter:      meter,
 		energyCat:  cfg.EnergyCategory,
@@ -154,52 +139,6 @@ func (c *Client) access() {
 		c.meter.Add(c.energyCat, c.accessPJ)
 	}
 	c.cAccesses.Inc()
-}
-
-// evictFind returns the index of addr's eviction buffer, or -1.
-func (c *Client) evictFind(addr uint64) int {
-	for i := range c.evicting {
-		if c.evicting[i].addr == addr {
-			return i
-		}
-	}
-	return -1
-}
-
-// evictPut appends (or overwrites) addr's eviction buffer.
-func (c *Client) evictPut(addr uint64, ev evicting) {
-	if i := c.evictFind(addr); i >= 0 {
-		c.evicting[i].evicting = ev
-		return
-	}
-	c.evicting = append(c.evicting, evictEntry{addr, ev})
-}
-
-// evictRemove drops entry i by swapping the tail in (order is irrelevant:
-// lookups are by address).
-func (c *Client) evictRemove(i int) {
-	last := len(c.evicting) - 1
-	c.evicting[i] = c.evicting[last]
-	c.evicting = c.evicting[:last]
-}
-
-// newTxn returns a zeroed transaction from the free list (retaining waiter
-// capacity) or a fresh one.
-func (c *Client) newTxn(a uint64, write bool) *txn {
-	var t *txn
-	if n := len(c.freeTxns); n > 0 {
-		t = c.freeTxns[n-1]
-		c.freeTxns[n-1] = nil
-		c.freeTxns = c.freeTxns[:n-1]
-		w := t.waiters[:0]
-		*t = txn{waiters: w}
-	} else {
-		t = &txn{}
-	}
-	t.addr = a
-	t.write = write
-	t.acksNeeded = -1
-	return t
 }
 
 // Access performs a processor load or store. done fires when the access
@@ -240,7 +179,7 @@ func (c *Client) Access(kind mem.AccessKind, addr mem.PAddr, done func(now uint6
 
 	// Miss (or upgrade). Merge into an existing transaction when possible.
 	if slot := c.mshr.Slot(a); slot >= 0 {
-		t := c.txns[slot]
+		t := &c.txns[slot]
 		if kind == mem.Store && !t.write {
 			// A store behind a pending GetS: replay after the fill; the
 			// replay will find S/E and upgrade.
@@ -253,9 +192,9 @@ func (c *Client) Access(kind mem.AccessKind, addr mem.PAddr, done func(now uint6
 		c.cMSHRFull.Inc()
 		return false
 	}
-	t := c.newTxn(a, kind == mem.Store)
-	t.waiters = append(t.waiters, waiter{kind, addr, done})
-	c.txns[c.mshr.Allocate(a)] = t
+	t := &c.txns[c.mshr.Allocate(a)]
+	*t = txn{addr: a, write: kind == mem.Store, acksNeeded: -1,
+		waiters: append(t.waiters[:0], waiter{kind, addr, done})}
 	c.cMisses.Inc()
 	mt := MsgGetS
 	if t.write {
@@ -283,7 +222,7 @@ func (c *Client) Handle(m *Msg) {
 		if slot < 0 {
 			sim.Failf(c.name, c.fabric.Now(), c.DumpState(), "data with no txn: %s", m)
 		}
-		t := c.txns[slot]
+		t := &c.txns[slot]
 		t.dataArrived = true
 		t.ver = m.Ver
 		switch m.Type {
@@ -304,7 +243,7 @@ func (c *Client) Handle(m *Msg) {
 		if slot < 0 {
 			sim.Failf(c.name, c.fabric.Now(), c.DumpState(), "InvAck with no txn: %s", m)
 		}
-		t := c.txns[slot]
+		t := &c.txns[slot]
 		t.acksGot++
 		c.maybeComplete(t)
 
@@ -321,15 +260,11 @@ func (c *Client) Handle(m *Msg) {
 			}
 			*l = cache.Line{}
 			c.access()
-		} else if i := c.evictFind(a); i >= 0 {
+		} else if ver, dirty, ok := c.evicting.Take(a); ok && dirty {
 			// An eviction racing with an invalidation: the buffered data is
 			// superseded, but its version must still reach the directory —
 			// the in-flight PutM will be stale-acked.
-			ev := c.evicting[i].evicting
-			if ev.dirty {
-				ack.Dirty, ack.Ver = true, ev.ver
-			}
-			c.evictRemove(i)
+			ack.Dirty, ack.Ver = true, ver
 		}
 		c.cInvals.Inc()
 		c.fabric.Send(ack)
@@ -341,9 +276,7 @@ func (c *Client) Handle(m *Msg) {
 		c.handleFwd(m, a, true)
 
 	case MsgPutAck:
-		if i := c.evictFind(a); i >= 0 {
-			c.evictRemove(i)
-		}
+		c.evicting.Take(a)
 
 	default:
 		sim.Failf(c.name, c.fabric.Now(), c.DumpState(), "unexpected %s", m)
@@ -369,13 +302,9 @@ func (c *Client) handleFwd(m *Msg, a uint64, exclusive bool) {
 			l.State = cache.Shared
 			l.Dirty = false
 		}
-	} else if i := c.evictFind(a); i >= 0 {
+	} else if v, d, ok := c.evicting.Take(a); ok {
 		// Serve from the eviction buffer; the line is gone either way.
-		ev := c.evicting[i].evicting
-		ver = ev.ver
-		dirty = ev.dirty
-		dropped = true
-		c.evictRemove(i)
+		ver, dirty, dropped = v, d, true
 	} else {
 		sim.Failf(c.name, c.fabric.Now(), c.DumpState(), "Fwd for line %#x not owned", a)
 	}
@@ -405,7 +334,7 @@ func (c *Client) maybeComplete(t *txn) {
 	// filling a second way would alias the line within the set.
 	v := c.arr.Peek(a)
 	if v == nil {
-		v = c.pickVictim(a)
+		v = c.arr.VictimUnpinned(a, c.pinned)
 		if v == nil {
 			// Every way in the set is tied up by pending transactions; retry.
 			c.fabric.Engine().Schedule(1, func(uint64) { c.maybeComplete(t) })
@@ -423,7 +352,9 @@ func (c *Client) maybeComplete(t *txn) {
 	v.State = state
 	v.Dirty = state == cache.Modified
 
-	c.txns[c.mshr.Free(a)] = nil
+	// The record stays readable until Access allocates the slot again: the
+	// waiter loop below only schedules work.
+	c.mshr.Free(a)
 	c.fabric.Engine().Progress() // miss resolved: heartbeat
 	unb := c.pool.Get()
 	unb.Type, unb.Addr, unb.Src, unb.Dst = MsgUnblock, mem.PAddr(a), c.id, DirID
@@ -451,7 +382,6 @@ func (c *Client) maybeComplete(t *txn) {
 		}
 		c.fabric.Engine().Schedule(lat, w.done)
 	}
-	c.freeTxns = append(c.freeTxns, t)
 }
 
 // retryAccess re-issues an access until the MSHR accepts it.
@@ -461,21 +391,9 @@ func (c *Client) retryAccess(kind mem.AccessKind, addr mem.PAddr, done func(uint
 	}
 }
 
-// pickVictim finds a fillable way for addr, skipping lines with outstanding
-// transactions (an upgrading S line must not be displaced mid-transaction).
-func (c *Client) pickVictim(a uint64) *cache.Line {
-	for i := 0; i < c.arr.Params().Ways; i++ {
-		v := c.arr.Victim(a)
-		if !v.Valid {
-			return v
-		}
-		if c.mshr.Slot(v.Addr) < 0 {
-			return v
-		}
-		c.arr.Touch(v) // rotate past the busy line
-	}
-	return nil
-}
+// pinned reports whether a line has an outstanding transaction: an
+// upgrading S line must not be displaced mid-transaction.
+func (c *Client) pinned(l *cache.Line) bool { return c.mshr.Slot(l.Addr) >= 0 }
 
 // evict writes back or drops a victim line.
 func (c *Client) evict(v *cache.Line) {
@@ -484,14 +402,14 @@ func (c *Client) evict(v *cache.Line) {
 	}
 	switch v.State {
 	case cache.Modified:
-		c.evictPut(v.Addr, evicting{ver: v.Ver, dirty: true})
+		c.evicting.Put(v.Addr, v.Ver, true)
 		put := c.pool.Get()
 		put.Type, put.Addr, put.Src, put.Dst, put.Ver =
 			MsgPutM, mem.PAddr(v.Addr), c.id, DirID, v.Ver
 		c.fabric.Send(put)
 		c.cWBs.Inc()
 	case cache.Exclusive:
-		c.evictPut(v.Addr, evicting{ver: v.Ver, dirty: false})
+		c.evicting.Put(v.Addr, v.Ver, false)
 		put := c.pool.Get()
 		put.Type, put.Addr, put.Src, put.Dst = MsgPutE, mem.PAddr(v.Addr), c.id, DirID
 		c.fabric.Send(put)
@@ -513,13 +431,13 @@ func (c *Client) FlushAll() {
 // DumpState summarizes in-flight transactions and eviction buffers for
 // watchdog/failure diagnostics. Empty when idle.
 func (c *Client) DumpState() string {
-	if c.mshr.Len() == 0 && len(c.evicting) == 0 {
+	if c.mshr.Len() == 0 && c.evicting.Len() == 0 {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d txns, %d evicting\n", c.name, c.mshr.Len(), len(c.evicting))
+	fmt.Fprintf(&b, "%s: %d txns, %d evicting\n", c.name, c.mshr.Len(), c.evicting.Len())
 	for _, a := range c.mshr.Outstanding() {
-		t := c.txns[c.mshr.Slot(a)]
+		t := &c.txns[c.mshr.Slot(a)]
 		kind := "GetS"
 		if t.write {
 			kind = "GetM"
@@ -531,7 +449,7 @@ func (c *Client) DumpState() string {
 }
 
 // Outstanding reports in-flight transactions (for drain checks in tests).
-func (c *Client) Outstanding() int { return c.mshr.Len() + len(c.evicting) }
+func (c *Client) Outstanding() int { return c.mshr.Len() + c.evicting.Len() }
 
 // Peek exposes line state for tests.
 func (c *Client) Peek(addr mem.PAddr) *cache.Line {

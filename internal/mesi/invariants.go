@@ -39,9 +39,6 @@ func CheckInvariants(dir *Directory, clients []*Client) []string {
 		for _, a := range c.mshr.Outstanding() {
 			skip[a] = true
 		}
-		for i := range c.evicting {
-			skip[c.evicting[i].addr] = true
-		}
 		c.arr.ForEach(func(l *cache.Line) {
 			if l.Valid {
 				holders[l.Addr] = append(holders[l.Addr], holder{c.id, l.State})
@@ -62,7 +59,7 @@ func CheckInvariants(dir *Directory, clients []*Client) []string {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, addr := range addrs {
 		hs := holders[addr]
-		if skip[addr] {
+		if skip[addr] || inEvictBuffer(clients, addr) {
 			continue
 		}
 		e, _ := dir.entries.Get(addr)
@@ -101,6 +98,16 @@ func CheckInvariants(dir *Directory, clients []*Client) []string {
 		}
 	}
 	return bad
+}
+
+// inEvictBuffer reports whether any client holds addr in its eviction buffer.
+func inEvictBuffer(clients []*Client, addr uint64) bool {
+	for _, c := range clients {
+		if _, _, ok := c.evicting.Get(addr); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // Quiesced reports whether the directory has no busy or queued lines (used

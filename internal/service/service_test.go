@@ -400,12 +400,13 @@ func TestHTTPBadRequests(t *testing.T) {
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 	for name, body := range map[string]string{
-		"malformed":      `{`,
-		"unknown-field":  `{"benchmarks": ["adpcm"]}`,
-		"unknown-bench":  `{"benches": ["nope"], "systems": ["fusion"]}`,
-		"unknown-system": `{"benches": ["adpcm"], "systems": ["quantum"]}`,
-		"negative-lease": `{"cells": [{"bench": "adpcm", "system": "fusion", "lease_scale": -1}]}`,
-		"empty":          `{}`,
+		"malformed":       `{`,
+		"unknown-field":   `{"benchmarks": ["adpcm"]}`,
+		"unknown-bench":   `{"benches": ["nope"], "systems": ["fusion"]}`,
+		"unknown-system":  `{"benches": ["adpcm"], "systems": ["quantum"]}`,
+		"negative-lease":  `{"cells": [{"bench": "adpcm", "system": "fusion", "lease_scale": -1}]}`,
+		"negative-window": `{"cells": [{"bench": "fft", "system": "adaptive", "decision_window": -1}]}`,
+		"empty":           `{}`,
 	} { //lint:ordered each case asserts independently; no cross-case state
 		resp, rb := postSweep(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

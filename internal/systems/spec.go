@@ -113,7 +113,9 @@ func (s Spec) Normalized() Spec {
 
 // Validate reports whether the spec names a known benchmark, system, and
 // policy, with a finite, non-negative lease scale (zero is the default,
-// 1.0). A negative scale would run as 1.0 under a key of its own.
+// 1.0) and a non-negative decision window (zero is the default). A
+// negative scale or window would run as the default under a key of its
+// own.
 func (s Spec) Validate() error {
 	if _, ok := ParseKind(s.System); !ok {
 		return fmt.Errorf("spec: unknown system %q (valid: %s)",
@@ -121,6 +123,9 @@ func (s Spec) Validate() error {
 	}
 	if s.LeaseScale < 0 || math.IsNaN(s.LeaseScale) || math.IsInf(s.LeaseScale, 0) {
 		return fmt.Errorf("spec: lease scale %v is not a finite, non-negative factor", s.LeaseScale)
+	}
+	if s.DecisionWindow < 0 {
+		return fmt.Errorf("spec: decision window %d is negative", s.DecisionWindow)
 	}
 	switch strings.ToLower(strings.TrimSpace(s.Policy)) {
 	case "", "heuristic", "learned":

@@ -129,6 +129,23 @@ func TestSpecValidateLeaseScale(t *testing.T) {
 	}
 }
 
+// TestSpecValidateDecisionWindow: a negative decision window is rejected
+// (it would run as the default window under a key of its own); zero, the
+// default, and any positive window pass.
+func TestSpecValidateDecisionWindow(t *testing.T) {
+	for _, w := range []int{-1, -64} {
+		err := (Spec{Bench: "fft", System: "adaptive", DecisionWindow: w}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "decision window") {
+			t.Errorf("decision window %d not rejected usefully: %v", w, err)
+		}
+	}
+	for _, w := range []int{0, 1, 64, 1 << 20} {
+		if err := (Spec{Bench: "fft", System: "adaptive", DecisionWindow: w}).Validate(); err != nil {
+			t.Errorf("decision window %d rejected: %v", w, err)
+		}
+	}
+}
+
 // TestSpecJSONRoundTrip: a spec survives serialization — the property the
 // HTTP API and the on-disk cache rest on.
 func TestSpecJSONRoundTrip(t *testing.T) {

@@ -12,7 +12,11 @@
 #   - every paper benchmark on every system under the default
 #     configuration, -large, -writethrough and -faultseed 7 (168 cells);
 #   - the failure paths on fft, adpcm and hist on every system: -watchdog 3,
-#     -maxcycles 3000, -paranoid, and -watchdog 200 -faultseed 3 (72 cells).
+#     -maxcycles 3000, -paranoid, and -watchdog 200 -faultseed 3 (72 cells);
+#   - the seeded random programs 1-8 (workloads.Random, saved once with
+#     PARENT's `tracegen -random N -save` and run with -benchfile) on every
+#     system under the default configuration and -faultseed 7 (96 cells):
+#     they reach sharing patterns the seven paper programs rarely produce.
 # Each cell's stdout, stderr and exit status land in OUTDIR/parent/CELL and
 # OUTDIR/change/CELL (OUTDIR defaults to a new directory under $TMPDIR and
 # is kept). The script ends with `diff -r` of the two trees and exits
@@ -32,8 +36,13 @@ out=$(cd "$out" && pwd)
 
 git clone -q --shared --no-checkout "$repo" "$tmp/parent"
 git -C "$tmp/parent" checkout -q --detach "$rev"
-(cd "$tmp/parent" && go build -o "$tmp/fusionsim-parent" ./cmd/fusionsim)
+(cd "$tmp/parent" && go build -o "$tmp/fusionsim-parent" ./cmd/fusionsim &&
+	go build -o "$tmp/tracegen" ./cmd/tracegen)
 (cd "$repo" && go build -o "$tmp/fusionsim-change" ./cmd/fusionsim)
+seeds="1 2 3 4 5 6 7 8"
+for r in $seeds; do
+	"$tmp/tracegen" -random "$r" -save "$tmp/random-$r.json" >/dev/null
+done
 
 benches="fft disp track adpcm susan filt hist"
 systems="scratch shared fusion fusion-dx adaptive hydra"
@@ -67,6 +76,13 @@ for b in fft adpcm hist; do
 		cell "$b.$s.paranoid" -bench "$b" -system "$s" -paranoid
 		cell "$b.$s.watchdog200-faultseed3" -bench "$b" -system "$s" -watchdog 200 -faultseed 3
 		n=$((n + 4))
+	done
+done
+for r in $seeds; do
+	for s in $systems; do
+		cell "random$r.$s.default" -benchfile "$tmp/random-$r.json" -system "$s"
+		cell "random$r.$s.faultseed7" -benchfile "$tmp/random-$r.json" -system "$s" -faultseed 7
+		n=$((n + 2))
 	done
 done
 
