@@ -96,6 +96,8 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRandomWorkloadGolden -fuzztime $(FUZZTIME) ./internal/systems/
 	$(GO) test -run '^$$' -fuzz FuzzLitmusRandom -fuzztime $(FUZZTIME) ./internal/litmus/
+	$(GO) test -run '^$$' -fuzz FuzzLoadJSON -fuzztime $(FUZZTIME) ./internal/workloads/
+	$(GO) test -run '^$$' -fuzz FuzzSpecDecode -fuzztime $(FUZZTIME) ./internal/service/
 
 # cover: per-package statement coverage gated against COVERAGE_BASELINE
 # (fail on a >2-point regression in any package; see cmd/covergate).

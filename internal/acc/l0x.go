@@ -82,7 +82,9 @@ type L0X struct {
 	// cleared (without reallocating) at every task boundary.
 	fwdTable *flat.Map[AXCID]
 
-	pool TileMsgPool
+	// pool is the tile's message free list (a private one when the L0X
+	// is built alone, outside NewTile).
+	pool *TileMsgPool
 
 	meter *energy.Meter
 	obsv  obs.Observer
@@ -129,6 +131,7 @@ func NewL0X(eng *sim.Engine, id AXCID, pid mem.PID, cfg L0XConfig,
 		eng:           eng,
 		txns:          make([]l0txn, cfg.MSHRs),
 		fwdTable:      flat.New[AXCID](64),
+		pool:          new(TileMsgPool),
 		meter:         meter,
 		cAccesses:     st.Counter(name + ".accesses"),
 		cWriteThrough: st.Counter(name + ".write_through"),

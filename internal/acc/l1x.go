@@ -91,8 +91,8 @@ type L1X struct {
 	holder  []int
 	evict   cache.EvictBuffer // awaiting PutAck; can serve host Fwds
 
-	tilePool TileMsgPool
-	mesiPool mesi.MsgPool
+	tilePool *TileMsgPool  // the tile's (a private one outside NewTile)
+	mesiPool *mesi.MsgPool // the host fabric's
 	// parked holds TileMsgs between scheduling and processing; the
 	// closure-free event carries the slot index.
 	parked    []*TileMsg
@@ -192,6 +192,8 @@ func NewL1X(eng *sim.Engine, fabric *mesi.Fabric, agent mesi.AgentID,
 		txns:        make([]l1txn, cfg.MSHRs),
 		waiting:     make([][]*TileMsg, arr.NumLines()),
 		holder:      holder,
+		tilePool:    new(TileMsgPool),
+		mesiPool:    fabric.Pool(),
 		meter:       meter,
 		st:          st,
 		cAccesses:   st.Counter(name + ".accesses"),
@@ -689,13 +691,17 @@ func (x *L1X) install(va uint64, pid mem.PID, pa mem.PAddr, ver uint64) *cache.L
 	v.State = cache.Exclusive
 	v.PAddr = pa
 	v.Ver = ver
-	if prev, dup := x.rmap.Insert(pa, vm.Pointer{VAddr: mem.VAddr(va), PID: pid}); dup {
-		// Synonym: only one virtual alias may live in the tile (appendix).
+	// Synonym: only one virtual alias may live in the tile (appendix). The
+	// old alias goes first, since dropping it removes pa's AX-RMAP entry,
+	// which must name the new alias once it is inserted. The check rides on
+	// the insert, so it is not an AX-RMAP lookup of its own.
+	if prev, ok := x.rmap.Lookupless(pa); ok && prev.VAddr.LineAddr() != mem.VAddr(va).LineAddr() {
 		if old := x.arr.Peek(uint64(prev.VAddr.LineAddr())); old != nil && old.PAddr == pa {
 			x.evictNoNotice(old)
 		}
 		x.cSynEvict.Inc()
 	}
+	x.rmap.Insert(pa, vm.Pointer{VAddr: mem.VAddr(va), PID: pid})
 	return v
 }
 

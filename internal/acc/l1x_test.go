@@ -29,6 +29,7 @@ type l1xRig struct {
 	st   *stats.Set
 	x    *L1X
 	l0   *L0X
+	rmap *vm.RMAP
 	got  []mesi.Msg // every message the tile sent, in delivery order
 	seen int        // got[:seen] has been consumed by next
 }
@@ -45,8 +46,8 @@ func newL1XRig(t *testing.T) *l1xRig {
 		fab.Register(id, func(m *mesi.Msg) { r.got = append(r.got, *m) })
 	}
 	cfg := SmallTileConfig(1, model)
-	rmap := vm.NewRMAP("axrmap", model, mt, st)
-	r.x = NewL1X(eng, fab, tileAgent, cfg.L1X, aliasTranslator{}, rmap, mt, st)
+	r.rmap = vm.NewRMAP("axrmap", model, mt, st)
+	r.x = NewL1X(eng, fab, tileAgent, cfg.L1X, aliasTranslator{}, r.rmap, mt, st)
 	r.l0 = NewL0X(eng, 0, 1, cfg.L0X, mt, st)
 	r.l0.ConnectL1X(interconnect.NewLink(eng, interconnect.Config{
 		Name: "up", Latency: 1, Deliver: r.x.HandleTile,
@@ -232,5 +233,49 @@ func TestL1XSynonymInstallWritesBackDirtyAlias(t *testing.T) {
 	}
 	if r.x.Outstanding() != 0 {
 		t.Fatalf("%d outstanding, want 0: the displaced alias is not buffered", r.x.Outstanding())
+	}
+}
+
+// TestL1XSynonymInstallKeepsNewAliasMapped: after the race above, the
+// AX-RMAP names the new alias — displacing the old one must not remove
+// the entry the install just made — so the tile's invariants hold and a
+// host forward for the line is served from the new alias.
+func TestL1XSynonymInstallKeepsNewAliasMapped(t *testing.T) {
+	r := newL1XRig(t)
+	const oldVA, newVA mem.VAddr = 0x0000, 0x100000 // aliasTranslator synonyms
+	pa := r.pa(oldVA)
+	stored, loaded := false, false
+	r.l0.Access(mem.Store, oldVA, func(uint64) { stored = true })
+	r.l0.Access(mem.Load, newVA, func(uint64) { loaded = true })
+	r.next(t, mesi.DirID, mesi.MsgGetM)
+	r.next(t, mesi.DirID, mesi.MsgGetM)
+	r.data(pa, 3)
+	r.settle(t, "the store to the first alias", func() bool { return stored })
+	r.l0.Drain()
+	r.settle(t, "the first alias's writeback", func() bool {
+		l := r.x.Peek(oldVA, 1)
+		return l != nil && l.Dirty && !l.WLock
+	})
+	r.data(pa, 3)
+	r.settle(t, "the load of the second alias", func() bool { return loaded })
+	r.next(t, mesi.DirID, mesi.MsgPutM)
+
+	if ptr, ok := r.rmap.Lookup(pa); !ok || ptr.VAddr != newVA || ptr.PID != 1 {
+		t.Fatalf("AX-RMAP entry for %#x = %+v (present %v), want the new alias %#x",
+			uint64(pa), ptr, ok, uint64(newVA))
+	}
+	tile := &Tile{L0Xs: []*L0X{r.l0}, L1X: r.x, RMAP: r.rmap}
+	if bad := tile.CheckInvariants(r.eng.Now()); len(bad) != 0 {
+		t.Fatalf("invariants broken after the synonym install: %v", bad)
+	}
+	r.eng.Run(10000, nil) // let the new alias's read lease lapse
+	r.x.HandleMESI(&mesi.Msg{Type: mesi.MsgFwdGetS, Addr: pa, Src: mesi.DirID, Dst: tileAgent,
+		Requester: rigHost})
+	// The new alias holds the version its own fetch brought, clean.
+	if d := r.next(t, rigHost, mesi.MsgData); d.Addr != pa || d.Ver != 3 {
+		t.Fatalf("requester got %+v, want Data v3 from the new alias", d)
+	}
+	if a := r.next(t, mesi.DirID, mesi.MsgOwnerAck); a.Addr != pa || !a.Dropped {
+		t.Fatalf("directory got %+v, want a dropped OwnerAck", a)
 	}
 }

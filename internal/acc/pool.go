@@ -6,13 +6,16 @@ import "fusion/internal/sim"
 // caught by the receiving controller's unexpected-message diagnostics.
 const tileMsgPoison TileMsgType = 0xFD
 
-// TileMsgPool is a free list of intra-tile messages. Each controller (every
-// L0X and the L1X) owns one: it draws the messages it creates from its own
-// pool and releases the messages it consumes into it. Messages migrate
-// between pools — a GetL allocated by an L0X is released by the L1X — which
-// is fine: the engine is single-threaded and a pooled TileMsg carries no
-// owner state. The double-release guard (one flag check) is always on; see
-// mesi.MsgPool for the same design on the host fabric.
+// TileMsgPool is a free list of intra-tile messages. Each Tile owns one,
+// shared by its L1X and every L0X: a controller draws the messages it
+// creates from it and releases the messages it consumes into it. One list
+// per tile matters because intra-tile traffic is lopsided — an L0X's
+// writebacks get no reply — so with a list per receiver the sender
+// allocated on every send while its peer's list grew for the whole run.
+// The engine is single-threaded and a pooled TileMsg carries no owner
+// state, so any controller may release any message. The double-release
+// guard (one flag check) is always on; see mesi.MsgPool for the same
+// design on the host fabric.
 type TileMsgPool struct {
 	free []*TileMsg
 }

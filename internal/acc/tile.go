@@ -87,6 +87,10 @@ type Tile struct {
 	L1X  *L1X
 	TLB  *vm.TLB
 	RMAP *vm.RMAP
+
+	// pool is the tile's one intra-tile message free list, shared by the
+	// L1X and every L0X.
+	pool TileMsgPool
 }
 
 // NewTile builds the tile: one L0X per accelerator, the shared L1X, the
@@ -108,9 +112,11 @@ func NewTile(eng *sim.Engine, fabric *mesi.Fabric, pt *vm.PageTable,
 	l1x := NewL1X(eng, fabric, cfg.Agent, l1cfg, tlb, rmap, meter, st)
 
 	t := &Tile{L1X: l1x, TLB: tlb, RMAP: rmap}
+	l1x.tilePool = &t.pool
 
 	for i := 0; i < cfg.NumAXCs; i++ {
 		l0 := NewL0X(eng, AXCID(i), cfg.PID, l0cfg, meter, st)
+		l0.pool = &t.pool
 		// Uplink: L0X -> L1X.
 		up := interconnect.NewLink(eng, interconnect.Config{
 			Name:          fmt.Sprintf("%slink.l0x%d.up", cfg.StatPrefix, i),

@@ -120,10 +120,12 @@ type Accelerator struct {
 	onDone func(now uint64)
 
 	// slots is the in-flight ring: iteration i lives in slots[i%depth].
-	// head is the oldest in-flight iteration and count the window's
-	// occupancy; iterations are admitted and retired in order.
+	// head is the oldest in-flight iteration, ring its slot (head%depth,
+	// kept without a division) and count the window's occupancy;
+	// iterations are admitted and retired in order.
 	slots    []iterState
 	head     int
+	ring     int
 	count    int
 	nextIter int
 	freeCbs  []*memCb
@@ -256,7 +258,7 @@ func (a *Accelerator) Start(inv *trace.Invocation, port MemPort, onDone func(now
 	a.inv = inv
 	a.port = port
 	a.onDone = onDone
-	a.head, a.count, a.nextIter = 0, 0, 0
+	a.head, a.ring, a.count, a.nextIter = 0, 0, 0, 0
 	a.issueLd, a.issueSt, a.mlpWait, a.ready = 0, 0, 0, 0
 	a.computing, a.computed, a.complete = 0, 0, 0
 	a.nextEnd = math.MaxUint64
@@ -267,9 +269,13 @@ func (a *Accelerator) Start(inv *trace.Invocation, port MemPort, onDone func(now
 	a.eng.Wake(a.tick)
 }
 
-// slot returns the iteration at age position k of the window.
+// slot returns the iteration at age position k of the window, k < depth.
 func (a *Accelerator) slot(k int) *iterState {
-	return &a.slots[(a.head+k)%len(a.slots)]
+	i := a.ring + k
+	if i >= len(a.slots) {
+		i -= len(a.slots)
+	}
+	return &a.slots[i]
 }
 
 // canAdmit reports whether the next iteration may enter the pipeline. A
@@ -399,6 +405,9 @@ func (a *Accelerator) Tick(now uint64) {
 			a.eng.Progress() // an iteration retiring is forward progress
 		}
 		a.head += n
+		if a.ring += n; a.ring >= len(a.slots) {
+			a.ring -= len(a.slots)
+		}
 		a.count -= n
 		a.issueLd >>= uint(n)
 		a.issueSt >>= uint(n)

@@ -25,13 +25,23 @@ func TestLookupMissZeroAlloc(t *testing.T) {
 
 func TestFillInAllocatedChunkZeroAlloc(t *testing.T) {
 	a := llc()
-	a.Fill(a.Victim(0), 0, 0)
+	// Fill every way of the first group's sets, so every way chunk of the
+	// group is allocated; refills then replace LRU lines in place.
+	const stride = 4096 * 64
 	addr := uint64(0)
-	if avg := testing.AllocsPerRun(1000, func() {
-		addr = (addr + 64) % (chunkSets * 64)
-		a.Fill(a.Victim(addr), addr, 0)
-	}); avg != 0 {
-		t.Fatalf("fills within an allocated chunk allocated %.1f per op, want 0", avg)
+	next := func() {
+		addr = (addr + 64) % (chunkSets * 64 * 17)
+		set, tag := addr/64%chunkSets, addr/64/chunkSets
+		a.Fill(a.Victim(tag*stride+set*64), tag*stride+set*64, 0)
+	}
+	for range chunkSets * 16 {
+		next()
+	}
+	if n := a.allocatedChunks(); n != 16 {
+		t.Fatalf("%d chunks after filling every way of 64 sets, want 16", n)
+	}
+	if avg := testing.AllocsPerRun(1000, next); avg != 0 {
+		t.Fatalf("fills within allocated chunks allocated %.1f per op, want 0", avg)
 	}
 }
 

@@ -93,17 +93,27 @@ const chunkSets = 64
 
 // Array is a set-associative tag/data array with true-LRU replacement.
 //
-// Line storage is allocated one chunk of chunkSets sets at a time, when
-// Victim first picks a line in the chunk: a run that touches a few
-// thousand lines of the 4 MB LLC allocates only the chunks holding them.
-// Lookups never allocate; an unallocated set simply holds no valid line.
+// Line storage is way-major: one chunk holds one way of a group of
+// chunkSets consecutive sets, and is allocated when Victim first picks
+// that way for a set of the group. A run that touches a few thousand
+// lines of the 4 MB LLC allocates only the chunks holding them: an LLC
+// set holding one line costs one 64-byte line, not its sixteen ways.
+//
+// Victim always picks the lowest invalid way, so a group's chunks are
+// allocated in way order and a valid line never sits behind an
+// unallocated chunk: lookups stop at a set's first unallocated way.
+// Lookups never allocate. Lines never move once allocated, so *Line
+// pointers stay valid for the array's lifetime.
 type Array struct {
 	params    Params
 	sets      int
 	ways      int
 	lineShift uint
-	chunks    [][]Line // chunkSets*ways lines each, row-major by set; nil until filled
-	stamp     uint64
+	// chunks holds way w of set group g at g*ways+w: that way's line for
+	// each of the group's sets (chunkSets of them, fewer in a short last
+	// group), nil until filled.
+	chunks [][]Line
+	stamp  uint64
 }
 
 // NewArray builds an array. SizeBytes must be a multiple of Ways*LineBytes
@@ -126,7 +136,7 @@ func NewArray(p Params) *Array {
 		sets:      sets,
 		ways:      p.Ways,
 		lineShift: shift,
-		chunks:    make([][]Line, (sets+chunkSets-1)/chunkSets),
+		chunks:    make([][]Line, (sets+chunkSets-1)/chunkSets*p.Ways),
 	}
 }
 
@@ -143,26 +153,22 @@ func (a *Array) align(addr uint64) uint64 {
 	return addr &^ (uint64(a.params.LineBytes) - 1)
 }
 
-// set returns the ways of addr's set, or nil if its chunk is unallocated.
-func (a *Array) set(addr uint64) []Line {
-	return a.setAt(a.SetIndex(addr))
+// group returns the index in chunks of set s's way 0, and s's line index
+// within each of its group's chunks.
+func (a *Array) group(s int) (base, off int) {
+	return int(uint(s)/chunkSets) * a.ways, int(uint(s) % chunkSets)
 }
 
-// setAt returns the ways of set s, or nil if its chunk is unallocated.
-func (a *Array) setAt(s int) []Line {
-	c := a.chunks[uint(s)/chunkSets]
-	if c == nil {
-		return nil
-	}
-	off := int(uint(s)%chunkSets) * a.ways
-	return c[off : off+a.ways]
+// chunkLen returns how many lines chunks[k] holds: chunkSets, or the sets
+// that remain for a chunk of a short last group.
+func (a *Array) chunkLen(k int) int {
+	return min(chunkSets, a.sets-k/a.ways*chunkSets)
 }
 
-// chunk returns chunk k's lines, allocating them on first use. The last
-// chunk holds only the sets that remain.
+// chunk returns chunks[k], allocating it on first use.
 func (a *Array) chunk(k int) []Line {
 	if a.chunks[k] == nil {
-		a.chunks[k] = make([]Line, min(chunkSets, a.sets-k*chunkSets)*a.ways)
+		a.chunks[k] = make([]Line, a.chunkLen(k))
 	}
 	return a.chunks[k]
 }
@@ -170,54 +176,52 @@ func (a *Array) chunk(k int) []Line {
 // Lookup returns the line holding addr (any PID) and refreshes its LRU
 // stamp, or nil on miss.
 func (a *Array) Lookup(addr uint64) *Line {
-	return a.lookup(addr, 0, false)
+	return a.lookup(addr, 0, false, true)
 }
 
 // LookupPID is Lookup restricted to lines tagged with pid. Accelerator-tile
 // caches are PID-tagged so functions from different processes can coexist.
 func (a *Array) LookupPID(addr uint64, pid mem.PID) *Line {
-	return a.lookup(addr, pid, true)
-}
-
-func (a *Array) lookup(addr uint64, pid mem.PID, checkPID bool) *Line {
-	want := a.align(addr)
-	set := a.set(addr)
-	for i := range set {
-		l := &set[i]
-		if l.Valid && l.Addr == want && (!checkPID || l.PID == pid) {
-			a.stamp++
-			l.lru = a.stamp
-			return l
-		}
-	}
-	return nil
+	return a.lookup(addr, pid, true, true)
 }
 
 // Peek is Lookup without the LRU update (used by snoops and statistics).
 func (a *Array) Peek(addr uint64) *Line {
+	return a.lookup(addr, 0, false, false)
+}
+
+// lookup returns the valid line holding addr (tagged pid when checkPID),
+// refreshing its LRU stamp when touch is set. It walks addr's set from
+// way 0 and stops at the first unallocated way.
+func (a *Array) lookup(addr uint64, pid mem.PID, checkPID, touch bool) *Line {
 	want := a.align(addr)
-	set := a.set(addr)
-	for i := range set {
-		l := &set[i]
-		if l.Valid && l.Addr == want {
+	base, off := a.group(a.SetIndex(addr))
+	for _, c := range a.chunks[base : base+a.ways] {
+		if c == nil {
+			return nil
+		}
+		l := &c[off]
+		if l.Valid && l.Addr == want && (!checkPID || l.PID == pid) {
+			if touch {
+				a.stamp++
+				l.lru = a.stamp
+			}
 			return l
 		}
 	}
 	return nil
 }
 
-// Victim returns the line to fill for addr: an invalid way if one exists,
-// otherwise the least-recently-used line in the set. The caller inspects
-// Valid/Dirty to decide whether an eviction (writeback) is needed, then
-// overwrites the fields. Victim allocates the chunk of addr's set if no
-// line in it has been picked before.
+// Victim returns the line to fill for addr: the lowest invalid way if one
+// exists, otherwise the least-recently-used line in the set. The caller
+// inspects Valid/Dirty to decide whether an eviction (writeback) is needed,
+// then overwrites the fields. Victim allocates the chunk of the way it
+// picks if that way has never been picked in addr's set group.
 func (a *Array) Victim(addr uint64) *Line {
-	s := a.SetIndex(addr)
-	off := s % chunkSets * a.ways
-	set := a.chunk(s / chunkSets)[off : off+a.ways]
+	base, off := a.group(a.SetIndex(addr))
 	var victim *Line
-	for i := range set {
-		l := &set[i]
+	for w := range a.ways {
+		l := &a.chunk(base + w)[off]
 		if !l.Valid {
 			return l
 		}
@@ -264,9 +268,14 @@ func (a *Array) Touch(l *Line) {
 // unallocated chunks are invalid and are not visited, so a visitor must
 // ignore invalid lines: every caller returns early on !Valid.
 func (a *Array) ForEach(fn func(*Line)) {
-	for _, c := range a.chunks {
-		for i := range c {
-			fn(&c[i])
+	for base := 0; base < len(a.chunks); base += a.ways {
+		ways := a.chunks[base : base+a.ways]
+		for off := range a.chunkLen(base) {
+			for _, c := range ways {
+				if c != nil {
+					fn(&c[off])
+				}
+			}
 		}
 	}
 }
@@ -274,11 +283,13 @@ func (a *Array) ForEach(fn func(*Line)) {
 // NumLines returns sets*ways, the bound for line-slot indices.
 func (a *Array) NumLines() int { return a.sets * a.ways }
 
-// LineAt returns the line at slot i (row-major by set, as SlotOf numbers
-// them), allocating its chunk if no line in it has been filled.
+// LineAt returns the line at slot i (set*ways + way, as SlotOf numbers
+// them), allocating its chunk if that way has never been filled in its
+// set group. Such a chunk holds only invalid lines, so lookups that stop
+// before it miss nothing.
 func (a *Array) LineAt(i int) *Line {
-	n := chunkSets * a.ways
-	return &a.chunk(i / n)[i%n]
+	base, off := a.group(i / a.ways)
+	return &a.chunk(base + i%a.ways)[off]
 }
 
 // SlotOf returns the dense (set, way) slot index of l, which must be a
@@ -288,10 +299,10 @@ func (a *Array) LineAt(i int) *Line {
 // address-keyed maps.
 func (a *Array) SlotOf(addr uint64, l *Line) int {
 	s := a.SetIndex(addr)
-	set := a.setAt(s)
-	for i := range set {
-		if &set[i] == l {
-			return s*a.ways + i
+	base, off := a.group(s)
+	for w, c := range a.chunks[base : base+a.ways] {
+		if c != nil && &c[off] == l {
+			return s*a.ways + w
 		}
 	}
 	sim.Failf("cache", 0, "", "SlotOf: line %#x not in set of addr %#x", l.Addr, addr)

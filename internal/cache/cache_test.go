@@ -347,27 +347,44 @@ func TestLinesAllocatedOnFirstFill(t *testing.T) {
 	if n := a.allocatedChunks(); n != 0 {
 		t.Fatalf("%d chunks allocated by lookups, want 0", n)
 	}
-	// Fill every way of every set in chunk 0: sets 0..63 are the lines
-	// at addresses below 64*64 modulo the 4096-set stride.
-	const stride = 4096 * 64
+	// One line in each of the first group's 64 sets allocates one chunk:
+	// way 0 of sets 0..63, 64 lines of 64 bytes.
+	const stride = 4096 * 64 // the next line of the same set
 	var filled []uint64
 	for set := uint64(0); set < chunkSets; set++ {
-		for way := uint64(0); way < 16; way++ {
+		a.Fill(a.Victim(set*64), set*64, 0)
+		filled = append(filled, set*64)
+	}
+	if n, c := a.allocatedChunks(), a.chunks[0]; n != 1 || len(c) != chunkSets ||
+		uintptr(len(c))*unsafe.Sizeof(Line{}) != 4096 {
+		t.Fatalf("%d chunks allocated (way 0 has %d lines), want one 4 KB chunk", n, len(c))
+	}
+	// Filling every way of those sets allocates one chunk per way.
+	for way := uint64(1); way < 16; way++ {
+		for set := uint64(0); set < chunkSets; set++ {
 			addr := way*stride + set*64
 			a.Fill(a.Victim(addr), addr, 0)
 			filled = append(filled, addr)
 		}
 	}
-	if n := a.allocatedChunks(); n != 1 || len(a.chunks[0]) != chunkSets*16 {
-		t.Fatalf("%d chunks allocated (chunk 0 has %d lines), want 1 of %d",
-			n, len(a.chunks[0]), chunkSets*16)
+	if n := a.allocatedChunks(); n != 16 {
+		t.Fatalf("%d chunks allocated with every way of 64 sets filled, want 16", n)
 	}
-	// A line in the last set lands in the last chunk.
+	// Lookups, hits or misses, allocate nothing.
+	for _, addr := range []uint64{0, 15*stride + 63*64, 16 * stride, 64 * 64, 4095 * 64} {
+		a.Lookup(addr)
+		a.LookupPID(addr, 1)
+		a.Peek(addr)
+	}
+	if n := a.allocatedChunks(); n != 16 {
+		t.Fatalf("lookups left %d chunks allocated, want 16", n)
+	}
+	// A line in the last set lands in way 0 of the last group.
 	last := uint64(4095 * 64)
 	a.Fill(a.Victim(last), last, 0)
 	filled = append(filled, last)
-	if n := a.allocatedChunks(); n != 2 || a.chunks[len(a.chunks)-1] == nil {
-		t.Fatalf("%d chunks allocated after filling set 4095, want 2 with the last", n)
+	if n := a.allocatedChunks(); n != 17 || a.chunks[len(a.chunks)-16] == nil {
+		t.Fatalf("%d chunks allocated after filling set 4095, want 17 with the last group's way 0", n)
 	}
 
 	var seen []uint64
@@ -378,25 +395,22 @@ func TestLinesAllocatedOnFirstFill(t *testing.T) {
 			seen = append(seen, l.Addr)
 		}
 	})
-	if visited != 2*chunkSets*16 {
-		t.Fatalf("ForEach visited %d lines, want the %d of two chunks", visited, 2*chunkSets*16)
+	if visited != 17*chunkSets {
+		t.Fatalf("ForEach visited %d lines, want the %d of 17 chunks", visited, 17*chunkSets)
 	}
 	if len(seen) != len(filled) || a.CountValid() != len(filled) {
 		t.Fatalf("ForEach saw %d valid lines and CountValid %d, want %d",
 			len(seen), a.CountValid(), len(filled))
 	}
-	want := map[uint64]bool{}
-	for _, addr := range filled {
-		want[addr] = true
-	}
-	for _, addr := range seen {
-		if !want[addr] {
-			t.Fatalf("ForEach saw unfilled line %#x", addr)
+	// (set, way) order: set 0's sixteen ways first, then set 1's.
+	for i := range 32 {
+		if want := uint64(i%16)*stride + uint64(i/16)*64; seen[i] != want {
+			t.Fatalf("ForEach's valid line %d is %#x, want %#x", i, seen[i], want)
 		}
 	}
 
 	// Slots stay dense (set*ways + way) across chunks.
-	for _, addr := range []uint64{3*stride + 5*64, last} {
+	for _, addr := range []uint64{3*stride + 5*64, 15*stride + 63*64, last} {
 		l := a.Peek(addr)
 		slot := a.SlotOf(addr, l)
 		if slot/16 != a.SetIndex(addr) || a.LineAt(slot) != l {
@@ -408,7 +422,31 @@ func TestLinesAllocatedOnFirstFill(t *testing.T) {
 	if a.CountValid() != 0 || a.Peek(last) != nil {
 		t.Fatal("InvalidateAll left valid lines")
 	}
-	if n := a.allocatedChunks(); n != 2 {
-		t.Fatalf("InvalidateAll left %d chunks, want the 2 allocated", n)
+	if n := a.allocatedChunks(); n != 17 {
+		t.Fatalf("InvalidateAll left %d chunks, want the 17 allocated", n)
+	}
+}
+
+// TestLineAtOutOfOrderChunk reads a slot whose way has never been filled
+// in its set group: LineAt allocates that way's chunk ahead of the lower
+// ways, holding only invalid lines, and lookups and fills behave as if it
+// were not there.
+func TestLineAtOutOfOrderChunk(t *testing.T) {
+	a := llc()
+	const set, way = 100, 5
+	if l := a.LineAt(set*16 + way); l.Valid {
+		t.Fatalf("LineAt of an unfilled slot = %+v, want an invalid line", *l)
+	}
+	if n := a.allocatedChunks(); n != 1 {
+		t.Fatalf("%d chunks allocated by LineAt, want 1", n)
+	}
+	addr := uint64(set * 64)
+	v := a.Victim(addr)
+	if slot := a.SlotOf(addr, v); slot != set*16 {
+		t.Fatalf("Victim picked slot %d, want way 0 of set %d (slot %d)", slot, set, set*16)
+	}
+	a.Fill(v, addr, 0)
+	if a.Lookup(addr) != v || a.Peek(addr+4096*64) != nil {
+		t.Fatal("lookup past an out-of-order chunk went wrong")
 	}
 }

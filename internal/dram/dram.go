@@ -50,8 +50,12 @@ type Request struct {
 	Done func(now uint64)
 }
 
+// channel is one memory channel. Its command queue is a ring of
+// QueueDepth entries, allocated once: queued commands are queue[head],
+// queue[head+1], ... (mod QueueDepth), n of them.
 type channel struct {
 	queue     []Request
+	head, n   int
 	openRow   uint64
 	rowValid  bool
 	busyUntil uint64
@@ -94,6 +98,9 @@ func New(eng *sim.Engine, cfg Config, model energy.Model, meter *energy.Meter, s
 		cReads:       st.Counter("dram.reads"),
 		cWrites:      st.Counter("dram.writes"),
 	}
+	for i := range d.channels {
+		d.channels[i].queue = make([]Request, max(cfg.QueueDepth, 0))
+	}
 	d.tick = eng.Register(d)
 	eng.Sleep(d.tick)
 	return d
@@ -130,11 +137,16 @@ func (d *DRAM) rowOf(a mem.PAddr) uint64 {
 // command queue is full; the caller must retry later (back-pressure).
 func (d *DRAM) Submit(r Request) bool {
 	ch := &d.channels[d.channelOf(r.Addr)]
-	if len(ch.queue) >= d.cfg.QueueDepth {
+	if ch.n == len(ch.queue) {
 		d.cQueueFull.Inc()
 		return false
 	}
-	ch.queue = append(ch.queue, r)
+	tail := ch.head + ch.n
+	if tail >= len(ch.queue) {
+		tail -= len(ch.queue)
+	}
+	ch.queue[tail] = r
+	ch.n++
 	d.queued++
 	d.cSubmitted.Inc()
 	d.eng.Wake(d.tick)
@@ -145,11 +157,15 @@ func (d *DRAM) Submit(r Request) bool {
 func (d *DRAM) Tick(now uint64) {
 	for i := range d.channels {
 		ch := &d.channels[i]
-		if len(ch.queue) == 0 || now < ch.busyUntil {
+		if ch.n == 0 || now < ch.busyUntil {
 			continue
 		}
-		req := ch.queue[0]
-		ch.queue = ch.queue[1:]
+		req := ch.queue[ch.head]
+		ch.queue[ch.head] = Request{} // drop the Done reference
+		if ch.head++; ch.head == len(ch.queue) {
+			ch.head = 0
+		}
+		ch.n--
 		d.queued--
 
 		row := d.rowOf(req.Addr)
@@ -197,11 +213,11 @@ func (d *DRAM) DumpState() string {
 	var b strings.Builder
 	for i := range d.channels {
 		ch := &d.channels[i]
-		if len(ch.queue) == 0 {
+		if ch.n == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "ch%d: %d queued (head %#x, busy until %d)\n",
-			i, len(ch.queue), uint64(ch.queue[0].Addr), ch.busyUntil)
+			i, ch.n, uint64(ch.queue[ch.head].Addr), ch.busyUntil)
 	}
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fusion/internal/energy"
@@ -129,6 +131,47 @@ func TestChannelServiceOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("completion order %v, want FIFO", order)
 		}
+	}
+}
+
+// TestChannelServiceOrderAcrossWrap keeps one channel's queue busy while
+// its ring wraps several times: commands still complete in submission
+// order, a full queue still refuses, and the dump names the oldest.
+func TestChannelServiceOrderAcrossWrap(t *testing.T) {
+	eng, d, st, _ := setup()
+	depth := DefaultConfig().QueueDepth
+	var order []int
+	next := 0
+	submit := func() bool {
+		i := next
+		ok := d.Submit(Request{Addr: mem.PAddr(i * 0x10000), Done: func(uint64) { order = append(order, i) }})
+		if ok {
+			next++
+		}
+		return ok
+	}
+	for next < 3*depth {
+		for submit() {
+		}
+		if d.QueueOccupancy() != depth {
+			t.Fatalf("queue holds %d after filling, want %d", d.QueueOccupancy(), depth)
+		}
+		if want := fmt.Sprintf("head %#x", (next-depth)*0x10000); !strings.Contains(d.DumpState(), want) {
+			t.Fatalf("dump %q does not name the oldest command (%s)", d.DumpState(), want)
+		}
+		run(eng, 7) // issue a few
+	}
+	run(eng, 100000)
+	if d.QueueOccupancy() != 0 || len(order) != next {
+		t.Fatalf("%d queued and %d of %d completed after draining", d.QueueOccupancy(), len(order), next)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("completion %d is command %d, want FIFO", i, v)
+		}
+	}
+	if st.Get("dram.queue_full") == 0 {
+		t.Fatal("no queue_full recorded")
 	}
 }
 

@@ -13,6 +13,7 @@ package host
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"fusion/internal/mem"
 	"fusion/internal/mesi"
@@ -184,7 +185,12 @@ func (c *Core) Start(inv *trace.Invocation, translate func(mem.VAddr) mem.PAddr,
 	c.inv = inv
 	c.translate = translate
 	c.onDone = onDone
-	c.ops = c.ops[:0]
+	n := 0
+	for i := range inv.Iterations {
+		it := &inv.Iterations[i]
+		n += len(it.Loads) + it.IntOps + it.FPOps + len(it.Stores)
+	}
+	c.ops = slices.Grow(c.ops[:0], n) // one allocation at most, not a growth series
 	c.iterStart = resize(c.iterStart, len(inv.Iterations))
 	c.loadsLeft = resize(c.loadsLeft, len(inv.Iterations))
 	c.computeLeft = resize(c.computeLeft, len(inv.Iterations))

@@ -48,7 +48,7 @@ type Client struct {
 	// evicting holds dirty or exclusive lines between PutM/PutE and
 	// PutAck, so a racing forward or invalidation is still answered.
 	evicting cache.EvictBuffer
-	pool     MsgPool
+	pool     *MsgPool // the fabric's
 
 	model     energy.Model
 	meter     *energy.Meter
@@ -102,6 +102,7 @@ func NewClient(f *Fabric, id AgentID, cfg ClientConfig,
 		mshr:       cache.NewMSHR(cfg.MSHRs),
 		hitLatency: cfg.HitLatency,
 		txns:       make([]txn, cfg.MSHRs),
+		pool:       f.Pool(),
 		model:      model,
 		meter:      meter,
 		energyCat:  cfg.EnergyCategory,

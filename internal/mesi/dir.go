@@ -88,7 +88,7 @@ type Directory struct {
 
 	model energy.Model
 	meter *energy.Meter
-	pool  MsgPool
+	pool  *MsgPool // the fabric's
 
 	// deferred parks requests between fabric delivery and ring-latency
 	// admission; the closure-free admission event carries the slot index.
@@ -147,6 +147,7 @@ func NewDirectory(f *Fabric, cfg DirConfig, d *dram.DRAM,
 		entries:   flat.New[*dirEntry](1024),
 		model:     model,
 		meter:     meter,
+		pool:      f.Pool(),
 		cQueued:   st.Counter("dir.queued"),
 		cPutStale: st.Counter("dir.put_stale"),
 		cFwd:      st.Counter("dir.fwd"),

@@ -43,6 +43,10 @@ type Fabric struct {
 	inj     *faults.Injector
 	cFaults *stats.Counter
 
+	// pool is the free list every agent on the fabric draws its messages
+	// from and releases them into.
+	pool MsgPool
+
 	endpoints [MaxAgents]Endpoint
 	// links holds the route src->dst at src*MaxAgents+dst, nil until the
 	// pair is routed; an unrouted pair takes defaultRoute on its first send.
@@ -145,6 +149,9 @@ func (f *Fabric) Send(m *Msg) {
 	}
 	f.links[i].Send(m)
 }
+
+// Pool returns the fabric's message free list, shared by every agent on it.
+func (f *Fabric) Pool() *MsgPool { return &f.pool }
 
 // Now exposes the engine clock to protocol controllers.
 func (f *Fabric) Now() uint64 { return f.eng.Now() }

@@ -7,13 +7,15 @@ import "fusion/internal/sim"
 // silently replaying a stale transaction.
 const msgTypePoison MsgType = 0xFD
 
-// MsgPool is a free list of coherence messages. Every hot sender (client,
-// directory, tile L1X, oracle DMA) owns one and draws fresh messages from it
-// instead of allocating; the receiver releases a message into its own pool
-// once the handler is done with it. Pool identity does not matter — a Msg
-// may be created by one pool and released into another (messages migrate
-// between agents' free lists), because the engine is single-threaded and a
-// pooled Msg carries no owner state.
+// MsgPool is a free list of coherence messages. A run's Fabric owns one
+// (Fabric.Pool), and every agent on it — the directory, each client, each
+// tile L1X's host side and the oracle DMA — draws fresh messages from it
+// instead of allocating and releases each message it has handled into it.
+// One shared list matters because traffic is lopsided: a host L1 sends a
+// GetS and an Unblock for each Data it receives, so with a list per
+// receiver the sender allocated on every request while its peer's list
+// grew for the whole run. The engine is single-threaded and a pooled Msg
+// carries no owner state, so any agent may release any message.
 //
 // Put panics (via sim.Failf, a *ProtocolError) on double release — the guard
 // is a single flag check, cheap enough to stay on in every build, not just

@@ -3,6 +3,7 @@ package mesi
 import (
 	"testing"
 
+	"fusion/internal/mem"
 	"fusion/internal/sim"
 )
 
@@ -42,4 +43,36 @@ func TestMsgPoolDoubleReleasePanics(t *testing.T) {
 		}
 	}()
 	p.Put(m)
+}
+
+// TestAgentsShareFabricPool: the directory and every client draw from and
+// release into the fabric's one free list, so a message the directory
+// releases is the next one any client gets.
+func TestAgentsShareFabricPool(t *testing.T) {
+	h := newHarness(t, 2)
+	if h.dir.pool != h.fab.Pool() {
+		t.Fatal("the directory does not hold the fabric's pool")
+	}
+	for _, c := range h.clients {
+		if c.pool != h.fab.Pool() {
+			t.Fatalf("%s does not hold the fabric's pool", c.name)
+		}
+	}
+	// Record every message delivered to the directory, which releases
+	// each one it handles (a request once its transaction starts).
+	var got []*Msg
+	handle := h.fab.endpoints[DirID]
+	h.fab.endpoints[DirID] = func(m *Msg) { got = append(got, m); handle(m) }
+
+	h.do(t, h.clients[0], mem.Load, 0x1000)
+	h.eng.Run(1000, nil) // the client's Unblock reaches the directory
+	released := got[len(got)-1]
+	if released.Type != msgTypePoison {
+		t.Fatalf("last message the directory handled is %s, want it released", released)
+	}
+	n := len(got)
+	h.do(t, h.clients[1], mem.Store, 0x2000)
+	if len(got) == n || got[n] != released {
+		t.Fatal("the second client's GetM is not the message the directory released last")
+	}
 }

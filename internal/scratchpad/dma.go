@@ -17,7 +17,7 @@ import (
 type DMA struct {
 	agent  mesi.AgentID
 	fabric *mesi.Fabric
-	pool   mesi.MsgPool
+	pool   *mesi.MsgPool    // the fabric's
 	pumpFn func(now uint64) // cached retry callback
 
 	cReads  *stats.Counter
@@ -64,6 +64,7 @@ func NewDMA(fabric *mesi.Fabric, id mesi.AgentID, maxOutstanding int, gap uint64
 	d := &DMA{
 		agent:          id,
 		fabric:         fabric,
+		pool:           fabric.Pool(),
 		maxOutstanding: maxOutstanding,
 		gap:            gap,
 		cReads:         st.Counter("dma.reads"),

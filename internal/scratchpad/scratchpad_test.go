@@ -181,6 +181,15 @@ func newDMAHarness(t *testing.T) (*sim.Engine, *mesi.Fabric, *mesi.Directory, *m
 	return eng, fab, dir, host, dma, st
 }
 
+// TestDMASharesFabricPool: the DMA engine draws its requests from, and
+// releases the directory's responses into, the fabric's one free list.
+func TestDMASharesFabricPool(t *testing.T) {
+	_, fab, _, _, dma, _ := newDMAHarness(t)
+	if dma.pool != fab.Pool() {
+		t.Fatal("the DMA engine does not hold the fabric's pool")
+	}
+}
+
 func TestDMAReadsCoherentData(t *testing.T) {
 	eng, _, _, host, dma, _ := newDMAHarness(t)
 	// Host dirties a line.

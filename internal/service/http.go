@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -78,29 +79,36 @@ func (s *Service) routes() {
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 }
 
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
+// decodeSweep reads a sweep body into its cells, normalized and validated,
+// and the wall-clock bound of each job. Every cell is validated before any
+// is admitted: a malformed grid is the client's bug and should cost zero
+// simulation time. An error is the client's; its text is the 400 body.
+func decodeSweep(body io.Reader) ([]systems.Spec, time.Duration, error) {
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return nil, 0, fmt.Errorf("bad request body: %v", err)
 	}
 	specs := req.expand()
 	if len(specs) == 0 {
-		httpError(w, http.StatusBadRequest, "empty sweep: no benches x systems and no cells")
-		return
+		return nil, 0, errors.New("empty sweep: no benches x systems and no cells")
 	}
-	// Validate every cell before admitting any: a malformed grid is the
-	// client's bug and should cost zero simulation time.
 	for i := range specs {
 		specs[i] = specs[i].Normalized()
 		if err := specs[i].Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, "cell %d (%s): %v", i, specs[i].Label(), err)
-			return
+			return nil, 0, fmt.Errorf("cell %d (%s): %v", i, specs[i].Label(), err)
 		}
 	}
-	wall := time.Duration(req.WallMS) * time.Millisecond
+	return specs, time.Duration(req.WallMS) * time.Millisecond, nil
+}
+
+func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
+	specs, wall, err := decodeSweep(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 
 	// Submit every cell; if any is shed or the service is draining, stop
 	// the whole request promptly by canceling the remaining waits (the

@@ -206,7 +206,8 @@ func (r *RMAP) Lookup(pa mem.PAddr) (Pointer, bool) {
 }
 
 // Lookupless is Lookup without statistics or energy accounting, for
-// invariant checkers and tests that must not perturb measurements.
+// invariant checkers and tests that must not perturb measurements, and
+// for the L1X's synonym check at install, which rides on the insert.
 func (r *RMAP) Lookupless(pa mem.PAddr) (Pointer, bool) {
 	p, ok := r.m[pa.LineAddr()]
 	return p, ok

@@ -345,6 +345,14 @@ func TestValidateCatchesMalformations(t *testing.T) {
 			{Kind: trace.PhaseAccel, Inv: trace.Invocation{Function: "f", AXC: 3, LeaseTime: 10,
 				Iterations: []trace.Iteration{{IntOps: 1}}}},
 		}}}, "not dense"},
+		// The density check must not walk every id up to the largest: this
+		// one would take 2^62 steps.
+		{"far-apart axcs", &Benchmark{Program: &trace.Program{Phases: []trace.Phase{
+			{Kind: trace.PhaseAccel, Inv: trace.Invocation{Function: "f", AXC: 0, LeaseTime: 10,
+				Iterations: []trace.Iteration{{IntOps: 1}}}},
+			{Kind: trace.PhaseAccel, Inv: trace.Invocation{Function: "g", AXC: 1 << 62, LeaseTime: 10,
+				Iterations: []trace.Iteration{{IntOps: 1}}}},
+		}}}, "1 unused while 4611686018427387904 exists"},
 	}
 	for _, c := range cases {
 		errs := Validate(c.b)
