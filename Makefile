@@ -94,6 +94,7 @@ daemon-smoke:
 # explores new seeds for ~10s per fuzzer.
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzSleepMatchesStepping -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzRandomWorkloadGolden -fuzztime $(FUZZTIME) ./internal/systems/
 	$(GO) test -run '^$$' -fuzz FuzzLitmusRandom -fuzztime $(FUZZTIME) ./internal/litmus/
 	$(GO) test -run '^$$' -fuzz FuzzLoadJSON -fuzztime $(FUZZTIME) ./internal/workloads/

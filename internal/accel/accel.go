@@ -16,10 +16,10 @@
 // computing, stores to issue, complete) are bitmaps indexed by age, and
 // compute is an absolute finish cycle rather than a per-cycle countdown.
 // While every in-flight iteration waits on a memory completion, the MLP
-// cap or a compute finish cycle, the accelerator reports itself idle and
-// the engine fast-forwards; per-cycle accounting (busy cycles, MLP samples)
-// is then settled lazily, so every reported number equals per-cycle
-// stepping.
+// cap or a compute finish cycle, the accelerator sleeps until its next
+// compute finish or the next completion; per-cycle accounting (busy
+// cycles, MLP samples) is then settled lazily, so every reported number
+// equals per-cycle stepping.
 package accel
 
 import (
@@ -88,9 +88,15 @@ type memCb struct {
 
 func (cb *memCb) done(now uint64) {
 	a, st := cb.a, cb.st
-	// Charge the cycles skipped since the last tick at the outstanding
-	// count they saw, before this completion changes it.
-	a.settle(now)
+	// Wake the datapath and charge the cycles it slept through at the
+	// outstanding count they saw, before this completion changes it: up to
+	// now if its tick in this cycle is still to come, through now if a
+	// later ticker completed the access after that tick.
+	end := now
+	if !a.eng.Wake(a.tick) {
+		end = now + 1
+	}
+	a.settle(end)
 	bit := uint64(1) << uint(st.idx-a.head)
 	if cb.load {
 		st.loadsDone++
@@ -107,13 +113,12 @@ func (cb *memCb) done(now uint64) {
 	a.freeCbs = append(a.freeCbs, cb)
 }
 
-// Accelerator executes invocations against a MemPort. It is a sim.Ticker,
-// a sim.IdleTicker and a sim.Waker.
+// Accelerator executes invocations against a MemPort. It is a sim.Ticker.
 type Accelerator struct {
 	name string
 	cfg  Config
 	eng  *sim.Engine
-	tick int // engine ticker index: asleep with no invocation loaded
+	tick int // engine ticker index: asleep while unloaded or stalled
 
 	inv    *trace.Invocation
 	port   MemPort
@@ -213,7 +218,7 @@ func New(eng *sim.Engine, name string, cfg Config,
 		cMLPMilli:    st.Counter(name + ".mlp_milli"),
 	}
 	a.tick = eng.Register(a)
-	eng.Sleep(a.tick)
+	eng.Sleep(a.tick, math.MaxUint64)
 	return a
 }
 
@@ -223,30 +228,17 @@ func (a *Accelerator) Name() string { return a.name }
 // Busy reports whether an invocation is running.
 func (a *Accelerator) Busy() bool { return a.inv != nil }
 
-// Idle implements sim.IdleTicker. The datapath is idle with no invocation
-// loaded, and also while stalled: nothing can be admitted, every in-flight
-// iteration waits on a memory completion, the MLP cap or a compute finish
-// cycle, and the oldest cannot retire. A stalled Tick only counts busy
-// cycles and MLP samples, which settle lazily.
-func (a *Accelerator) Idle() bool {
-	if a.inv == nil {
-		return true
-	}
+// stalled reports whether the loaded datapath's ticks are no-ops until a
+// memory completion or its next compute finish: nothing can be admitted,
+// every in-flight iteration waits on a memory completion, the MLP cap or a
+// compute finish cycle, and the oldest cannot retire. A stalled Tick only
+// counts busy cycles and MLP samples, which settle lazily.
+func (a *Accelerator) stalled() bool {
 	if a.count == 0 || a.ready != 0 || (a.issueLd|a.issueSt)&^a.mlpWait != 0 ||
 		a.complete&1 != 0 {
 		return false
 	}
 	return !a.canAdmit()
-}
-
-// WakeAt implements sim.Waker: a fast-forward must stop at the earliest
-// compute finish cycle, whose tick issues the iteration's stores; the
-// engine steps that cycle even though Idle still reports true.
-func (a *Accelerator) WakeAt(uint64) (uint64, bool) {
-	if a.inv == nil || a.computing == 0 {
-		return 0, false
-	}
-	return a.nextEnd, true
 }
 
 // Start launches an invocation. onDone fires the cycle the last operation
@@ -425,10 +417,12 @@ func (a *Accelerator) Tick(now uint64) {
 		// Table 1's MLP column (cumulative over invocations).
 		a.cMLPMilli.Set(int64(a.AvgMLP() * 1000))
 		a.inv, a.port, a.onDone = nil, nil, nil
-		a.eng.Sleep(a.tick) // before done, which may Start the next invocation
+		a.eng.Sleep(a.tick, math.MaxUint64) // before done, which may Start the next invocation
 		if done != nil {
 			done(now)
 		}
+	} else if a.stalled() {
+		a.eng.Sleep(a.tick, a.nextEnd) // MaxUint64 while nothing computes
 	}
 }
 

@@ -88,29 +88,30 @@ func TestInvocationCompletes(t *testing.T) {
 	}
 }
 
-// TestUnloadedAcceleratorIsIdle: with no invocation loaded the datapath is
-// idle and its Tick does nothing, which is what lets it sleep; with
-// idle-skip off the engine ticks it anyway, before and after an invocation.
+// TestUnloadedAcceleratorIsIdle: with no invocation loaded the datapath
+// sleeps, so Run fast-forwards over it, before and after an invocation;
+// with idle-skip off the engine ticks it anyway, and its Tick does nothing.
 func TestUnloadedAcceleratorIsIdle(t *testing.T) {
-	eng := sim.NewEngine()
-	eng.SetIdleSkip(false)
-	a := New(eng, "axc0", DefaultConfig(), energy.Default(), nil, stats.NewSet())
-	port := &fakePort{eng: eng, latency: 3}
-	for i := 0; i < 2; i++ {
-		if !a.Idle() {
-			t.Fatalf("accelerator without an invocation is not idle (pass %d)", i)
-		}
-		busy := a.BusyCycles()
-		for now := eng.Now(); eng.Now() < now+10; {
-			eng.Step()
-		}
-		if a.BusyCycles() != busy {
-			t.Fatalf("unloaded accelerator counted %d busy cycles", a.BusyCycles()-busy)
-		}
-		fired := false
-		a.Start(&trace.Invocation{Iterations: iters(2, 1, 1, 2)}, port, func(uint64) { fired = true })
-		if _, ok := eng.Run(10_000, func() bool { return fired }); !ok {
-			t.Fatal("invocation never completed")
+	for _, skip := range []bool{true, false} {
+		eng := sim.NewEngine()
+		eng.SetIdleSkip(skip)
+		a := New(eng, "axc0", DefaultConfig(), energy.Default(), nil, stats.NewSet())
+		port := &fakePort{eng: eng, latency: 3}
+		for i := 0; i < 2; i++ {
+			busy, steps := a.BusyCycles(), eng.Steps()
+			eng.Run(10, nil)
+			if stepped := eng.Steps() - steps; skip && stepped != 0 || !skip && stepped != 10 {
+				t.Fatalf("idle-skip %v: an unloaded accelerator left %d of 10 cycles stepped (pass %d)",
+					skip, stepped, i)
+			}
+			if a.BusyCycles() != busy {
+				t.Fatalf("unloaded accelerator counted %d busy cycles", a.BusyCycles()-busy)
+			}
+			fired := false
+			a.Start(&trace.Invocation{Iterations: iters(2, 1, 1, 2)}, port, func(uint64) { fired = true })
+			if _, ok := eng.Run(10_000, func() bool { return fired }); !ok {
+				t.Fatal("invocation never completed")
+			}
 		}
 	}
 }

@@ -2,8 +2,9 @@ package accel
 
 // Equivalence of the event-driven datapath under the engine's fast-forward:
 // an invocation run with eng.Run (which skips the cycles a stalled datapath
-// reports idle) must report exactly what a manual eng.Step loop (which
-// never skips) reports.
+// sleeps through) must report exactly what a manual eng.Step loop with
+// idle-skip off (which never skips and ticks the datapath every cycle)
+// reports.
 
 import (
 	"fmt"
@@ -41,9 +42,10 @@ func randomIters(seed int64, n int) []trace.Iteration {
 // tickPort completes each access latency cycles after it issues, from its
 // own Tick. Registered after the accelerator, it delivers completions once
 // the datapath has already ticked in that cycle, which an event-driven port
-// never does.
+// never does. It sleeps until its next completion is due.
 type tickPort struct {
 	eng     *sim.Engine
+	tick    int
 	latency uint64
 	pending []tickDone // in completion order: the latency is fixed
 }
@@ -53,20 +55,20 @@ type tickDone struct {
 	done func(uint64)
 }
 
+func newTickPort(eng *sim.Engine, latency uint64) *tickPort {
+	p := &tickPort{eng: eng, latency: latency}
+	p.tick = eng.Register(p)
+	eng.Sleep(p.tick, math.MaxUint64)
+	return p
+}
+
 func (p *tickPort) Access(_ mem.AccessKind, _ mem.VAddr, done func(uint64)) bool {
 	p.pending = append(p.pending, tickDone{p.eng.Now() + p.latency, done})
+	p.eng.Wake(p.tick)
 	return true
 }
 
 func (p *tickPort) Name() string { return "tickport" }
-func (p *tickPort) Idle() bool   { return len(p.pending) == 0 || p.pending[0].at > p.eng.Now() }
-
-func (p *tickPort) WakeAt(uint64) (uint64, bool) {
-	if len(p.pending) == 0 {
-		return 0, false
-	}
-	return p.pending[0].at, true
-}
 
 func (p *tickPort) Tick(now uint64) {
 	for len(p.pending) > 0 && p.pending[0].at <= now {
@@ -74,23 +76,26 @@ func (p *tickPort) Tick(now uint64) {
 		p.pending = p.pending[1:]
 		d.done(now)
 	}
+	at := uint64(math.MaxUint64)
+	if len(p.pending) > 0 {
+		at = p.pending[0].at
+	}
+	p.eng.Sleep(p.tick, at)
 }
 
-// sampler is an always-idle ticker, registered ahead of the accelerator, that
-// counts the cycles the engine steps and, on each, samples what the
-// datapath's per-cycle accounting should charge for that cycle. Under
-// per-cycle stepping its totals are an independent reference.
+// sampler is a ticker, registered ahead of the accelerator under per-cycle
+// stepping, that samples on every cycle what the datapath's per-cycle
+// accounting should charge for that cycle: its totals are an independent
+// reference.
 type sampler struct {
 	a                  *Accelerator
-	steps, busy        uint64
+	busy               uint64
 	mlpSamples, mlpSum uint64
 }
 
 func (p *sampler) Name() string { return "sampler" }
-func (p *sampler) Idle() bool   { return true }
 
 func (p *sampler) Tick(uint64) {
-	p.steps++
 	if p.a.inv == nil {
 		return
 	}
@@ -120,26 +125,29 @@ type report struct {
 	busy         uint64
 	mlp          uint64 // AvgMLP bits
 	counters, pj string
+	steps        uint64 // cycles the engine stepped
 	probe        sampler
 }
 
 // runReport runs tc's invocation to completion, by eng.Run when skip is set
-// and by a manual Step loop otherwise, reading the accounting once at a
-// cycle in mid-invocation.
+// and otherwise by a manual Step loop with idle-skip off and a sampler
+// ticking ahead of the datapath, reading the accounting once at a cycle in
+// mid-invocation.
 func runReport(t *testing.T, tc *skipCase, skip bool) report {
 	t.Helper()
 	const mid, limit = 37, 1 << 20
 	eng := sim.NewEngine()
 	probe := &sampler{}
-	eng.Register(probe)
+	if !skip {
+		eng.SetIdleSkip(false)
+		eng.Register(probe)
+	}
 	st, mt := stats.NewSet(), energy.NewMeter()
 	a := New(eng, "axc0", tc.cfg, energy.Default(), mt, st)
 	probe.a = a
 	var port MemPort = &fakePort{eng: eng, latency: tc.latency, rejectFirst: tc.reject}
 	if tc.fromTick {
-		tp := &tickPort{eng: eng, latency: tc.latency}
-		eng.Register(tp)
-		port = tp
+		port = newTickPort(eng, tc.latency)
 	}
 	var r report
 	fired := false
@@ -169,6 +177,7 @@ func runReport(t *testing.T, tc *skipCase, skip bool) report {
 	b.Reset()
 	mt.Dump(&b)
 	r.pj = b.String()
+	r.steps = eng.Steps()
 	r.probe = *probe
 	return r
 }
@@ -251,10 +260,36 @@ func TestSkipMatchesStepping(t *testing.T) {
 				t.Errorf("stepping charged %d busy cycles at AvgMLP %v; the sampler saw %d at %v",
 					step.busy, math.Float64frombits(step.mlp), ref.busy, refMLP)
 			}
-			if tc.skips && skip.probe.steps*2 > skip.doneAt {
+			if tc.skips && skip.steps*2 > skip.doneAt {
 				t.Errorf("stepped %d of %d cycles; the stalled datapath was not skipped",
-					skip.probe.steps, skip.doneAt)
+					skip.steps, skip.doneAt)
 			}
 		})
+	}
+}
+
+// TestStalledDatapathSleeps: with an event due every cycle, so that the
+// engine steps every cycle, a datapath stalled on a long-latency port is
+// not ticked from the cycle it stalls until the completion: no tick settles
+// its accounting in between, and its busy cycles still count every cycle.
+func TestStalledDatapathSleeps(t *testing.T) {
+	eng := sim.NewEngine()
+	var beat func(uint64)
+	beat = func(uint64) { eng.Schedule(1, beat) }
+	eng.Schedule(0, beat)
+	a := New(eng, "axc0", DefaultConfig(), energy.Default(), nil, stats.NewSet())
+	var doneAt uint64
+	fired := false
+	a.Start(&trace.Invocation{Iterations: iters(1, 1, 0, 1)}, &fakePort{eng: eng, latency: 100},
+		func(now uint64) { doneAt, fired = now, true })
+	eng.Run(50, nil)
+	// The tick at cycle 0 issued the load and settled that cycle; a tick in
+	// any later cycle would have settled it too.
+	if eng.Steps() != 50 || a.busyCycles != 1 || a.BusyCycles() != 50 {
+		t.Fatalf("after %d stepped cycles: %d busy cycles settled, %d counted; want 1 and 50",
+			eng.Steps(), a.busyCycles, a.BusyCycles())
+	}
+	if _, ok := eng.Run(1000, func() bool { return fired }); !ok || doneAt != 100 || a.BusyCycles() != 101 {
+		t.Fatalf("completed (%v) at %d with %d busy cycles, want at 100 with 101", ok, doneAt, a.BusyCycles())
 	}
 }

@@ -1,8 +1,8 @@
 package dram
 
 // Coverage for the controller's diagnostic and wiring surface: the ticker
-// identity, the idle-skip predicate, watchdog state dumps, and the
-// fault-injection latency path.
+// identity, when it sleeps, watchdog state dumps, and the fault-injection
+// latency path.
 
 import (
 	"strings"
@@ -11,21 +11,29 @@ import (
 	"fusion/internal/faults"
 )
 
+// TestNameAndIdle: the controller sleeps exactly while its queues are
+// empty, so Run jumps over an empty controller and steps every cycle while
+// a queued command waits out its channel's burst.
 func TestNameAndIdle(t *testing.T) {
 	eng, d, _, _ := setup()
 	if d.Name() != "dram" {
 		t.Fatalf("Name() = %q", d.Name())
 	}
-	if !d.Idle() {
-		t.Fatal("empty controller not idle")
+	if eng.Run(100, nil); eng.Steps() != 0 {
+		t.Fatalf("empty controller kept the engine stepping for %d cycles", eng.Steps())
 	}
 	d.Submit(Request{Addr: 0x1000, Done: func(uint64) {}})
-	if d.Idle() {
-		t.Fatal("controller idle with a queued command")
+	d.Submit(Request{Addr: 0x1000, Done: func(uint64) {}}) // same channel: waits out the burst
+	burst := uint64(DefaultConfig().BurstCycles)
+	if eng.Run(burst, nil); eng.Steps() != burst || d.QueueOccupancy() != 1 {
+		t.Fatalf("with a command queued behind a burst, %d of %d cycles stepped and %d queued; want all and 1",
+			eng.Steps(), burst, d.QueueOccupancy())
 	}
 	run(eng, 400)
-	if !d.Idle() {
-		t.Fatal("controller not idle after draining")
+	steps := eng.Steps()
+	if eng.Run(100, nil); eng.Steps() != steps || d.QueueOccupancy() != 0 {
+		t.Fatalf("drained controller (%d queued) kept the engine stepping for %d cycles",
+			d.QueueOccupancy(), eng.Steps()-steps)
 	}
 }
 

@@ -11,6 +11,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"fusion/internal/energy"
@@ -102,7 +103,7 @@ func New(eng *sim.Engine, cfg Config, model energy.Model, meter *energy.Meter, s
 		d.channels[i].queue = make([]Request, max(cfg.QueueDepth, 0))
 	}
 	d.tick = eng.Register(d)
-	eng.Sleep(d.tick)
+	eng.Sleep(d.tick, math.MaxUint64)
 	return d
 }
 
@@ -111,13 +112,6 @@ func (d *DRAM) Name() string { return "dram" }
 
 // FaultSpikes counts the injected latency spikes.
 func (d *DRAM) FaultSpikes() int64 { return d.cFaultSpikes.Value() }
-
-// Idle implements sim.IdleTicker: with every command queue empty, Tick
-// cannot issue anything regardless of busyUntil, so skipping its per-cycle
-// polling is safe (the controller then sleeps until Submit). A queued
-// command keeps the controller busy even while its channel waits out a
-// burst — issue timing depends on observing busyUntil cycle by cycle.
-func (d *DRAM) Idle() bool { return d.queued == 0 }
 
 // SetInjector attaches a fault injector; each command's service latency may
 // then spike per the plan (deterministic per channel stream).
@@ -199,8 +193,10 @@ func (d *DRAM) Tick(now uint64) {
 			d.eng.ScheduleAt(now+lat, done)
 		}
 	}
+	// Sleep only with every queue empty: a queued command keeps the
+	// controller awake while its channel waits out a burst.
 	if d.queued == 0 {
-		d.eng.Sleep(d.tick)
+		d.eng.Sleep(d.tick, math.MaxUint64)
 	}
 }
 

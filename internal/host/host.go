@@ -77,6 +77,7 @@ type memCb struct {
 
 func (cb *memCb) done(uint64) {
 	c := cb.c
+	c.eng.Wake(c.tick)
 	op := &c.ops[cb.idx]
 	op.done = true
 	if cb.load {
@@ -95,7 +96,7 @@ type Core struct {
 	name string
 	cfg  Config
 	eng  *sim.Engine
-	tick int // engine ticker index: asleep with no phase loaded
+	tick int // engine ticker index: asleep while unloaded or stalled
 	l1   *mesi.Client
 
 	inv       *trace.Invocation
@@ -148,7 +149,7 @@ func New(eng *sim.Engine, name string, cfg Config, l1 *mesi.Client, st *stats.Se
 		cCommitted: st.Counter(name + ".committed"),
 	}
 	c.tick = eng.Register(c)
-	eng.Sleep(c.tick)
+	eng.Sleep(c.tick, math.MaxUint64)
 	return c
 }
 
@@ -158,16 +159,13 @@ func (c *Core) Name() string { return c.name }
 // Busy reports whether a phase is executing.
 func (c *Core) Busy() bool { return c.inv != nil }
 
-// Idle implements sim.IdleTicker. The core is idle with no phase loaded,
-// and also while stalled: nothing can dispatch, the head cannot commit, no
-// int or FP op is ready, and every ready load or store waits on a full LQ
-// or SQ. A ready access with queue room keeps the core busy, so L1 MSHR
-// back-pressure still retries every cycle. A stalled Tick only counts a
-// busy cycle, which settles lazily.
-func (c *Core) Idle() bool {
-	if c.inv == nil {
-		return true
-	}
+// stalled reports whether the loaded core's ticks are no-ops until an L1
+// completion or a compute op retires: nothing can dispatch, the head
+// cannot commit, no int or FP op is ready, and every ready load or store
+// waits on a full LQ or SQ. A ready access with queue room keeps the core
+// awake, so L1 MSHR back-pressure still retries every cycle. A stalled
+// Tick only counts a busy cycle, which settles lazily.
+func (c *Core) stalled() bool {
 	if c.head == len(c.ops) || c.head < c.dispatch && c.ops[c.head].done ||
 		c.dispatch < len(c.ops) && c.inROB < c.cfg.ROB || c.readyALU > 0 {
 		return false
@@ -232,6 +230,7 @@ func resize[T any](s []T, n int) []T {
 
 // HandleEvent retires compute ops (closure-free events).
 func (c *Core) HandleEvent(now uint64, op uint8, arg uint64) {
+	c.eng.Wake(c.tick)
 	switch op {
 	case opHostComputeDone:
 		o := &c.ops[arg]
@@ -417,10 +416,12 @@ func (c *Core) Tick(now uint64) {
 	if c.head == len(c.ops) {
 		done := c.onDone
 		c.inv, c.translate, c.onDone = nil, nil, nil
-		c.eng.Sleep(c.tick) // before done, which may Start the next phase
+		c.eng.Sleep(c.tick, math.MaxUint64) // before done, which may Start the next phase
 		if done != nil {
 			done(now)
 		}
+	} else if c.stalled() {
+		c.eng.Sleep(c.tick, math.MaxUint64)
 	}
 }
 

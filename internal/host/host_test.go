@@ -84,24 +84,27 @@ func TestPhaseCompletesAndCommitsAll(t *testing.T) {
 	}
 }
 
-// TestUnloadedCoreIsIdle: with no phase loaded the core is idle and its
-// Tick does nothing, which is what lets it sleep; with idle-skip off the
-// engine ticks it anyway, before and after a phase.
+// TestUnloadedCoreIsIdle: with no phase loaded the core sleeps, so Run
+// fast-forwards over it, before and after a phase; with idle-skip off the
+// engine ticks it anyway, and its Tick does nothing.
 func TestUnloadedCoreIsIdle(t *testing.T) {
-	h := newHarness(t)
-	h.eng.SetIdleSkip(false)
-	for i := 0; i < 2; i++ {
-		if !h.core.Idle() {
-			t.Fatalf("core without a phase is not idle (pass %d)", i)
+	for _, skip := range []bool{true, false} {
+		h := newHarness(t)
+		h.eng.SetIdleSkip(skip)
+		for i := 0; i < 2; i++ {
+			// Let the memory system settle the previous phase's traffic.
+			h.eng.Run(1_000_000, func() bool { return h.eng.Pending() == 0 })
+			busy, steps := h.core.BusyCycles(), h.eng.Steps()
+			h.eng.Run(10, nil)
+			if stepped := h.eng.Steps() - steps; skip && stepped != 0 || !skip && stepped != 10 {
+				t.Fatalf("idle-skip %v: an unloaded core left %d of 10 cycles stepped (pass %d)",
+					skip, stepped, i)
+			}
+			if h.core.BusyCycles() != busy {
+				t.Fatalf("unloaded core counted %d busy cycles", h.core.BusyCycles()-busy)
+			}
+			h.runPhase(t, &trace.Invocation{Iterations: seqIters(2, 1, 1, 1)})
 		}
-		busy, now := h.core.BusyCycles(), h.eng.Now()
-		for h.eng.Now() < now+10 {
-			h.eng.Step()
-		}
-		if h.core.BusyCycles() != busy {
-			t.Fatalf("unloaded core counted %d busy cycles", h.core.BusyCycles()-busy)
-		}
-		h.runPhase(t, &trace.Invocation{Iterations: seqIters(2, 1, 1, 1)})
 	}
 }
 

@@ -2,8 +2,9 @@ package host
 
 // Equivalence of the ready-bitmap core under the engine's fast-forward: a
 // host phase run with eng.Run (which skips the cycles a stalled core
-// reports idle) must report exactly what a manual eng.Step loop (which
-// never skips) reports, refused L1 accesses included.
+// sleeps through) must report exactly what a manual eng.Step loop with
+// idle-skip off (which never skips and ticks the core every cycle)
+// reports, refused L1 accesses included.
 
 import (
 	"fmt"
@@ -50,20 +51,17 @@ func fpIters(n, fp int) []trace.Iteration {
 	return out
 }
 
-// coreSampler is an always-idle ticker, registered ahead of the core, that
-// counts the cycles the engine steps and those it steps with a phase
-// loaded. Under per-cycle stepping the latter is an independent reference
-// for BusyCycles.
+// coreSampler is a ticker, registered ahead of the core under per-cycle
+// stepping, that counts the cycles stepped with a phase loaded: an
+// independent reference for BusyCycles.
 type coreSampler struct {
-	c           *Core
-	steps, busy uint64
+	c    *Core
+	busy uint64
 }
 
 func (p *coreSampler) Name() string { return "sampler" }
-func (p *coreSampler) Idle() bool   { return true }
 
 func (p *coreSampler) Tick(uint64) {
-	p.steps++
 	if p.c.inv != nil {
 		p.busy++
 	}
@@ -89,14 +87,18 @@ type hostReport struct {
 	probe                 coreSampler
 }
 
-// runHost runs tc's phase twice, by eng.Run when skip is set and by a
-// manual Step loop otherwise, reading BusyCycles once mid-phase.
+// runHost runs tc's phase twice, by eng.Run when skip is set and otherwise
+// by a manual Step loop with idle-skip off and a sampler ticking ahead of
+// the core, reading BusyCycles once mid-phase.
 func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
 	t.Helper()
 	const mid, limit = 41, 1 << 22
 	eng := sim.NewEngine()
 	probe := &coreSampler{}
-	eng.Register(probe)
+	if !skip {
+		eng.SetIdleSkip(false)
+		eng.Register(probe)
+	}
 	st, mt, model := stats.NewSet(), energy.NewMeter(), energy.Default()
 	fab := mesi.NewFabric(eng, mt, st)
 	d := dram.New(eng, dram.DefaultConfig(), model, mt, st)
@@ -128,7 +130,7 @@ func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
 		c.Start(&tc.inv, translate, func(now uint64) {
 			r.doneAt[ph], fired = now, true
 			if ph == 0 {
-				r.firstSteps = probe.steps
+				r.firstSteps = eng.Steps()
 			}
 		})
 		advance(eng.Now()+mid, nil)
@@ -222,5 +224,38 @@ func TestSkipMatchesStepping(t *testing.T) {
 					skip.firstSteps, skip.doneAt[0])
 			}
 		})
+	}
+}
+
+// TestStalledCoreSleeps: with an event due every cycle, so that the engine
+// steps every cycle, a core whose LQ is full of cold misses is not ticked
+// until the first of them completes: no tick charges its busy cycles in
+// between, and BusyCycles still counts every cycle.
+func TestStalledCoreSleeps(t *testing.T) {
+	eng := sim.NewEngine()
+	var beat func(uint64)
+	beat = func(uint64) { eng.Schedule(1, beat) }
+	eng.Schedule(0, beat)
+	st, mt, model := stats.NewSet(), energy.NewMeter(), energy.Default()
+	fab := mesi.NewFabric(eng, mt, st)
+	d := dram.New(eng, dram.DefaultConfig(), model, mt, st)
+	mesi.NewDirectory(fab, mesi.DefaultDirConfig(), d, model, mt, st)
+	l1 := mesi.NewClient(fab, 1, mesi.DefaultHostL1Config(model), model, mt, st)
+	cfg := DefaultConfig()
+	cfg.LQ = 2
+	c := New(eng, "hostcore", cfg, l1, st)
+	pt := vm.NewPageTable()
+	fired := false
+	c.Start(&trace.Invocation{Iterations: seqIters(1, 4, 0, 0)},
+		func(va mem.VAddr) mem.PAddr { return pt.Translate(1, va) }, func(uint64) { fired = true })
+	eng.Run(50, nil)
+	// The tick at cycle 0 dispatched the loads, filled the LQ and charged
+	// that cycle; a tick in any later cycle would have charged it too.
+	if eng.Steps() != 50 || c.inLQ != 2 || c.busy != 1 || c.BusyCycles() != 50 {
+		t.Fatalf("after %d stepped cycles with %d loads in the LQ: %d busy cycles charged, %d counted; want 1 and 50",
+			eng.Steps(), c.inLQ, c.busy, c.BusyCycles())
+	}
+	if _, ok := eng.Run(1_000_000, func() bool { return fired }); !ok {
+		t.Fatal("phase never completed")
 	}
 }

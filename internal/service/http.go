@@ -72,6 +72,13 @@ const retryAfterSeconds = 2
 // fault plan embedded in a spec is a few hundred bytes.
 const maxRequestBytes = 1 << 20
 
+// maxSweepCells bounds the cells one sweep names, its benches x systems
+// grid plus its explicit cells. It is checked before the grid is expanded,
+// since a body of n bench and n system names asks for n² cells, and it
+// also bounds handleSweep's goroutines, one per cell. fusiond's smoke
+// request has 1 cell and the fusiond-mixed benchmark sends 4 to 16.
+const maxSweepCells = 1024
+
 func (s *Service) routes() {
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("GET /v1/cell/{hash}", s.handleCell)
@@ -89,6 +96,13 @@ func decodeSweep(body io.Reader) ([]systems.Spec, time.Duration, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return nil, 0, fmt.Errorf("bad request body: %v", err)
+	}
+	// len(Benches)*len(Systems)+len(Cells) > maxSweepCells, without the
+	// product, which can overflow.
+	nb, ns, nc := len(req.Benches), len(req.Systems), len(req.Cells)
+	if nc > maxSweepCells || ns > 0 && nb > (maxSweepCells-nc)/ns {
+		return nil, 0, fmt.Errorf("sweep too large: %d benches x %d systems plus %d cells exceeds %d cells",
+			nb, ns, nc, maxSweepCells)
 	}
 	specs := req.expand()
 	if len(specs) == 0 {

@@ -407,6 +407,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		"negative-lease":  `{"cells": [{"bench": "adpcm", "system": "fusion", "lease_scale": -1}]}`,
 		"negative-window": `{"cells": [{"bench": "fft", "system": "adaptive", "decision_window": -1}]}`,
 		"empty":           `{}`,
+		// 100 x 100 identical names, about 1.5 KB, ask for 10,000 cells.
+		"grid-too-large": `{"benches":[` + strings.Repeat(`"fft",`, 99) + `"fft"],"systems":[` +
+			strings.Repeat(`"fusion",`, 99) + `"fusion"]}`,
 	} { //lint:ordered each case asserts independently; no cross-case state
 		resp, rb := postSweep(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

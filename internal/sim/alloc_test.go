@@ -4,7 +4,10 @@
 // runtime instruments allocations and makes AllocsPerRun counts meaningless).
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestScheduleCallZeroAlloc covers both dispatch shapes: ScheduleCall's
 // handler and Schedule's closure, which the engine wraps without
@@ -37,22 +40,27 @@ func TestScheduleCallZeroAlloc(t *testing.T) {
 }
 
 // TestSleepWakeZeroAlloc: moving tickers in and out of the awake set, in
-// every word of it, and stepping over the sleeping ones allocate nothing.
+// every word of it, with and without wake cycles, waking them at those
+// cycles and stepping over the sleeping ones allocate nothing.
 func TestSleepWakeZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	const n = 130
 	for i := 0; i < n; i++ {
-		eng.Sleep(eng.Register(tickFunc(func(uint64) {})))
+		eng.Sleep(eng.Register(tickFunc(func(uint64) {})), math.MaxUint64)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		for _, i := range []int{0, 63, 64, n - 1} {
 			eng.Wake(i)
-			eng.Sleep(i)
+			eng.Sleep(i, eng.Now()+uint64(i))
+			eng.Wake(i)
+			eng.Sleep(i, math.MaxUint64)
 		}
+		eng.Sleep(64, eng.Now()+1)
 		eng.Wake(n - 1)
 		eng.Step()
-		eng.Sleep(n - 1)
+		eng.Sleep(n-1, math.MaxUint64)
 		eng.Step()
+		eng.Sleep(64, math.MaxUint64)
 	}); avg != 0 {
 		t.Fatalf("Sleep+Wake+Step allocated %.1f per op, want 0", avg)
 	}

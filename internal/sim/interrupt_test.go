@@ -9,7 +9,7 @@ import (
 // `every` cycles, and a nil return never disturbs the run.
 func TestInterruptPollCadence(t *testing.T) {
 	e := NewEngine()
-	e.Register(&countTicker{name: "busy"}) // opaque ticker: forces per-cycle stepping
+	e.Register(&countTicker{name: "busy"}) // never sleeps: forces per-cycle stepping
 	polls := 0
 	e.SetInterrupt(100, func() error { polls++; return nil })
 	cycles, done, err := e.RunE(1000, nil)

@@ -22,8 +22,9 @@ const (
 
 // wheelScheduler is the engine's event queue, a calendar queue: a near
 // wheel of wheelSize one-cycle buckets plus an overflow heap for
-// far-future events (lease expiries, watchdog deadlines). Events fire in
-// (at, schedule order). Invariants:
+// far-future events (lease expiries). A ticker's wake cycle, the
+// watchdog's deadline included, is no event and never enters the queue.
+// Events fire in (at, schedule order). Invariants:
 //
 //   - Every wheel-resident event has at in [now, now+wheelSize), where now
 //     is the last advance()d cycle (pushes between engine steps may use a

@@ -1041,8 +1041,8 @@ func drainTiles(m *machine, b *workloads.Benchmark, cfg Config, tiles []*acc.Til
 // states are skipped by both checkers, so mid-transaction disagreement
 // never false-positives.
 //
-// It deliberately does not implement sim.IdleTicker: a paranoid run keeps
-// the engine stepping every cycle so the sweep cadence is never skipped.
+// It deliberately never sleeps: a paranoid run keeps the engine stepping
+// every cycle so the sweep cadence is never skipped.
 type invariantChecker struct {
 	tiles      []*acc.Tile
 	dir        *mesi.Directory
