@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -142,21 +143,30 @@ func (ts *tickScheduler) Tick(now uint64) {
 
 // diffTicker drives the differential test below: each Tick it may schedule
 // events at pseudo-random delays (drawn from its own generator, so every
-// queue sees the same sequence). Once its event budget is spent it goes
-// idle, so the tail of the run exercises fast-forwarding over the
-// far-future events it left behind.
+// queue sees the same sequence). Once its event budget is spent its Tick
+// is a no-op and it sleeps (through sleep, when set), so the tail of the
+// run exercises fast-forwarding over the far-future events it left behind.
 type diffTicker struct {
-	at  func(at uint64, fn func(now uint64)) // schedules fn at cycle at
-	rng *rand.Rand
-	log *[]string
-	n   int
+	at    func(at uint64, fn func(now uint64)) // schedules fn at cycle at
+	sleep func()                               // takes it out of the tick phase for good
+	rng   *rand.Rand
+	log   *[]string
+	n     int
 }
 
 func (d *diffTicker) Name() string { return "diff" }
-func (d *diffTicker) Idle() bool   { return d.n >= 200 }
+
+// spent reports whether the event budget is used up.
+func (d *diffTicker) spent() bool { return d.n >= 200 }
 
 func (d *diffTicker) Tick(now uint64) {
-	if d.n >= 200 || d.rng.Intn(4) != 0 {
+	if d.spent() {
+		if d.sleep != nil {
+			d.sleep()
+		}
+		return
+	}
+	if d.rng.Intn(4) != 0 {
 		return
 	}
 	d.schedule(now, 0) // a zero delay here leaves a bucket straggler
@@ -177,11 +187,12 @@ func (d *diffTicker) schedule(now uint64, depth int) {
 }
 
 // runQueue drives q through the call sequence Engine.Run issues to its
-// wheel: a quiescence jump to the next event while the ticker is idle and
-// nothing is due, otherwise advance, fire, tick, and the next cycle.
+// wheel: a quiescence jump to the next event once the ticker's budget is
+// spent and nothing is due, otherwise advance, fire, tick, and the next
+// cycle.
 func runQueue(q queue, d *diffTicker, limit uint64) {
 	for now := uint64(0); now < limit; {
-		if d.Idle() {
+		if d.spent() {
 			if at, ok := q.next(); !ok || at > now {
 				now = limit
 				if ok && at < limit {
@@ -219,10 +230,15 @@ func TestHeapWheelDifferential(t *testing.T) {
 		}
 		e := NewEngine()
 		var log []string
-		e.Register(&diffTicker{rng: rand.New(rand.NewSource(seed)), log: &log, at: e.ScheduleAt})
+		d := &diffTicker{rng: rand.New(rand.NewSource(seed)), log: &log, at: e.ScheduleAt}
+		i := e.Register(d)
+		d.sleep = func() { e.Sleep(i, math.MaxUint64) }
 		e.Run(limit, nil)
 		if e.Pending() != 0 {
 			t.Fatalf("seed %d engine: %d events still pending", seed, e.Pending())
+		}
+		if e.Steps() >= limit {
+			t.Fatalf("seed %d engine: stepped all %d cycles, want the quiescent tail skipped", seed, limit)
 		}
 		logs["engine"] = log
 		h := logs["heap"]
