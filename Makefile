@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLitmusRandom -fuzztime $(FUZZTIME) ./internal/litmus/
 	$(GO) test -run '^$$' -fuzz FuzzLoadJSON -fuzztime $(FUZZTIME) ./internal/workloads/
 	$(GO) test -run '^$$' -fuzz FuzzSpecDecode -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzDirectory -fuzztime $(FUZZTIME) ./internal/mesi/
 
 # cover: per-package statement coverage gated against COVERAGE_BASELINE
 # (fail on a >2-point regression in any package; see cmd/covergate).

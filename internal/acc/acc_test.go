@@ -10,6 +10,7 @@ import (
 	"fusion/internal/interconnect"
 	"fusion/internal/mem"
 	"fusion/internal/mesi"
+	"fusion/internal/obs"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
 	"fusion/internal/vm"
@@ -310,6 +311,67 @@ func TestDxForwardProducerToConsumer(t *testing.T) {
 	l1 := h.tile.L1X.Peek(0x8000, 1)
 	if l1 == nil || l1.Ver != 1 || l1.WLock {
 		t.Fatalf("L1X after consumer WB = %+v, want v1 unlocked", l1)
+	}
+}
+
+// A consumer that misses before the producer's push: its load and a store
+// merged behind it wait at the L1X behind the producer's write epoch, and
+// the Dx forward satisfies both. The L1X's grant for the stalled miss,
+// released once the consumer writes back, then finds no transaction.
+func TestDxForwardSatisfiesPendingMiss(t *testing.T) {
+	h := newHarness(t, 2, true)
+	prod, cons := h.tile.L0Xs[0], h.tile.L0Xs[1]
+	var seen obs.Collector
+	cons.SetObserver(&seen)
+	prod.MarkForward(0x8000, 1)
+	h.axcDo(t, 0, mem.Store, 0x8000) // the producer holds the epoch at v1
+
+	var loadAt, storeAt []uint64
+	if !cons.Access(mem.Load, 0x8000, func(now uint64) { loadAt = append(loadAt, now) }) ||
+		!cons.Access(mem.Store, 0x8010, func(now uint64) { storeAt = append(storeAt, now) }) {
+		t.Fatal("L0X MSHR full on an idle cache")
+	}
+	h.run(t, 1000, func() bool { return h.st.Get("l1x.stall_wlock") == 1 })
+	if cons.Outstanding() != 1 || h.st.Get("l0x.1.misses") != 1 {
+		t.Fatalf("consumer: %d open misses of %d, want the load and store merged in one",
+			cons.Outstanding(), h.st.Get("l0x.1.misses"))
+	}
+
+	prod.Drain() // the producer pushes the dirty line to the consumer
+	h.run(t, 1000, func() bool { return len(loadAt)+len(storeAt) == 2 })
+	arrived := seen.Filter(obs.Load)
+	if len(arrived) != 1 || arrived[0].Ver != 1 {
+		t.Fatalf("consumer loads = %v, want one observing v1", arrived)
+	}
+	want := arrived[0].Cycle + cons.cfg.HitLatency
+	if loadAt[0] != want || storeAt[0] != want {
+		t.Fatalf("waiters done at %d and %d, want both at %d (forward at %d + hit latency)",
+			loadAt[0], storeAt[0], want, arrived[0].Cycle)
+	}
+	if st := seen.Filter(obs.Store); len(st) != 1 || st[0].Ver != 2 {
+		t.Fatalf("consumer stores = %v, want one bumping v1 to v2", st)
+	}
+	if l := cons.Peek(0x8000); l == nil || l.Ver != 2 || !l.Dirty || cons.Outstanding() != 0 {
+		t.Fatalf("consumer line = %+v with %d open misses, want dirty v2 and none",
+			l, cons.Outstanding())
+	}
+
+	// The consumer's writeback closes the epoch and releases the stalled
+	// miss; its grant finds no transaction and is dropped.
+	grants := h.st.Get("l1x.grants_read")
+	cons.Drain()
+	h.run(t, 1000, func() bool { return h.st.Get("l1x.grants_read") == grants+1 })
+	h.advance(10)
+	if len(loadAt) != 1 || len(storeAt) != 1 || cons.Outstanding() != 0 ||
+		h.st.Get("l0x.1.misses") != 1 || h.st.Get("l0x.1.dead_grants") != 0 {
+		t.Fatalf("after the late grant: load done %v, store done %v, %d open, %d misses, %d dead grants",
+			loadAt, storeAt, cons.Outstanding(), h.st.Get("l0x.1.misses"), h.st.Get("l0x.1.dead_grants"))
+	}
+	if l := h.tile.L1X.Peek(0x8000, 1); l == nil || l.Ver != 2 || l.WLock {
+		t.Fatalf("L1X line = %+v, want v2 unlocked", l)
+	}
+	if bad := h.tile.CheckInvariants(h.eng.Now()); len(bad) > 0 {
+		t.Fatalf("invariants: %v", bad)
 	}
 }
 

@@ -222,19 +222,7 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 			c.hit(done)
 			return true
 		case kind == mem.Store && writable:
-			if c.mut == nil || !c.mut.LostStore {
-				l.Ver++
-			}
-			if c.obsv != nil {
-				c.observe(obs.Store, va, l.Ver, l.WTime)
-			}
-			if c.cfg.WriteThrough {
-				// Push the store straight through; the line stays clean.
-				c.sendWB(a, l.Ver, l.WTime, true)
-				c.cWriteThrough.Inc()
-			} else {
-				l.Dirty = true
-			}
+			c.store(l, va)
 			c.hit(done)
 			return true
 		default:
@@ -281,6 +269,53 @@ func (c *L0X) hit(done func(uint64)) {
 	c.eng.Schedule(c.cfg.HitLatency, done)
 }
 
+// store performs one accelerator store into line l's open write epoch: it
+// bumps the version (the LostStore mutant skips the bump), records the
+// observation, and either pushes the store straight through to the L1X
+// (the line stays clean) or marks the line dirty.
+func (c *L0X) store(l *cache.Line, va mem.VAddr) {
+	if c.mut == nil || !c.mut.LostStore {
+		l.Ver++
+	}
+	if c.obsv != nil {
+		c.observe(obs.Store, va, l.Ver, l.WTime)
+	}
+	if c.cfg.WriteThrough {
+		c.sendWB(l.Addr, l.Ver, l.WTime, true)
+		c.cWriteThrough.Inc()
+	} else {
+		l.Dirty = true
+	}
+}
+
+// replay completes the waiters of a miss that line l resolved, after the
+// hit latency. Stores need a write epoch (writable); without one, each
+// re-requests the line.
+func (c *L0X) replay(t *l0txn, l *cache.Line, writable bool) {
+	for _, w := range t.waiters {
+		switch {
+		case w.kind == mem.Store && !writable:
+			c.retry(1, w) // a store merged behind a read-lease miss upgrades
+			continue
+		case w.kind == mem.Store:
+			c.store(l, w.va)
+		case c.obsv != nil:
+			c.observe(obs.Load, w.va, l.Ver, maxU64(l.LTime, l.WTime))
+		}
+		c.eng.Schedule(c.cfg.HitLatency, w.done)
+	}
+}
+
+// retry re-issues waiter w's access delay cycles from now, and again every
+// 2 cycles while the MSHR file is full.
+func (c *L0X) retry(delay uint64, w l0waiter) {
+	c.eng.Schedule(delay, func(uint64) {
+		if !c.Access(w.kind, w.va, w.done) {
+			c.retry(2, w)
+		}
+	})
+}
+
 // Handle receives a message from the L1X or a sibling L0X.
 func (c *L0X) Handle(msg interconnect.Message) {
 	m, ok := msg.(*TileMsg)
@@ -324,8 +359,7 @@ func (c *L0X) fill(m *TileMsg) {
 		c.eng.Progress() // miss resolved: heartbeat
 		for _, w := range t.waiters {
 			if w.kind == mem.Store {
-				w := w
-				c.eng.Schedule(1, func(uint64) { c.retryAccess(w.kind, w.va, w.done) })
+				c.retry(1, w)
 				continue
 			}
 			if c.obsv != nil {
@@ -350,8 +384,7 @@ func (c *L0X) fill(m *TileMsg) {
 		c.mshr.Free(a)
 		c.cDeadGrants.Inc()
 		for _, w := range t.waiters {
-			w := w
-			c.eng.Schedule(1, func(uint64) { c.retryAccess(w.kind, w.va, w.done) })
+			c.retry(1, w)
 		}
 		c.pool.Put(m)
 		return
@@ -364,42 +397,8 @@ func (c *L0X) fill(m *TileMsg) {
 	}
 	c.mshr.Free(a)
 	c.eng.Progress() // miss resolved: heartbeat
-
-	for _, w := range t.waiters {
-		if w.kind == mem.Store {
-			if m.Write {
-				if c.mut == nil || !c.mut.LostStore {
-					l.Ver++
-				}
-				if c.obsv != nil {
-					c.observe(obs.Store, w.va, l.Ver, l.WTime)
-				}
-				if c.cfg.WriteThrough {
-					c.sendWB(a, l.Ver, l.WTime, true)
-					c.cWriteThrough.Inc()
-				} else {
-					l.Dirty = true
-				}
-				c.eng.Schedule(c.cfg.HitLatency, w.done)
-			} else {
-				// A store merged behind a read-lease miss: upgrade now.
-				w := w
-				c.eng.Schedule(1, func(uint64) { c.retryAccess(w.kind, w.va, w.done) })
-			}
-			continue
-		}
-		if c.obsv != nil {
-			c.observe(obs.Load, w.va, l.Ver, maxU64(l.LTime, l.WTime))
-		}
-		c.eng.Schedule(c.cfg.HitLatency, w.done)
-	}
+	c.replay(t, l, m.Write)
 	c.pool.Put(m)
-}
-
-func (c *L0X) retryAccess(kind mem.AccessKind, va mem.VAddr, done func(uint64)) {
-	if !c.Access(kind, va, done) {
-		c.eng.Schedule(2, func(uint64) { c.retryAccess(kind, va, done) })
-	}
 }
 
 // installLine places a leased line in the array, evicting if necessary.
@@ -544,24 +543,14 @@ func (c *L0X) receiveForward(m *TileMsg) {
 	c.cFwdIn.Inc()
 	// A miss may already be outstanding for this line (the consumer raced
 	// ahead of the push). The forward satisfies it; the L1X's eventual
-	// grant, if any, arrives with no transaction and is ignored by fill.
+	// grant, if any, arrives with no transaction and is ignored by fill. A
+	// write-through L0X never holds a dirty line, so it never forwards, and
+	// a replayed store finds the forwarded line dirty already.
 	if slot := c.mshr.Slot(a); slot >= 0 {
 		t := &c.txns[slot]
 		c.mshr.Free(a)
 		c.eng.Progress()
-		for _, w := range t.waiters {
-			if w.kind == mem.Store {
-				if c.mut == nil || !c.mut.LostStore {
-					l.Ver++
-				}
-				if c.obsv != nil {
-					c.observe(obs.Store, w.va, l.Ver, l.WTime)
-				}
-			} else if c.obsv != nil {
-				c.observe(obs.Load, w.va, l.Ver, maxU64(l.LTime, l.WTime))
-			}
-			c.eng.Schedule(c.cfg.HitLatency, w.done)
-		}
+		c.replay(t, l, true)
 	}
 	c.pool.Put(m)
 }

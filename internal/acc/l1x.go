@@ -376,15 +376,18 @@ func (x *L1X) lease(m *TileMsg) {
 	x.tilePool.Put(m)
 }
 
+// downlink returns the link to accelerator id's L0X.
+func (x *L1X) downlink(id AXCID) *interconnect.Link {
+	if int(id) < len(x.toL0X) && x.toL0X[id] != nil {
+		return x.toL0X[id]
+	}
+	sim.Failf(x.name, x.eng.Now(), x.DumpState(), "no downlink to axc %d", id)
+	return nil
+}
+
 // grant sends a lease response back to the requesting L0X.
 func (x *L1X) grant(m *TileMsg, l *cache.Line, write bool, expiry uint64) {
-	var link *interconnect.Link
-	if int(m.Src) < len(x.toL0X) {
-		link = x.toL0X[m.Src]
-	}
-	if link == nil {
-		sim.Failf(x.name, x.eng.Now(), x.DumpState(), "no downlink to axc %d", m.Src)
-	}
+	link := x.downlink(m.Src)
 	if write {
 		x.cGrantsW.Inc()
 	} else {
@@ -525,19 +528,19 @@ func (x *L1X) resolveSynonym(a uint64, m *TileMsg, pa mem.PAddr, ptr vm.Pointer)
 }
 
 // HandleMESI is the tile's endpoint on the host fabric. Messages consumed
-// synchronously are released here; forwards hand ownership to respondHost.
+// synchronously are released here; forwards and invalidations hand
+// ownership to answerHost.
 func (x *L1X) HandleMESI(m *mesi.Msg) {
 	switch m.Type {
 	case mesi.MsgData, mesi.MsgDataE, mesi.MsgDataM:
 		x.fillFromHost(m)
 		x.mesiPool.Put(m)
-	case mesi.MsgFwdGetS, mesi.MsgFwdGetM:
-		x.hostForward(m)
-	case mesi.MsgInv:
-		// A DMA write targeting a line the tile owns (mixed placements, see
-		// internal/systems ADAPTIVE): relinquish for real — the ack carries
-		// the dirty version back to the directory.
-		x.hostInvalidate(m)
+	case mesi.MsgFwdGetS, mesi.MsgFwdGetM, mesi.MsgInv:
+		// An Inv is a DMA write targeting a line the tile owns (mixed
+		// placements, see internal/systems ADAPTIVE): the tile relinquishes
+		// for real, and the ack carries the dirty version back to the
+		// directory.
+		x.hostRequest(m)
 	case mesi.MsgPutAck:
 		x.evict.Take(uint64(m.Addr.LineAddr()))
 		x.mesiPool.Put(m)
@@ -659,13 +662,7 @@ func (x *L1X) bypassDecision(t *l1txn) bool {
 // still served.
 func (x *L1X) bypassFill(t *l1txn) {
 	for _, w := range t.waiters {
-		var link *interconnect.Link
-		if int(w.Src) < len(x.toL0X) {
-			link = x.toL0X[w.Src]
-		}
-		if link == nil {
-			sim.Failf(x.name, x.eng.Now(), x.DumpState(), "no downlink to axc %d", w.Src)
-		}
+		link := x.downlink(w.Src)
 		g := x.tilePool.Get()
 		g.Type, g.Addr, g.PID, g.Src = MsgLease, w.Addr, w.PID, -1
 		g.Ver, g.NoAlloc = t.ver, true
@@ -749,53 +746,54 @@ func (x *L1X) evictNoNotice(v *cache.Line) {
 	x.drop(v)
 }
 
-// hostInvalidate answers a directory invalidation (a DMA write to a line
-// the tile may own). Like a host forward, the response waits until every
-// L0X lease has lapsed and any write epoch has drained; the line is then
-// dropped and the InvAck returns its version so the directory can merge
-// the tile's stores before committing the DMA data. Consumes m.
-func (x *L1X) hostInvalidate(m *mesi.Msg) {
+// hostRequest answers a directory forward (FwdGetS, FwdGetM) or
+// invalidation (Inv) for a line the tile may own. The AX-RMAP resolves the
+// physical address to the virtually-indexed line; relinquish then drops the
+// line once its L0X leases have lapsed (Figure 4, right). Consumes m.
+func (x *L1X) hostRequest(m *mesi.Msg) {
 	pa := m.Addr.LineAddr()
+	if m.Type != mesi.MsgInv {
+		x.cHostFwds.Inc()
+		if x.obsv != nil {
+			x.obsv.Record(obs.Event{Cycle: x.eng.Now(), Agent: x.name, Kind: obs.HostFwdIn, Addr: uint64(pa),
+				Msg: m.Type.String()})
+		}
+	}
 	ptr, ok := x.rmap.Lookup(pa)
 	if !ok {
-		// Not resident: either never cached here, or an eviction is in
-		// flight — the buffered copy still carries the version the
-		// directory must not lose. The entry stays for the PutAck.
-		ver, dirty, _ := x.evict.Get(uint64(pa))
-		x.invAckHost(m, ver, dirty)
+		x.answerEvicted(m)
 		return
 	}
-	x.tryInvalidate(m, ptr, true)
+	x.relinquish(m, ptr, true)
 }
 
-// tryInvalidate drops an invalidated line once its leases have lapsed
-// (the Inv counterpart of tryRelinquish).
-func (x *L1X) tryInvalidate(m *mesi.Msg, ptr vm.Pointer, first bool) {
-	pa := m.Addr.LineAddr()
-	va := uint64(ptr.VAddr.LineAddr())
-	l := x.arr.LookupPID(va, ptr.PID)
+// relinquish drops the line ptr names and answers m once every L0X lease on
+// it has lapsed and any write epoch has drained. Until then the answer
+// waits in the writeback buffer: the L1X alone absorbs the stall, and no
+// message ever disturbs an L0X (Figure 4, right). Retries reuse the
+// resolved pointer (no extra RMAP lookups).
+func (x *L1X) relinquish(m *mesi.Msg, ptr vm.Pointer, first bool) {
+	l := x.arr.LookupPID(uint64(ptr.VAddr.LineAddr()), ptr.PID)
 	if l == nil {
-		ver, dirty, _ := x.evict.Get(uint64(pa))
-		x.invAckHost(m, ver, dirty)
+		x.answerEvicted(m)
 		return
 	}
-	if wake, wait := x.leaseWait(l, first, "inv"); wait {
-		x.eng.ScheduleAt(wake, func(uint64) { x.tryInvalidate(m, ptr, false) })
+	if wake, wait := x.leaseWait(l, m, first); wait {
+		x.eng.ScheduleAt(wake, func(uint64) { x.relinquish(m, ptr, false) })
 		return
 	}
 	x.access()
 	ver, dirty := l.Ver, l.Dirty
 	x.drop(l)
-	x.invAckHost(m, ver, dirty)
+	x.answerHost(m, ver, dirty)
 }
 
 // leaseWait reports whether l still has L0X leases or an open write epoch,
-// and if so the cycle to retry at: GTIME plus the lease slack, or the
+// and if so the cycle to retry m at: GTIME plus the lease slack, or the
 // slack from now once GTIME has passed. The first park of a request
-// (first) is counted and observed as a parked forward; msg names the
-// request in the observation ("inv" for an invalidation, empty for a
-// forward).
-func (x *L1X) leaseWait(l *cache.Line, first bool, msg string) (wake uint64, wait bool) {
+// (first) is counted and observed as a parked forward, named "inv" for an
+// invalidation.
+func (x *L1X) leaseWait(l *cache.Line, m *mesi.Msg, first bool) (wake uint64, wait bool) {
 	now := x.eng.Now()
 	if l.GTime <= now && !l.WLock {
 		return 0, false
@@ -803,6 +801,10 @@ func (x *L1X) leaseWait(l *cache.Line, first bool, msg string) (wake uint64, wai
 	if first {
 		x.cFwdStalled.Inc()
 		if x.obsv != nil {
+			msg := ""
+			if m.Type == mesi.MsgInv {
+				msg = "inv"
+			}
 			x.obsv.Record(obs.Event{Cycle: now, Agent: x.name, Kind: obs.FwdParked, Addr: l.Addr,
 				Msg: msg, Lease: l.GTime})
 		}
@@ -814,69 +816,39 @@ func (x *L1X) leaseWait(l *cache.Line, first bool, msg string) (wake uint64, wai
 	return wake, true
 }
 
-// invAckHost sends the invalidation ack (with the dropped line's version,
-// if any) and releases the consumed Inv request.
-func (x *L1X) invAckHost(m *mesi.Msg, ver uint64, dirty bool) {
-	ack := x.mesiPool.Get()
-	ack.Type, ack.Addr, ack.Src, ack.Dst = mesi.MsgInvAck, m.Addr, x.agent, m.Requester
-	ack.Dirty, ack.Ver = dirty, ver
-	x.fabric.Send(ack)
-	x.mesiPool.Put(m)
-}
-
-// hostForward answers a MESI Fwd from the host directory. The AX-RMAP
-// resolves the physical address to the virtually-indexed line; the response
-// stalls in the writeback buffer until GTIME expires and any write epoch
-// has drained (Figure 4, right).
-func (x *L1X) hostForward(m *mesi.Msg) {
-	pa := m.Addr.LineAddr()
-	x.cHostFwds.Inc()
-	if x.obsv != nil {
-		x.obsv.Record(obs.Event{Cycle: x.eng.Now(), Agent: x.name, Kind: obs.HostFwdIn, Addr: uint64(pa),
-			Msg: m.Type.String()})
-	}
-	ptr, ok := x.rmap.Lookup(pa)
-	if !ok {
-		if ver, dirty, ok := x.evict.Take(uint64(pa)); ok {
-			// Eviction raced with the forward: serve from the buffer.
-			x.respondHost(m, ver, dirty)
-			return
-		}
-		sim.Failf(x.name, x.eng.Now(), x.DumpState(), "host fwd for unmapped line %s", m)
-	}
-	x.tryRelinquish(m, ptr, true)
-}
-
-// tryRelinquish answers a host forward once the line's leases have lapsed.
-// Retries reuse the already-resolved pointer (no extra RMAP lookups).
-func (x *L1X) tryRelinquish(m *mesi.Msg, ptr vm.Pointer, first bool) {
-	pa := m.Addr.LineAddr()
-	va := uint64(ptr.VAddr.LineAddr())
-	l := x.arr.LookupPID(va, ptr.PID)
-	if l == nil {
-		if ver, dirty, ok := x.evict.Take(uint64(pa)); ok {
-			x.respondHost(m, ver, dirty)
-			return
-		}
-		sim.Failf(x.name, x.eng.Now(), x.DumpState(), "rmap points at absent line %s", m)
-	}
-	// L0X leases outstanding: park the response until they lapse. The L1X
-	// alone absorbs the stall; no message ever disturbs an L0X (Figure 4,
-	// right: the writeback buffer).
-	if wake, wait := x.leaseWait(l, first, ""); wait {
-		x.eng.ScheduleAt(wake, func(uint64) { x.tryRelinquish(m, ptr, false) })
+// answerEvicted answers m for a line that is no longer resident, from the
+// eviction buffer. An Inv reads the buffered version, if any (the line may
+// never have been cached here), and leaves the entry for the PutAck. A
+// forward takes the entry: an eviction raced with it, and nothing else can
+// explain a forward to a line the tile does not hold.
+func (x *L1X) answerEvicted(m *mesi.Msg) {
+	pa := uint64(m.Addr.LineAddr())
+	if m.Type == mesi.MsgInv {
+		ver, dirty, _ := x.evict.Get(pa)
+		x.answerHost(m, ver, dirty)
 		return
 	}
-	x.access()
-	ver, dirty := l.Ver, l.Dirty
-	x.drop(l)
-	x.respondHost(m, ver, dirty)
+	ver, dirty, ok := x.evict.Take(pa)
+	if !ok {
+		sim.Failf(x.name, x.eng.Now(), x.DumpState(), "host fwd for a line the tile does not hold %s", m)
+	}
+	x.answerHost(m, ver, dirty)
 }
 
-// respondHost relinquishes a line to the host requester: data directly to
-// the requester, an eviction notice (OwnerAck, dropped) to the directory.
-// It consumes (releases) the forwarded request m.
-func (x *L1X) respondHost(m *mesi.Msg, ver uint64, dirty bool) {
+// answerHost answers m with the dropped line's version and releases m. An
+// Inv gets an InvAck to its requester; the version rides on it so the
+// directory can merge the tile's stores before committing the DMA data. A
+// forward relinquishes the line: data goes directly to the requester, an
+// eviction notice (OwnerAck, dropped) to the directory.
+func (x *L1X) answerHost(m *mesi.Msg, ver uint64, dirty bool) {
+	if m.Type == mesi.MsgInv {
+		ack := x.mesiPool.Get()
+		ack.Type, ack.Addr, ack.Src, ack.Dst = mesi.MsgInvAck, m.Addr, x.agent, m.Requester
+		ack.Dirty, ack.Ver = dirty, ver
+		x.fabric.Send(ack)
+		x.mesiPool.Put(m)
+		return
+	}
 	if x.obsv != nil {
 		x.obsv.Record(obs.Event{Cycle: x.eng.Now(), Agent: x.name, Kind: obs.Relinquish,
 			Addr: uint64(m.Addr.LineAddr()), Peer: int32(m.Requester), Dirty: dirty})

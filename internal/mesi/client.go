@@ -157,16 +157,9 @@ func (c *Client) Access(kind mem.AccessKind, addr mem.PAddr, done func(now uint6
 			}
 			c.hit(done)
 			return true
-		case l.State == cache.Modified:
-			l.Ver++
-			if c.obsv != nil {
-				c.observe(obs.Store, addr, l.Ver)
-			}
-			c.hit(done)
-			return true
-		case l.State == cache.Exclusive:
-			l.State = cache.Modified // silent E->M upgrade
-			l.Dirty = true
+		case l.State == cache.Modified || l.State == cache.Exclusive:
+			// An E line upgrades to M silently; an M line is already dirty.
+			l.State, l.Dirty = cache.Modified, true
 			l.Ver++
 			if c.obsv != nil {
 				c.observe(obs.Store, addr, l.Ver)
@@ -180,11 +173,9 @@ func (c *Client) Access(kind mem.AccessKind, addr mem.PAddr, done func(now uint6
 
 	// Miss (or upgrade). Merge into an existing transaction when possible.
 	if slot := c.mshr.Slot(a); slot >= 0 {
+		// A store behind a pending GetS replays after the fill; the replay
+		// will find S/E and upgrade.
 		t := &c.txns[slot]
-		if kind == mem.Store && !t.write {
-			// A store behind a pending GetS: replay after the fill; the
-			// replay will find S/E and upgrade.
-		}
 		t.waiters = append(t.waiters, waiter{kind, addr, done})
 		c.cMerges.Inc()
 		return true
@@ -366,11 +357,8 @@ func (c *Client) maybeComplete(t *txn) {
 	waiters := t.waiters
 	lat := c.hitLatency
 	for _, w := range waiters {
-		w := w
 		if w.kind == mem.Store && state != cache.Modified {
-			c.fabric.Engine().Schedule(1, func(uint64) {
-				c.retryAccess(w.kind, w.addr, w.done)
-			})
+			c.retry(1, w)
 			continue
 		}
 		if w.kind == mem.Store {
@@ -385,11 +373,14 @@ func (c *Client) maybeComplete(t *txn) {
 	}
 }
 
-// retryAccess re-issues an access until the MSHR accepts it.
-func (c *Client) retryAccess(kind mem.AccessKind, addr mem.PAddr, done func(uint64)) {
-	if !c.Access(kind, addr, done) {
-		c.fabric.Engine().Schedule(2, func(uint64) { c.retryAccess(kind, addr, done) })
-	}
+// retry re-issues waiter w's access delay cycles from now, and again every
+// 2 cycles while the MSHR file is full.
+func (c *Client) retry(delay uint64, w waiter) {
+	c.fabric.Engine().Schedule(delay, func(uint64) {
+		if !c.Access(w.kind, w.addr, w.done) {
+			c.retry(2, w)
+		}
+	})
 }
 
 // pinned reports whether a line has an outstanding transaction: an

@@ -30,13 +30,6 @@ func (s sharerSet) count() int {
 	}
 	return n
 }
-func (s sharerSet) forEach(fn func(AgentID)) {
-	for id := AgentID(0); id < 32; id++ {
-		if s.has(id) {
-			fn(id)
-		}
-	}
-}
 
 // dirState is the directory's view of a line.
 type dirState uint8
@@ -63,11 +56,30 @@ type dirEntry struct {
 	// invalidations complete.
 	pendingDMA *Msg
 	queue      []*Msg
+	// reply is the data reply a busy line owes once readData has the data.
+	reply dirReply
 }
 
-// dirOpRequest is the Directory's sole HandleEvent opcode: admit the request
-// parked in slot arg after its NUCA ring latency.
-const dirOpRequest = 0
+// dirReply is the data reply a busy directory entry owes its requester:
+// sendReply sends it once the LLC or DRAM has produced the line. The
+// fields are ordered to pack into 24 bytes.
+type dirReply struct {
+	addr      mem.PAddr // the request's address
+	acks      int       // invalidation acks the requester must collect
+	inv       sharerSet // sharers to invalidate on the requester's behalf
+	typ       MsgType   // MsgData, MsgDataE, MsgDataM or MsgDMAReadResp
+	requester AgentID
+	getM      bool // the request was a GetM
+}
+
+// Directory HandleEvent opcodes. Every one but dirOpRequest takes a line
+// address as arg.
+const (
+	dirOpRequest   = iota // admit the request parked in slot arg after its NUCA ring latency
+	dirOpReply            // send the entry's reply (LLC hit)
+	dirOpFetch            // submit the line's DRAM fetch (a refused one retries)
+	dirOpWriteback        // submit the line's DRAM write (a refused one retries)
+)
 
 // Directory is the shared L2: a NUCA LLC data array plus the MESI directory,
 // backed by DRAM. It registers as agent DirID on the fabric.
@@ -82,8 +94,10 @@ type Directory struct {
 	// lines read as version 0, which flat.Map's zero-value Get preserves.
 	ver *flat.Map[uint64]
 
-	// entries stores pointers so records stay stable across map growth —
-	// readData continuations capture *dirEntry.
+	// entries stores pointers: a packed 72-byte entry stored by value, measured
+	// on the full artifact set, cut allocations by a further 26% but raised
+	// bytes allocated by 7.8%, since every slot the map grows holds a whole
+	// entry.
 	entries *flat.Map[*dirEntry]
 
 	model energy.Model
@@ -232,12 +246,19 @@ func (dir *Directory) Handle(m *Msg) {
 	}
 }
 
-// HandleEvent admits the ring-delayed request parked in slot arg.
+// HandleEvent dispatches the directory's closure-free events.
 func (dir *Directory) HandleEvent(now uint64, op uint8, arg uint64) {
-	m := dir.deferred[arg]
-	dir.deferred[arg] = nil
-	dir.freeDef = append(dir.freeDef, uint32(arg))
-	dir.request(m)
+	switch op {
+	case dirOpRequest:
+		m := dir.deferred[arg]
+		dir.deferred[arg] = nil
+		dir.freeDef = append(dir.freeDef, uint32(arg))
+		dir.request(m)
+	case dirOpReply:
+		dir.sendReply(arg)
+	case dirOpFetch, dirOpWriteback:
+		dir.submitDRAM(op, arg)
+	}
 }
 
 // request admits a request to the blocking directory.
@@ -253,7 +274,7 @@ func (dir *Directory) request(m *Msg) {
 }
 
 // start runs one transaction. The entry is not busy. Handlers consume the
-// message synchronously (continuations capture field copies, never m), so
+// message synchronously (a pending reply copies its fields, never m), so
 // start releases it on the way out — except DMAWrite, whose handler keeps
 // ownership until commitDMAWrite.
 func (dir *Directory) start(e *dirEntry, m *Msg) {
@@ -289,10 +310,8 @@ func (dir *Directory) start(e *dirEntry, m *Msg) {
 		dir.handleGetS(e, m, a)
 	case MsgGetM:
 		dir.handleGetM(e, m, a)
-	case MsgPutM:
-		dir.handlePutM(e, m, a)
-	case MsgPutE:
-		dir.handlePutE(e, m, a)
+	case MsgPutM, MsgPutE:
+		dir.handlePut(e, m, a)
 	case MsgDMARead:
 		dir.handleDMARead(e, m, a)
 	case MsgDMAWrite:
@@ -305,64 +324,42 @@ func (dir *Directory) start(e *dirEntry, m *Msg) {
 }
 
 func (dir *Directory) handleGetS(e *dirEntry, m *Msg, a uint64) {
-	addr, src := m.Addr, m.Src
 	switch e.state {
 	case dirI:
 		e.busy, e.waitUnblock = true, true
-		dir.readData(a, func(ver uint64) {
-			d := dir.pool.Get()
-			d.Type, d.Addr, d.Src, d.Dst, d.Ver = MsgDataE, addr, DirID, src, ver
-			dir.send(d)
-			e.state, e.owner = dirE, src
-		})
+		e.reply = dirReply{typ: MsgDataE, addr: m.Addr, requester: m.Src}
+		dir.readData(a)
 	case dirS:
 		e.busy, e.waitUnblock = true, true
-		dir.readData(a, func(ver uint64) {
-			d := dir.pool.Get()
-			d.Type, d.Addr, d.Src, d.Dst, d.Ver = MsgData, addr, DirID, src, ver
-			dir.send(d)
-			e.sharers.add(src)
-		})
+		e.reply = dirReply{typ: MsgData, addr: m.Addr, requester: m.Src}
+		dir.readData(a)
 	case dirE:
 		e.busy, e.waitUnblock, e.waitOwnerAck = true, true, true
 		dir.forward(MsgFwdGetS, e.owner, m)
 		// State settles when OwnerAck arrives (owner may drop or keep S).
-		e.sharers.add(src)
+		e.sharers.add(m.Src)
 	}
 }
 
 func (dir *Directory) handleGetM(e *dirEntry, m *Msg, a uint64) {
-	addr, src := m.Addr, m.Src
+	src := m.Src
 	switch e.state {
 	case dirI:
 		e.busy, e.waitUnblock = true, true
-		dir.readData(a, func(ver uint64) {
-			d := dir.pool.Get()
-			d.Type, d.Addr, d.Src, d.Dst, d.Ver = MsgDataM, addr, DirID, src, ver
-			dir.send(d)
-			e.state, e.owner, e.sharers = dirE, src, 0
-		})
+		e.reply = dirReply{typ: MsgDataM, addr: m.Addr, requester: src, getM: true}
+		dir.readData(a)
 	case dirS:
 		e.busy, e.waitUnblock = true, true
 		others := e.sharers
 		others.remove(src)
-		n := others.count()
 		if dir.mut != nil && dir.mut.SkipSharerInvalidate {
 			// Mutant: grant M without invalidating the other sharers — they
 			// keep serving stale copies while the new owner writes.
-			others, n = 0, 0
+			others = 0
 		}
-		dir.readData(a, func(ver uint64) {
-			d := dir.pool.Get()
-			d.Type, d.Addr, d.Src, d.Dst, d.AckCount, d.Ver = MsgData, addr, DirID, src, n, ver
-			dir.send(d)
-			others.forEach(func(s AgentID) {
-				inv := dir.pool.Get()
-				inv.Type, inv.Addr, inv.Src, inv.Dst, inv.Requester = MsgInv, addr, DirID, s, src
-				dir.send(inv)
-			})
-			e.state, e.owner, e.sharers = dirE, src, 0
-		})
+		e.reply = dirReply{typ: MsgData, addr: m.Addr, requester: src,
+			acks: others.count(), inv: others, getM: true}
+		dir.readData(a)
 	case dirE:
 		if e.owner == src {
 			// Cannot happen in MESI: E->M upgrades are silent, and an M
@@ -375,16 +372,16 @@ func (dir *Directory) handleGetM(e *dirEntry, m *Msg, a uint64) {
 	}
 }
 
-func (dir *Directory) handlePutM(e *dirEntry, m *Msg, a uint64) {
-	stale := !(e.state == dirE && e.owner == m.Src)
-	if stale {
-		dir.cPutStale.Inc()
-	} else {
+// handlePut retires a PutM or a PutE. Only a PutM carries data, which is
+// accepted only if it is not older than what the directory already holds
+// (a stale PutM races with a completed forward).
+func (dir *Directory) handlePut(e *dirEntry, m *Msg, a uint64) {
+	if e.state == dirE && e.owner == m.Src {
 		e.state, e.owner = dirI, 0
+	} else {
+		dir.cPutStale.Inc()
 	}
-	// Accept the data only if it is not older than what we already hold
-	// (a stale PutM races with a completed forward).
-	if m.Ver >= dir.verOf(a) {
+	if m.Type == MsgPutM && m.Ver >= dir.verOf(a) {
 		dir.ver.Put(a, m.Ver)
 		dir.fillLLC(a, true)
 	}
@@ -397,29 +394,12 @@ func (dir *Directory) handlePutM(e *dirEntry, m *Msg, a uint64) {
 	dir.finish(e)
 }
 
-func (dir *Directory) handlePutE(e *dirEntry, m *Msg, a uint64) {
-	if e.state == dirE && e.owner == m.Src {
-		e.state, e.owner = dirI, 0
-	} else {
-		dir.cPutStale.Inc()
-	}
-	ack := dir.pool.Get()
-	ack.Type, ack.Addr, ack.Src, ack.Dst = MsgPutAck, m.Addr, DirID, m.Src
-	dir.send(ack)
-	dir.finish(e) // see handlePutM: keep draining the queue
-}
-
 func (dir *Directory) handleDMARead(e *dirEntry, m *Msg, a uint64) {
-	addr, src := m.Addr, m.Src
 	switch e.state {
 	case dirI, dirS:
 		e.busy = true // block the line only for the duration of the fetch
-		dir.readData(a, func(ver uint64) {
-			d := dir.pool.Get()
-			d.Type, d.Addr, d.Src, d.Dst, d.Ver = MsgDMAReadResp, addr, DirID, src, ver
-			dir.send(d)
-			dir.finish(e)
-		})
+		e.reply = dirReply{typ: MsgDMAReadResp, addr: m.Addr, requester: m.Src}
+		dir.readData(a)
 	case dirE:
 		// Owner supplies data straight to the DMA engine; the directory
 		// waits only for the owner's ack (the DMA never unblocks).
@@ -449,11 +429,21 @@ func (dir *Directory) handleDMAWrite(e *dirEntry, m *Msg, a uint64) {
 	e.busy = true
 	e.waitInvAcks = n
 	e.pendingDMA = m
-	targets.forEach(func(s AgentID) {
+	dir.invalidate(targets, m.Addr, DirID)
+}
+
+// invalidate sends an Inv for addr to every agent in targets, in agent
+// order; each acks to requester.
+func (dir *Directory) invalidate(targets sharerSet, addr mem.PAddr, requester AgentID) {
+	for s := AgentID(0); targets != 0; s++ {
+		if !targets.has(s) {
+			continue
+		}
+		targets.remove(s)
 		inv := dir.pool.Get()
-		inv.Type, inv.Addr, inv.Src, inv.Dst, inv.Requester = MsgInv, m.Addr, DirID, s, DirID
+		inv.Type, inv.Addr, inv.Src, inv.Dst, inv.Requester = MsgInv, addr, DirID, s, requester
 		dir.send(inv)
-	})
+	}
 }
 
 // commitDMAWrite finishes a DMA write and releases the request message it
@@ -581,29 +571,59 @@ func (dir *Directory) accessL2() {
 	dir.cL2Acc.Inc()
 }
 
-// readData obtains the line's data: LLC hit continues after a cycle; a miss
-// fetches from DRAM (retrying submission under back-pressure) and fills.
-func (dir *Directory) readData(a uint64, cont func(ver uint64)) {
+// readData obtains line a's data for the entry's pending reply: an LLC hit
+// replies after a cycle; a miss fetches from DRAM and fills the LLC first.
+func (dir *Directory) readData(a uint64) {
 	dir.accessL2()
 	if dir.llc.Lookup(a) != nil {
 		dir.cL2Hits.Inc()
-		dir.fabric.Engine().Schedule(1, func(uint64) { cont(dir.verOf(a)) })
+		dir.fabric.Engine().ScheduleCall(1, dir, dirOpReply, a)
 		return
 	}
 	dir.cL2Misses.Inc()
-	dir.fetchDRAM(a, cont)
+	dir.fetchDRAM(a)
 }
 
-func (dir *Directory) fetchDRAM(a uint64, cont func(ver uint64)) {
-	ok := dir.dram.Submit(dram.Request{
-		Addr: mem.PAddr(a),
-		Done: func(uint64) {
+// fetchDRAM reads line a from DRAM; the LLC fill and the entry's pending
+// reply follow when the data returns.
+func (dir *Directory) fetchDRAM(a uint64) { dir.submitDRAM(dirOpFetch, a) }
+
+// submitDRAM hands DRAM the fetch (dirOpFetch) or the write (dirOpWriteback)
+// of line a. A refused command retries after 4 cycles: Submit refuses when
+// the line's channel queue is full.
+func (dir *Directory) submitDRAM(op uint8, a uint64) {
+	r := dram.Request{Addr: mem.PAddr(a), Write: op == dirOpWriteback}
+	if op == dirOpFetch {
+		r.Done = func(uint64) {
 			dir.fillLLC(a, false)
-			cont(dir.verOf(a))
-		},
-	})
-	if !ok {
-		dir.fabric.Engine().Schedule(4, func(uint64) { dir.fetchDRAM(a, cont) })
+			dir.sendReply(a)
+		}
+	}
+	if !dir.dram.Submit(r) {
+		dir.fabric.Engine().ScheduleCall(4, dir, op, a)
+	}
+}
+
+// sendReply sends line a's pending reply with the line's version at this
+// moment, then the invalidations it owes, and settles the line: a DMA read
+// finishes, a GetS on a shared line adds a sharer, and any other GetS or
+// GetM makes the requester the owner.
+func (dir *Directory) sendReply(a uint64) {
+	e, _ := dir.entries.Get(a)
+	r := e.reply
+	d := dir.pool.Get()
+	d.Type, d.Addr, d.Src, d.Dst, d.AckCount, d.Ver = r.typ, r.addr, DirID, r.requester, r.acks, dir.verOf(a)
+	dir.send(d)
+	dir.invalidate(r.inv, r.addr, r.requester)
+	switch {
+	case r.typ == MsgDMAReadResp:
+		dir.finish(e)
+	case r.getM:
+		e.state, e.owner, e.sharers = dirE, r.requester, 0
+	case r.typ == MsgData:
+		e.sharers.add(r.requester)
+	default:
+		e.state, e.owner = dirE, r.requester
 	}
 }
 
@@ -617,7 +637,7 @@ func (dir *Directory) fillLLC(a uint64, dirty bool) {
 	}
 	v := dir.llc.Victim(a)
 	if v.Valid && v.Dirty {
-		dir.dram.Submit(dram.Request{Addr: mem.PAddr(v.Addr), Write: true})
+		dir.submitDRAM(dirOpWriteback, v.Addr)
 	}
 	dir.llc.Fill(v, a, 0)
 	v.Dirty = dirty

@@ -262,3 +262,71 @@ func TestInvariantsDuringStress(t *testing.T) {
 		t.Log("note: no mid-run quiescent points (fine, final sweep ran)")
 	}
 }
+
+// backPressureHarness builds a directory whose LLC holds a single line and
+// whose DRAM has one channel with a one-entry queue. A command holds its
+// channel for 60 cycles but returns data after 20, so a fetch completes
+// while the next command still waits in the queue.
+func backPressureHarness(t *testing.T, nClients int) *harness {
+	t.Helper()
+	eng := sim.NewEngine()
+	st := stats.NewSet()
+	mt := energy.NewMeter()
+	model := energy.Default()
+	fab := NewFabric(eng, mt, st)
+	d := dram.New(eng, dram.Config{Channels: 1, QueueDepth: 1, RowBytes: 2048,
+		RowHitLat: 20, RowMissLat: 20, BurstCycles: 60}, model, mt, st)
+	cfg := DefaultDirConfig()
+	cfg.LLC = cache.Params{SizeBytes: 64, Ways: 1, LineBytes: 64}
+	dir := NewDirectory(fab, cfg, d, model, mt, st)
+	h := &harness{eng: eng, fab: fab, dir: dir, st: st, mt: mt}
+	for i := 0; i < nClients; i++ {
+		cfg := DefaultHostL1Config(model)
+		cfg.Name = "l1." + string(rune('a'+i))
+		h.clients = append(h.clients, NewClient(fab, AgentID(1+i), cfg, model, mt, st))
+	}
+	return h
+}
+
+// A dirty LLC victim evicted while DRAM's queue is full must still reach
+// DRAM: its write retries like a refused fetch does.
+func TestDirtyLLCVictimWriteSurvivesBackPressure(t *testing.T) {
+	h := backPressureHarness(t, 3)
+	dma := &dmaEndpoint{gotVer: map[uint64]uint64{}}
+	h.fab.Register(AgentID(9), dma.handle)
+	// A DMA write leaves line 0 dirty in the LLC, the victim of the next fill.
+	h.fab.Send(&Msg{Type: MsgDMAWrite, Addr: 0, Src: 9, Dst: DirID, Ver: 5})
+	h.run(t, 100000, func() bool { return dma.acks == 1 })
+	if h.st.Get("dram.writes") != 0 {
+		t.Fatalf("dram.writes = %d before any eviction", h.st.Get("dram.writes"))
+	}
+
+	// Three same-cycle misses to lines in line 0's NUCA bank, whose memory
+	// holds versions 1-3: the first fetch takes the channel, the others are
+	// refused and retry, and the first fill evicts line 0 while the second
+	// fetch still fills the queue.
+	lines := []mem.PAddr{0x200, 0x400, 0x600}
+	done := 0
+	for i, a := range lines {
+		h.dir.ver.Put(uint64(a), uint64(i+1))
+		if !h.clients[i].Access(mem.Load, a, func(uint64) { done++ }) {
+			t.Fatal("MSHR full on an idle cache")
+		}
+	}
+	h.run(t, 100000, func() bool { return done == len(lines) })
+	h.run(t, 100000, func() bool { return h.dir.dram.QueueOccupancy() == 0 })
+	for i, a := range lines {
+		if l := h.clients[i].Peek(a); l == nil || l.Ver != uint64(i+1) {
+			t.Errorf("client %d line %#x = %+v, want v%d", i, uint64(a), l, i+1)
+		}
+	}
+	if h.st.Get("dram.queue_full") == 0 {
+		t.Error("dram.queue_full = 0: DRAM never refused a command")
+	}
+	if got := h.st.Get("dram.writes"); got != 1 {
+		t.Errorf("dram.writes = %d, want 1 (the dirty victim)", got)
+	}
+	if h.dir.Version(0) != 5 {
+		t.Errorf("line 0 = v%d, want v5", h.dir.Version(0))
+	}
+}

@@ -3,9 +3,9 @@
 // (8-bank NUCA, Table 2), the host L1D controller that speaks it, and the
 // message fabric connecting the agents.
 //
-// The accelerator tile's shared L1X joins this protocol as one more agent —
-// restricted to the MEI subset, always requesting exclusive — via the
-// Responder interface; its implementation lives in internal/acc. The oracle
+// The accelerator tile's shared L1X (internal/acc) joins this protocol as
+// one more agent — restricted to the MEI subset, always requesting
+// exclusive — by registering its HandleMESI endpoint on the Fabric. The oracle
 // DMA engine of the SCRATCH baseline uses the dedicated DMARead/DMAWrite
 // transactions, which the directory completes itself (invalidating or
 // downgrading caches as needed) without making the DMA a caching agent.

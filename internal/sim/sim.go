@@ -77,7 +77,8 @@ type Engine struct {
 	// their minimum, and equals it after Step's wake pass and skipTarget;
 	// a Wake that cancels the earliest, or a Sleep that moves it later,
 	// leaves it early, which keeps both O(1). ticking is the index of the
-	// ticker whose Tick is running, -1 outside the tick phase.
+	// ticker whose Tick is running, -1 outside the tick phase; after a Tick
+	// fails (RunE), it stays on that ticker until Step finishes the cycle.
 	tickers    []Ticker
 	awake      []uint64
 	wakeAt     []uint64
@@ -238,27 +239,36 @@ func (e *Engine) Progress() {
 }
 
 // Step advances the clock by exactly one cycle. It never fast-forwards;
-// manual Step loops retain strict per-cycle semantics.
+// manual Step loops retain strict per-cycle semantics. After a Tick failed
+// (RunE), Step finishes that cycle instead: it ticks only the awake
+// tickers after the failing one, with no event phase and no wake pass.
 func (e *Engine) Step() {
-	// Let the wheel catch up with the clock (promoting overflow events
-	// that entered the near horizon), then run the event phase: everything
-	// scheduled for the current cycle, including events scheduled with
-	// zero delay while draining.
-	e.sched.advance(e.now)
-	e.sched.fire(e.now)
-	if e.nextWake <= e.now {
-		for i, at := range e.wakeAt {
-			if at <= e.now {
-				e.Wake(i)
+	if e.ticking < 0 {
+		// Let the wheel catch up with the clock (promoting overflow events
+		// that entered the near horizon), then run the event phase:
+		// everything scheduled for the current cycle, including events
+		// scheduled with zero delay while draining.
+		e.sched.advance(e.now)
+		e.sched.fire(e.now)
+		if e.nextWake <= e.now {
+			for i, at := range e.wakeAt {
+				if at <= e.now {
+					e.Wake(i)
+				}
 			}
+			e.nextWake = slices.Min(e.wakeAt)
 		}
-		e.nextWake = slices.Min(e.wakeAt)
 	}
-	// Tick phase: the awake tickers in registration order. The set is
-	// re-read after every Tick, so a ticker woken by an earlier one still
-	// ticks in this cycle.
-	for w := 0; w < len(e.awake); w++ {
-		for m := e.awake[w]; m != 0; {
+	// Tick phase: the awake tickers in registration order, from the first
+	// one after ticking. The set is re-read after every Tick, so a ticker
+	// woken by an earlier one still ticks in this cycle.
+	first := e.ticking + 1
+	for w := first >> 6; w < len(e.awake); w++ {
+		m := e.awake[w]
+		if w == first>>6 {
+			m &^= 1<<(first&63) - 1
+		}
+		for m != 0 {
 			b := bits.TrailingZeros64(m)
 			e.ticking = w<<6 | b
 			e.tickers[e.ticking].Tick(e.now)
@@ -280,8 +290,8 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // lands on the earliest of the next event, the earliest wake cycle and
 // limit (Run's cycle budget).
 func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
-	if e.noIdleSkip {
-		return 0, false
+	if e.noIdleSkip || e.ticking >= 0 {
+		return 0, false // the current cycle's tick phase is unfinished
 	}
 	for _, m := range e.awake {
 		if m != 0 {
@@ -343,7 +353,9 @@ func (e *Engine) Run(maxCycles uint64, pred func() bool) (cycles uint64, done bo
 // Watchdog) stops the clock at the failing cycle and is returned as err
 // instead of unwinding through the caller, as is an abort requested by the
 // interrupt poll (SetInterrupt). Any other panic propagates unchanged —
-// only diagnosed protocol failures are converted.
+// only diagnosed protocol failures are converted. A later step resumes the
+// failing cycle where it stopped: an event phase with the events after the
+// failing one, or a tick phase with the tickers after it (Step).
 func (e *Engine) RunE(maxCycles uint64, pred func() bool) (cycles uint64, done bool, err error) {
 	start := e.now
 	defer func() {
@@ -352,7 +364,6 @@ func (e *Engine) RunE(maxCycles uint64, pred func() bool) (cycles uint64, done b
 			if !ok {
 				panic(r)
 			}
-			e.ticking = -1
 			cycles, done, err = e.now-start, false, pe
 		}
 	}()
