@@ -135,15 +135,8 @@ func main() {
 		cfg.WriteThrough = *wt
 		cfg.Paranoid = *paranoid
 		cfg.WatchdogCycles = *watchdog
-		if *maxCycles > 0 {
-			cfg.MaxCycles = *maxCycles
-		}
-		if basePlan != nil {
-			// Each cell replays its own copy of the plan; runs never share
-			// mutable state.
-			plan := *basePlan
-			cfg.Faults = &plan
-		}
+		cfg.MaxCycles = *maxCycles // 0 is the default budget
+		cfg.Faults = basePlan      // each run copies the plan it replays
 		return cfg
 	}
 

@@ -78,7 +78,9 @@ const (
 // soak, litmus) iterate.
 func Systems() []string { return systems.KindNames() }
 
-// Config tunes a simulation run (cache sizing, write policy, cycle budget).
+// Config tunes a simulation run: an embedded Spec, which declares every
+// knob that can change the result, plus the hooks that never do
+// (Paranoid, Observer, test-only mutations).
 type Config = systems.Config
 
 // DefaultConfig returns the paper's baseline settings for a system.

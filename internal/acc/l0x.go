@@ -379,8 +379,10 @@ func (c *L0X) fill(m *TileMsg) {
 		if m.Write {
 			c.sendWB(a, m.Ver, m.Lease, false)
 		}
-		// No Progress beat here: this is a retry loop, and a persistent
-		// dead-grant spin must still trip the watchdog.
+		// No Progress beat here: this is a retry, not progress. The
+		// watchdog still cannot see a persistent dead-grant spin, because
+		// every link delivery beats it, this grant's own included;
+		// Spec.Validate rejects the lease scales that kill every grant.
 		c.mshr.Free(a)
 		c.cDeadGrants.Inc()
 		for _, w := range t.waiters {

@@ -287,12 +287,12 @@ func fig6aRows(rs results) []Fig6aRow {
 	var rows []Fig6aRow
 	for i, name := range rs.names {
 		base := rs.run(i, 0).OnChipPJ() // SCRATCH
-		for j, cfg := range rs.cfgs {
+		for j := range rs.cfgs {
 			res := rs.run(i, j)
 			e := res.Energy
 			rows = append(rows, Fig6aRow{
 				Benchmark:  name,
-				System:     cfg.Kind.String(),
+				System:     res.System,
 				Local:      e.Get(energy.CatL0X) + e.Get(energy.CatScratch),
 				L1X:        e.Get(energy.CatL1X),
 				TileNet:    e.Get(energy.CatLinkTile) + e.Get(energy.CatLinkFwd),
@@ -325,11 +325,11 @@ func fig6bRows(rs results) []Fig6bRow {
 	var rows []Fig6bRow
 	for i, name := range rs.names {
 		base := float64(rs.run(i, 0).Cycles) // SCRATCH
-		for j, cfg := range rs.cfgs {
+		for j := range rs.cfgs {
 			res := rs.run(i, j)
 			rows = append(rows, Fig6bRow{
 				Benchmark:  name,
-				System:     cfg.Kind.String(),
+				System:     res.System,
 				Cycles:     res.Cycles,
 				DMACycles:  res.DMACycles,
 				Normalized: float64(res.Cycles) / base,
@@ -368,9 +368,9 @@ func fig6cRows(rs results) []Fig6cRow {
 	for i, name := range rs.names {
 		for j, cfg := range rs.cfgs {
 			res := rs.run(i, j)
-			row := Fig6cRow{Benchmark: name, System: cfg.Kind.String()}
+			row := Fig6cRow{Benchmark: name, System: res.System}
 			host := res.HostTiles.Add(res.HostP2P)
-			switch cfg.Kind {
+			switch kind, _ := systems.ParseKind(cfg.System); kind {
 			case systems.Scratch:
 				host = res.HostDMA
 			case systems.Shared:
@@ -446,11 +446,11 @@ func fig6eRows(rs results) []Fig6eRow {
 	for i, name := range rs.names {
 		base := rs.run(i, 0) // SCRATCH
 		baseCycles, basePJ := float64(base.Cycles), base.OnChipPJ()
-		for j, cfg := range rs.cfgs {
+		for j := range rs.cfgs {
 			res := rs.run(i, j)
 			rows = append(rows, Fig6eRow{
 				Benchmark:  name,
-				System:     cfg.Kind.String(),
+				System:     res.System,
 				Cycles:     res.Cycles,
 				EnergyPJ:   res.OnChipPJ(),
 				CycleNorm:  float64(res.Cycles) / baseCycles,

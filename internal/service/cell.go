@@ -82,8 +82,8 @@ func (c *CellResult) Marshal() []byte {
 // The result is deterministic: two BuildCell calls for the same spec
 // produce byte-identical Marshal output.
 func BuildCell(ctx context.Context, s systems.Spec) (cell *CellResult) {
-	s = s.Normalized()
-	cell = &CellResult{Spec: s, Hash: s.Hash()}
+	n := s.Normalized()
+	cell = &CellResult{Spec: n, Hash: n.Hash()}
 	defer func() {
 		if r := recover(); r != nil {
 			pe := sim.PanicError("service.worker", 0, r, string(debug.Stack()))
@@ -94,13 +94,8 @@ func BuildCell(ctx context.Context, s systems.Spec) (cell *CellResult) {
 		fillError(cell, err)
 		return cell
 	}
-	cfg, err := s.Config()
-	if err != nil {
-		fillError(cell, err)
-		return cell
-	}
-	b := workloads.Get(s.Bench)
-	res, err := systems.RunCtx(ctx, b, cfg)
+	b := workloads.Get(n.Bench)
+	res, err := systems.RunCtx(ctx, b, systems.Config{Spec: n})
 	if err != nil {
 		fillError(cell, err)
 		return cell

@@ -86,10 +86,11 @@ func (s *Service) routes() {
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 }
 
-// decodeSweep reads a sweep body into its cells, normalized and validated,
-// and the wall-clock bound of each job. Every cell is validated before any
-// is admitted: a malformed grid is the client's bug and should cost zero
-// simulation time. An error is the client's; its text is the 400 body.
+// decodeSweep reads a sweep body into its cells, validated as sent and then
+// normalized, and the wall-clock bound of each job. Every cell is validated
+// before any is admitted: a malformed grid is the client's bug and should
+// cost zero simulation time. An error is the client's; its text is the 400
+// body.
 func decodeSweep(body io.Reader) ([]systems.Spec, time.Duration, error) {
 	var req SweepRequest
 	dec := json.NewDecoder(body)
@@ -109,10 +110,10 @@ func decodeSweep(body io.Reader) ([]systems.Spec, time.Duration, error) {
 		return nil, 0, errors.New("empty sweep: no benches x systems and no cells")
 	}
 	for i := range specs {
-		specs[i] = specs[i].Normalized()
 		if err := specs[i].Validate(); err != nil {
 			return nil, 0, fmt.Errorf("cell %d (%s): %v", i, specs[i].Label(), err)
 		}
+		specs[i] = specs[i].Normalized()
 	}
 	return specs, time.Duration(req.WallMS) * time.Millisecond, nil
 }

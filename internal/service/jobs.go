@@ -86,10 +86,10 @@ func newScheduler(cache *Cache, workers, depth int,
 // its last waiter detaches. wall bounds the job's wall-clock time if it
 // is this submit that creates the job.
 func (s *scheduler) Submit(ctx context.Context, spec systems.Spec, wall time.Duration) (*CellResult, error) {
-	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	spec = spec.Normalized()
 	hash := spec.Hash()
 
 	s.mu.Lock()

@@ -406,7 +406,13 @@ func TestHTTPBadRequests(t *testing.T) {
 		"unknown-system":  `{"benches": ["adpcm"], "systems": ["quantum"]}`,
 		"negative-lease":  `{"cells": [{"bench": "adpcm", "system": "fusion", "lease_scale": -1}]}`,
 		"negative-window": `{"cells": [{"bench": "fft", "system": "adaptive", "decision_window": -1}]}`,
-		"empty":           `{}`,
+		// Validate sees the knobs as sent: -3 tiles would normalize to 1.
+		"negative-tiles":    `{"benches": ["fft"], "systems": ["fusion"], "base": {"tiles": -3}}`,
+		"too-many-tiles":    `{"cells": [{"bench": "fft", "system": "fusion", "tiles": 40}]}`,
+		"lapsed-lease":      `{"cells": [{"bench": "fft", "system": "fusion", "lease_scale": 0.01}]}`,
+		"lease-past-run":    `{"cells": [{"bench": "fft", "system": "fusion", "lease_scale": 1e300}]}`,
+		"deadline-past-run": `{"cells": [{"bench": "fft", "system": "hydra", "deadline_cycles": 1099511627776}]}`,
+		"empty":             `{}`,
 		// 100 x 100 identical names, about 1.5 KB, ask for 10,000 cells.
 		"grid-too-large": `{"benches":[` + strings.Repeat(`"fft",`, 99) + `"fft"],"systems":[` +
 			strings.Repeat(`"fusion",`, 99) + `"fusion"]}`,

@@ -194,7 +194,7 @@ func runAdaptive(m *machine, b *workloads.Benchmark, cfg Config, res *Result) er
 			case PlaceScratch:
 				return runScratchWindows(m, cfg, ax, pads[inv.AXC], dma, inv, live)
 			case PlaceUncached:
-				err = m.await(cfg.MaxCycles, func(done func(uint64)) { ax.Start(inv, ports[inv.AXC], done) })
+				err = m.await(func(done func(uint64)) { ax.Start(inv, ports[inv.AXC], done) })
 				if err != nil {
 					err = fmt.Errorf("%s uncached: %w", inv.Function, err)
 				}

@@ -135,6 +135,24 @@ func TestBudgetExhaustionIsStructured(t *testing.T) {
 	}
 }
 
+// TestMaxCyclesBoundsTheRun: MaxCycles bounds the whole run, not each wait
+// in it. At lease scale 1000, fft/fusion's waits each fit 2 M cycles, and
+// its lease-lapse waits at the ends of the phases add up to 21.3 M; the run
+// must stop with a budget error by cycle 2 M.
+func TestMaxCyclesBoundsTheRun(t *testing.T) {
+	cfg := DefaultConfig(Fusion)
+	cfg.LeaseScale = 1000
+	cfg.MaxCycles = 2_000_000
+	res, err := Run(workloads.Get("fft"), cfg)
+	var pe *sim.ProtocolError
+	if !errors.As(err, &pe) || pe.Component != sim.ComponentBudget {
+		t.Fatalf("got %v (result %v), want a %s error", err, res != nil, sim.ComponentBudget)
+	}
+	if pe.Cycle > cfg.MaxCycles {
+		t.Fatalf("budget error at cycle %d, past MaxCycles %d", pe.Cycle, cfg.MaxCycles)
+	}
+}
+
 // TestRunAllCtxStopsOnFirstError: one poisoned cell must cancel the whole
 // sweep — outstanding workers observe the cancel and the unstarted tail is
 // skipped — and the returned error must be the poisoned cell (the root

@@ -93,7 +93,7 @@ func checkSkipMatchesStepping(t *testing.T, b *workloads.Benchmark, cfg Config) 
 	}
 	skip, step := renderResult(skipped), renderResult(stepped)
 	if skip != step {
-		t.Fatalf("idle-skip changed the %v report:\nskip:\n%s\nstep:\n%s", cfg.Kind, skip, step)
+		t.Fatalf("idle-skip changed the %s report:\nskip:\n%s\nstep:\n%s", cfg.System, skip, step)
 	}
 	t.Logf("stepped %d of %d cycles (%.1f%%)", skippedSteps, skipped.Cycles,
 		100*float64(skippedSteps)/float64(skipped.Cycles))

@@ -34,6 +34,7 @@ func TestPhaseAccounting(t *testing.T) {
 }
 
 func checkPhaseAccounting(t *testing.T, cfg Config, benches []*workloads.Benchmark) {
+	kind, _ := ParseKind(cfg.System)
 	for _, b := range benches {
 		res, err := Run(b, cfg)
 		if err != nil {
@@ -57,9 +58,9 @@ func checkPhaseAccounting(t *testing.T, cfg Config, benches []*workloads.Benchma
 				t.Errorf("%s phase %d: got %s on AXC %d, program has %s on AXC %d",
 					b.Program.Name, i, r.Function, r.AXC, ph.Inv.Function, axc)
 			}
-			if r.DMACycles > 0 && cfg.Kind != Scratch && cfg.Kind != Adaptive {
+			if r.DMACycles > 0 && kind != Scratch && kind != Adaptive {
 				t.Errorf("%s phase %d: %d DMA cycles on %v, which has no DMA path",
-					b.Program.Name, i, r.DMACycles, cfg.Kind)
+					b.Program.Name, i, r.DMACycles, kind)
 			}
 			sum += r.Cycles
 		}
@@ -67,7 +68,7 @@ func checkPhaseAccounting(t *testing.T, cfg Config, benches []*workloads.Benchma
 			t.Errorf("%s: phase cycles sum to %d, more than the run's %d",
 				b.Program.Name, sum, res.Cycles)
 		}
-		if cfg.Kind == Adaptive {
+		if kind == Adaptive {
 			placed := res.Stats.Get("adaptive.place_l0x") +
 				res.Stats.Get("adaptive.place_scratch") +
 				res.Stats.Get("adaptive.place_uncached")

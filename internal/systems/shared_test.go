@@ -37,7 +37,8 @@ func TestSharedPortRetriesFullMSHRAfterWalk(t *testing.T) {
 			t.Fatalf("load %#x refused", uint64(va))
 		}
 	}
-	if err := m.run(100_000, func() bool { return done == 2 }); err != nil {
+	m.end = 100_000
+	if err := m.run(func() bool { return done == 2 }); err != nil {
 		t.Fatalf("%d of 2 loads completed: %v", done, err)
 	}
 	if got := m.st.Get("sharedswitch.msgs"); got != 2 {

@@ -1,17 +1,5 @@
 package systems
 
-// Spec is the serializable, self-describing run configuration: everything
-// that determines a simulation's result, and nothing that does not. It
-// replaces ad-hoc flag plumbing as the canonical way to name a run — the
-// experiment memo cache, the fusiond result cache, and the CLIs all key on
-// it. Because the simulator is deterministic, a Spec's canonical hash
-// permanently identifies its result: compute once, serve forever.
-//
-// Knobs that never change measured results (observers, paranoia
-// sweeps, test-only mutations) are deliberately not part of a Spec; knobs
-// that change whether a run completes (cycle budget, watchdog window, fault
-// plan) are.
-
 import (
 	"crypto/sha256"
 	"encoding/hex"
@@ -20,158 +8,196 @@ import (
 	"math"
 	"strings"
 
+	"fusion/internal/acc"
+	"fusion/internal/energy"
 	"fusion/internal/faults"
 	"fusion/internal/workloads"
 )
 
-// Spec names one (benchmark, system, knobs) simulation. The zero-valued
-// knobs mean "the paper's baseline" (see Config.normalize); Normalized
-// makes the defaults explicit so equivalent specs collapse to one key.
+// Spec is the serializable run configuration: it names one (benchmark,
+// system, knobs) simulation and declares every knob that can change its
+// result, including whether it completes (cycle budget, watchdog window,
+// fault plan). A Config adds the hooks that never change a result. The
+// experiment memo, the fusiond result cache and the CLIs all key on a
+// Spec; because the simulator is deterministic, its canonical hash
+// permanently identifies its result. Zero knobs mean "the paper's
+// baseline": Normalized makes the defaults explicit so equivalent specs
+// collapse to one key, and Validate rejects the values the model cannot
+// run.
 type Spec struct {
-	Bench  string `json:"bench"`
+	// Bench names the benchmark. Run ignores it: it takes the benchmark
+	// itself.
+	Bench string `json:"bench"`
+	// System names the architecture (see ParseKind).
 	System string `json:"system"`
 
-	Large          bool         `json:"large,omitempty"`
-	WriteThrough   bool         `json:"write_through,omitempty"`
-	MaxCycles      uint64       `json:"max_cycles,omitempty"`
-	Tiles          int          `json:"tiles,omitempty"`
-	LeaseScale     float64      `json:"lease_scale,omitempty"`
-	DMAOutstanding int          `json:"dma_outstanding,omitempty"`
-	DMAGap         uint64       `json:"dma_gap,omitempty"`
-	WatchdogCycles uint64       `json:"watchdog_cycles,omitempty"`
-	Policy         string       `json:"policy,omitempty"`
-	DecisionWindow int          `json:"decision_window,omitempty"`
-	DeadlineCycles uint64       `json:"deadline_cycles,omitempty"`
-	Faults         *faults.Plan `json:"faults,omitempty"`
+	// Large selects the AXC-Large configuration of Section 5.5 (8 KB
+	// L0X/scratchpad, 256 KB L1X).
+	Large bool `json:"large,omitempty"`
+	// WriteThrough disables L0X write caching (Table 4).
+	WriteThrough bool `json:"write_through,omitempty"`
+	// MaxCycles bounds the run: a run still going at this cycle fails with
+	// a cycle-budget error (a safety net). Zero means 200 M cycles.
+	MaxCycles uint64 `json:"max_cycles,omitempty"`
+
+	// --- Extensions and ablation knobs (defaults reproduce the paper) ---
+
+	// Tiles splits the accelerators across multiple FUSION tiles
+	// (round-robin by AXC id). The paper collocates all of an
+	// application's accelerators on one tile and keeps "no inter-tile
+	// communication"; setting Tiles > 1 quantifies why — shared data then
+	// ping-pongs through host MESI. Zero means 1.
+	Tiles int `json:"tiles,omitempty"`
+	// LeaseScale multiplies every function's ACC lease time (Table 3 LT),
+	// for lease-sensitivity ablations. Zero means 1.0.
+	LeaseScale float64 `json:"lease_scale,omitempty"`
+	// DMAOutstanding is the oracle DMA engine's transfer depth (default 1:
+	// a serial controller state machine, as modeled in the paper).
+	DMAOutstanding int `json:"dma_outstanding,omitempty"`
+	// DMAGap is the DMA controller's per-transfer occupancy in cycles.
+	// Zero means 20.
+	DMAGap uint64 `json:"dma_gap,omitempty"`
+	// WatchdogCycles arms a forward-progress watchdog: if no component
+	// reports progress (op retirement, MSHR free, link delivery) for this
+	// many cycles, the run halts with a diagnostic dump naming the stuck
+	// component. Zero disables the watchdog.
+	WatchdogCycles uint64 `json:"watchdog_cycles,omitempty"`
+	// Policy selects the ADAPTIVE placement policy: "heuristic" (the
+	// default, also selected by "") or "learned". Other systems ignore it.
+	Policy string `json:"policy,omitempty"`
+	// DecisionWindow bounds how many leading iterations of a task the
+	// ADAPTIVE profiler folds into its reuse/sharing counters (the
+	// decision window of the Cohmeleon-style policy). Zero means
+	// DefaultDecisionWindow. Other systems ignore it.
+	DecisionWindow int `json:"decision_window,omitempty"`
+	// DeadlineCycles arms HYDRA's per-task deadline: each accelerator
+	// task's deadline is its start cycle plus this budget, and once the
+	// deadline passes the L1X bypasses allocation for the task's fills
+	// (deadline-critical streaming). Zero leaves the deadline term of the
+	// filter unarmed. Other systems ignore it.
+	DeadlineCycles uint64 `json:"deadline_cycles,omitempty"`
+	// Faults, when non-nil and enabled, injects the plan's deterministic
+	// order-preserving faults (link jitter, link stall windows, DRAM
+	// latency spikes) into every interconnect and the memory controller. A
+	// correct hierarchy absorbs any plan with degraded cycle counts and an
+	// unchanged final memory image.
+	Faults *faults.Plan `json:"faults,omitempty"`
 }
+
+// leaseFloor is the L0X<->L1X link latency. A lease no longer than it has
+// lapsed by the time its grant reaches the L0X, so the L0X can never use
+// it and re-requests the line forever.
+var leaseFloor = acc.SmallTileConfig(0, energy.Model{}).L0XL1XLatency
 
 // ParseKind resolves a system name ("scratch", "shared", "fusion",
 // "fusion-dx", "adaptive", "hydra"; case-insensitive, "fusiondx"/"dx"
 // accepted) to its Kind.
 func ParseKind(name string) (Kind, bool) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "scratch":
-		return Scratch, true
-	case "shared":
-		return Shared, true
-	case "fusion":
-		return Fusion, true
-	case "fusion-dx", "fusiondx", "dx":
+	name = strings.ToLower(strings.TrimSpace(name))
+	if name == "fusiondx" || name == "dx" {
 		return FusionDx, true
-	case "adaptive":
-		return Adaptive, true
-	case "hydra":
-		return Hydra, true
+	}
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
+		}
 	}
 	return 0, false
 }
 
-// SpecOf captures the serializable portion of a Config as a normalized
-// Spec. Non-serializable knobs (Observer, Paranoid, mutations) are
-// dropped: they never change measured results.
+// SpecOf captures a Config's spec, for benchmark bench, as a normalized
+// Spec. The hooks a Config adds are dropped: they never change measured
+// results.
 func SpecOf(bench string, cfg Config) Spec {
-	cfg = cfg.normalize()
-	s := Spec{
-		Bench:          bench,
-		System:         strings.ToLower(cfg.Kind.String()),
-		Large:          cfg.Large,
-		WriteThrough:   cfg.WriteThrough,
-		MaxCycles:      cfg.MaxCycles,
-		Tiles:          cfg.Tiles,
-		LeaseScale:     cfg.LeaseScale,
-		DMAOutstanding: cfg.DMAOutstanding,
-		DMAGap:         cfg.DMAGap,
-		WatchdogCycles: cfg.WatchdogCycles,
-		Policy:         cfg.Policy,
-		DecisionWindow: cfg.DecisionWindow,
-		DeadlineCycles: cfg.DeadlineCycles,
-	}
-	if cfg.Faults != nil && cfg.Faults.Enabled() {
-		plan := *cfg.Faults
-		s.Faults = &plan
-	}
-	return s
+	s := cfg.Spec
+	s.Bench = bench
+	return s.Normalized()
 }
 
-// Normalized fills every defaulted knob with its explicit baseline value,
-// by Config.normalize's rules, and canonicalizes the system name, so any
-// two specs describing the same run serialize identically. A disabled
-// fault plan normalizes to nil.
+// Normalized fills every defaulted knob with its explicit baseline value
+// and canonicalizes the names, so any two specs describing the same run
+// serialize identically. It is the one statement of the defaults. An
+// enabled fault plan is copied, and a disabled one normalizes to nil.
 func (s Spec) Normalized() Spec {
-	kind, ok := ParseKind(s.System)
-	out := SpecOf(strings.ToLower(strings.TrimSpace(s.Bench)), s.config(kind))
-	if !ok {
-		out.System = strings.ToLower(strings.TrimSpace(s.System))
+	s.Bench = strings.ToLower(strings.TrimSpace(s.Bench))
+	s.System = strings.ToLower(strings.TrimSpace(s.System))
+	if k, ok := ParseKind(s.System); ok {
+		s.System = kindNames[k]
+	}
+	if s.MaxCycles == 0 {
+		s.MaxCycles = 200_000_000
+	}
+	if s.Tiles <= 0 {
+		s.Tiles = 1
+	}
+	if s.LeaseScale == 0 {
+		s.LeaseScale = 1.0
+	}
+	if s.DMAOutstanding <= 0 {
+		s.DMAOutstanding = 1
+	}
+	if s.DMAGap == 0 {
+		s.DMAGap = dmaControllerGap
 	}
 	// The adaptive/hydra knobs stay implicit when defaulted ("" rather
 	// than "heuristic", 0 rather than DefaultDecisionWindow): their
 	// defaults are applied at the use site, so pre-knob spec hashes of the
 	// other systems remain valid cache keys.
-	out.Policy = strings.ToLower(strings.TrimSpace(out.Policy))
-	return out
+	s.Policy = strings.ToLower(strings.TrimSpace(s.Policy))
+	if s.Faults != nil && s.Faults.Enabled() {
+		plan := *s.Faults
+		s.Faults = &plan
+	} else {
+		s.Faults = nil
+	}
+	return s
 }
 
-// Validate reports whether the spec names a known benchmark, system, and
-// policy, with a finite, non-negative lease scale (zero is the default,
-// 1.0) and a non-negative decision window (zero is the default). A
-// negative scale or window would run as the default under a key of its
-// own.
+// Validate reports whether the spec, as sent, names a run the model can
+// represent: known names, and every knob inside its bound (DESIGN.md §4
+// lists the rules). Each error names the JSON field, its value and the
+// bound. No rule depends on the system.
 func (s Spec) Validate() error {
-	if _, ok := ParseKind(s.System); !ok {
+	n := s.Normalized()
+	if _, ok := ParseKind(n.System); !ok {
 		return fmt.Errorf("spec: unknown system %q (valid: %s)",
 			s.System, strings.Join(KindNames(), ", "))
 	}
-	if s.LeaseScale < 0 || math.IsNaN(s.LeaseScale) || math.IsInf(s.LeaseScale, 0) {
-		return fmt.Errorf("spec: lease scale %v is not a finite, non-negative factor", s.LeaseScale)
+	shape, ok := workloads.ShapeOf(n.Bench)
+	if !ok {
+		return fmt.Errorf("spec: unknown benchmark %q (valid: %s)",
+			s.Bench, strings.Join(workloads.Names(), ", "))
+	}
+	if _, err := newPolicy(n.Policy); err != nil {
+		return fmt.Errorf("spec: %w", err)
+	}
+	if s.Tiles < 0 || s.Tiles > shape.AXCs {
+		return fmt.Errorf("spec: tiles %d is outside [0, %d], %s's accelerator count",
+			s.Tiles, shape.AXCs, n.Bench)
+	}
+	if s.DMAOutstanding < 0 {
+		return fmt.Errorf("spec: dma_outstanding %d is below 0", s.DMAOutstanding)
 	}
 	if s.DecisionWindow < 0 {
-		return fmt.Errorf("spec: decision window %d is negative", s.DecisionWindow)
+		return fmt.Errorf("spec: decision_window %d is below 0", s.DecisionWindow)
 	}
-	switch strings.ToLower(strings.TrimSpace(s.Policy)) {
-	case "", "heuristic", "learned":
-	default:
-		return fmt.Errorf("spec: unknown adaptive policy %q (valid: heuristic, learned)", s.Policy)
+	if s.LeaseScale < 0 || math.IsNaN(s.LeaseScale) || math.IsInf(s.LeaseScale, 0) {
+		return fmt.Errorf("spec: lease_scale %v is not a finite, non-negative factor", s.LeaseScale)
 	}
-	bench := strings.ToLower(strings.TrimSpace(s.Bench))
-	for _, n := range workloads.Names() {
-		if n == bench {
-			return nil
-		}
+	// The float bound keeps scaleLease's conversion in range.
+	if long := float64(shape.MaxLease) * n.LeaseScale; long >= math.MaxUint64 ||
+		scaleLease(shape.MaxLease, n.LeaseScale) > n.MaxCycles {
+		return fmt.Errorf("spec: lease_scale %v stretches %s's longest lease (%d cycles) past max_cycles %d",
+			s.LeaseScale, n.Bench, shape.MaxLease, n.MaxCycles)
 	}
-	return fmt.Errorf("spec: unknown benchmark %q (valid: %s)",
-		s.Bench, strings.Join(workloads.Names(), ", "))
-}
-
-// Config converts the spec to a runnable Config. It fails on an unknown
-// system; benchmark existence is checked by Validate (or by the caller's
-// workload lookup).
-func (s Spec) Config() (Config, error) {
-	kind, ok := ParseKind(s.System)
-	if !ok {
-		return Config{}, fmt.Errorf("spec: unknown system %q", s.System)
+	if short := scaleLease(shape.MinLease, n.LeaseScale); short <= leaseFloor {
+		return fmt.Errorf("spec: lease_scale %v shrinks %s's shortest lease (%d cycles) to %d, not above the %d-cycle L0X-L1X link",
+			s.LeaseScale, n.Bench, shape.MinLease, short, leaseFloor)
 	}
-	// Normalized holds its own copy of the fault plan for the Config.
-	return s.Normalized().config(kind), nil
-}
-
-// config carries the spec's knobs, as they stand, into a Config of kind k
-// that shares the spec's fault plan.
-func (s Spec) config(k Kind) Config {
-	return Config{
-		Kind:           k,
-		Large:          s.Large,
-		WriteThrough:   s.WriteThrough,
-		MaxCycles:      s.MaxCycles,
-		Tiles:          s.Tiles,
-		LeaseScale:     s.LeaseScale,
-		DMAOutstanding: s.DMAOutstanding,
-		DMAGap:         s.DMAGap,
-		WatchdogCycles: s.WatchdogCycles,
-		Policy:         s.Policy,
-		DecisionWindow: s.DecisionWindow,
-		DeadlineCycles: s.DeadlineCycles,
-		Faults:         s.Faults,
+	if s.DeadlineCycles > n.MaxCycles {
+		return fmt.Errorf("spec: deadline_cycles %d exceeds max_cycles %d", s.DeadlineCycles, n.MaxCycles)
 	}
+	return nil
 }
 
 // Key is the canonical serialized form of the spec — the compact JSON of

@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -99,6 +100,10 @@ func KindNames() []string {
 	return out
 }
 
+// kindNames is KindNames indexed by Kind, computed once: every run and spec
+// key parses and canonicalizes a system name.
+var kindNames = KindNames()
+
 // dmaControllerGap is the DMA engine's per-transfer state-machine occupancy
 // (descriptor handling and completion bookkeeping), on top of the wire and
 // LLC costs. The paper models "the complete state machine of the DMA
@@ -119,63 +124,15 @@ const (
 	dmaAgent  mesi.AgentID = 3
 )
 
-// Config tunes a run.
+// Config is a run's Spec plus the hooks that never change its result. Run
+// takes the benchmark itself and ignores Spec.Bench.
 type Config struct {
-	Kind Kind
-	// Large selects the AXC-Large configuration of Section 5.5 (8 KB
-	// L0X/scratchpad, 256 KB L1X).
-	Large bool
-	// WriteThrough disables L0X write caching (Table 4).
-	WriteThrough bool
-	// MaxCycles bounds the simulation (safety net).
-	MaxCycles uint64
-
-	// --- Extensions and ablation knobs (defaults reproduce the paper) ---
-
-	// Tiles splits the accelerators across multiple FUSION tiles
-	// (round-robin by AXC id). The paper collocates all of an
-	// application's accelerators on one tile and keeps "no inter-tile
-	// communication"; setting Tiles > 1 quantifies why — shared data then
-	// ping-pongs through host MESI.
-	Tiles int
-	// LeaseScale multiplies every function's ACC lease time (Table 3 LT),
-	// for lease-sensitivity ablations. Zero means 1.0.
-	LeaseScale float64
-	// DMAOutstanding is the oracle DMA engine's transfer depth (default 1:
-	// a serial controller state machine, as modeled in the paper).
-	DMAOutstanding int
-	// DMAGap is the DMA controller's per-transfer occupancy in cycles.
-	DMAGap uint64
+	Spec
 	// Paranoid scans the tile(s) for ACC protocol-invariant violations
 	// every few cycles (single writer, lease containment, RMAP
 	// consistency) and the host directory's MESI invariants (single owner,
 	// sharer soundness); a violation fails the run at the cycle it appears.
 	Paranoid bool
-	// Faults, when non-nil and enabled, injects the plan's deterministic
-	// order-preserving faults (link jitter, link stall windows, DRAM
-	// latency spikes) into every interconnect and the memory controller. A
-	// correct hierarchy absorbs any plan with degraded cycle counts and an
-	// unchanged final memory image.
-	Faults *faults.Plan
-	// WatchdogCycles arms a forward-progress watchdog: if no component
-	// reports progress (op retirement, MSHR free, link delivery) for this
-	// many cycles, the run halts with a diagnostic dump naming the stuck
-	// component. Zero disables the watchdog.
-	WatchdogCycles uint64
-	// Policy selects the ADAPTIVE placement policy: "heuristic" (the
-	// default, also selected by "") or "learned". Other systems ignore it.
-	Policy string
-	// DecisionWindow bounds how many leading iterations of a task the
-	// ADAPTIVE profiler folds into its reuse/sharing counters (the
-	// decision window of the Cohmeleon-style policy). Zero means
-	// DefaultDecisionWindow. Other systems ignore it.
-	DecisionWindow int
-	// DeadlineCycles arms HYDRA's per-task deadline: each accelerator
-	// task's deadline is its start cycle plus this budget, and once the
-	// deadline passes the L1X bypasses allocation for the task's fills
-	// (deadline-critical streaming). Zero leaves the deadline term of the
-	// filter unarmed. Other systems ignore it.
-	DeadlineCycles uint64
 	// Observer, when set, receives one obs.Event for every load, store and
 	// fill any agent performs, every protocol transition of the
 	// accelerator tile(s) and the host directory, and a phase mark at
@@ -193,28 +150,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's baseline settings for a system.
-func DefaultConfig(k Kind) Config { return Config{Kind: k}.normalize() }
-
-// normalize fills zero-valued knobs with their defaults so a zero Config
-// still runs the paper's baseline. It is the one statement of those
-// defaults: DefaultConfig and Spec.Normalized apply it.
-func (c Config) normalize() Config {
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 200_000_000
-	}
-	if c.Tiles <= 0 {
-		c.Tiles = 1
-	}
-	if c.LeaseScale == 0 {
-		c.LeaseScale = 1.0
-	}
-	if c.DMAOutstanding <= 0 {
-		c.DMAOutstanding = 1
-	}
-	if c.DMAGap == 0 {
-		c.DMAGap = dmaControllerGap
-	}
-	return c
+func DefaultConfig(k Kind) Config {
+	return Config{Spec: Spec{System: k.String()}.Normalized()}
 }
 
 // PhaseResult captures one phase's execution.
@@ -285,6 +222,11 @@ type machine struct {
 	hostL1 *mesi.Client
 	core   *host.Core
 	pid    mem.PID
+
+	// kind is the system the run builds, and end the cycle at which its
+	// cycle budget runs out.
+	kind Kind
+	end  uint64
 
 	inj      *faults.Injector
 	wd       *sim.Watchdog
@@ -362,28 +304,38 @@ func (m *machine) translate(va mem.VAddr) mem.PAddr {
 }
 
 // run drives the engine until pred holds. Protocol failures (including a
-// watchdog timeout), cancellation aborts, and cycle-budget exhaustion all
-// surface as a *sim.ProtocolError instead of a panic or a bare string —
-// the budget case attaches the watchdog's diagnostic dump when one is
-// armed, so a run that timed out still names what it was waiting on.
-func (m *machine) run(max uint64, pred func() bool) error {
-	_, ok, err := m.eng.RunE(max, pred)
-	if err != nil {
+// watchdog timeout), cancellation aborts, and the run's cycle budget
+// running out all surface as a *sim.ProtocolError instead of a panic or a
+// bare string — the budget case attaches the watchdog's diagnostic dump
+// when one is armed, so a run that timed out still names what it was
+// waiting on.
+func (m *machine) run(pred func() bool) error { return m.runUntil(m.end, pred) }
+
+// runUntil is run stopped at cycle until, or at the run's end if that comes
+// first. pred must hold by cycle until.
+func (m *machine) runUntil(until uint64, pred func() bool) error {
+	_, ok, err := m.eng.RunE(min(until, m.end)-m.eng.Now(), pred)
+	if err != nil || ok {
 		return err
 	}
-	if !ok {
-		state := ""
-		if m.wd != nil {
-			state = m.wd.Dump()
-		}
-		return &sim.ProtocolError{
-			Component: sim.ComponentBudget,
-			Cycle:     m.eng.Now(),
-			Message:   fmt.Sprintf("cycle budget of %d exhausted before the wait completed", max),
-			State:     state,
-		}
+	state := ""
+	if m.wd != nil {
+		state = m.wd.Dump()
 	}
-	return nil
+	return &sim.ProtocolError{
+		Component: sim.ComponentBudget,
+		Cycle:     m.eng.Now(),
+		Message:   fmt.Sprintf("cycle budget of %d exhausted before the wait completed", m.end),
+		State:     state,
+	}
+}
+
+// satAdd is a + b, saturated at the last representable cycle.
+func satAdd(a, b uint64) uint64 {
+	if a+b < a {
+		return math.MaxUint64
+	}
+	return a + b
 }
 
 // cancelPollCycles is how often a context-carrying run polls for
@@ -410,10 +362,15 @@ func RunCtx(ctx context.Context, b *workloads.Benchmark, cfg Config) (*Result, e
 // runOn is RunCtx on a fresh machine that tests may have fitted with extra
 // tickers (a step-counting probe) before the run assembles the system.
 func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) (*Result, error) {
-	cfg = cfg.normalize()
+	cfg.Spec = cfg.Spec.Normalized()
+	kind, ok := ParseKind(cfg.System)
+	if !ok {
+		return nil, fmt.Errorf("unknown system %q", cfg.System)
+	}
+	m.kind, m.end = kind, satAdd(m.eng.Now(), cfg.MaxCycles)
 	res := &Result{
 		Benchmark:   b.Program.Name,
-		System:      cfg.Kind.String(),
+		System:      kind.String(),
 		Config:      cfg,
 		Energy:      m.mt,
 		Stats:       m.st,
@@ -474,7 +431,7 @@ func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) 
 	}
 
 	var err error
-	switch cfg.Kind {
+	switch kind {
 	case Scratch:
 		err = runScratch(m, b, cfg, res)
 	case Shared:
@@ -483,14 +440,12 @@ func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) 
 		err = runFusion(m, b, cfg, res)
 	case Adaptive:
 		err = runAdaptive(m, b, cfg, res)
-	default:
-		err = fmt.Errorf("unknown system %v", cfg.Kind)
 	}
 	if err == nil {
 		// The host L1 may cache output lines it wrote; flush it so
 		// FinalVersions see everything.
 		m.hostL1.FlushAll()
-		err = m.run(cfg.MaxCycles, func() bool {
+		err = m.run(func() bool {
 			return m.hostL1.Outstanding() == 0 && m.eng.Pending() == 0
 		})
 	}
@@ -652,7 +607,7 @@ func runPhases(m *machine, b *workloads.Benchmark, cfg Config, res *Result, h ph
 		r := PhaseResult{Function: inv.Function, AXC: -1}
 		c0, e0 := m.eng.Now(), m.mt.Total()
 		if host {
-			err := m.await(cfg.MaxCycles, func(done func(uint64)) { m.core.Start(inv, m.translate, done) })
+			err := m.await(func(done func(uint64)) { m.core.Start(inv, m.translate, done) })
 			if err != nil {
 				return fmt.Errorf("host phase %s: %w", inv.Function, err)
 			}
@@ -674,10 +629,10 @@ func runPhases(m *machine, b *workloads.Benchmark, cfg Config, res *Result, h ph
 
 // await calls start with a completion callback and runs the engine until
 // that callback fires.
-func (m *machine) await(max uint64, start func(done func(uint64))) error {
+func (m *machine) await(start func(done func(uint64))) error {
 	fired := false
 	start(func(uint64) { fired = true })
-	return m.run(max, func() bool { return fired })
+	return m.run(func() bool { return fired })
 }
 
 // ---------------------------------------------------------------- SCRATCH
@@ -760,7 +715,7 @@ func runScratchWindows(m *machine, cfg Config, ax *accel.Accelerator,
 				remaining--
 			})
 		}
-		if err := m.run(cfg.MaxCycles, func() bool { return remaining == 0 }); err != nil {
+		if err := m.run(func() bool { return remaining == 0 }); err != nil {
 			return dmaCycles, fmt.Errorf("%s window DMA-in: %w", inv.Function, err)
 		}
 		dmaCycles += m.eng.Now() - t0
@@ -771,7 +726,7 @@ func runScratchWindows(m *machine, cfg Config, ax *accel.Accelerator,
 			AXC:        inv.AXC,
 			Iterations: inv.Iterations[w.Start:w.End],
 		}
-		if err := m.await(cfg.MaxCycles, func(done func(uint64)) { ax.Start(&sub, pad, done) }); err != nil {
+		if err := m.await(func(done func(uint64)) { ax.Start(&sub, pad, done) }); err != nil {
 			return dmaCycles, fmt.Errorf("%s window exec: %w", inv.Function, err)
 		}
 
@@ -782,7 +737,7 @@ func runScratchWindows(m *machine, cfg Config, ax *accel.Accelerator,
 		for _, dl := range dirty {
 			dma.WriteLine(m.translate(dl.Addr), dl.Ver, dl.Delta, func(uint64) { pendingWB-- })
 		}
-		if err := m.run(cfg.MaxCycles, func() bool { return pendingWB == 0 }); err != nil {
+		if err := m.run(func() bool { return pendingWB == 0 }); err != nil {
 			return dmaCycles, fmt.Errorf("%s window DMA-out: %w", inv.Function, err)
 		}
 		dmaCycles += m.eng.Now() - t0
@@ -871,7 +826,7 @@ func runShared(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 
 	err := runPhases(m, b, cfg, res, phaseHooks{
 		exec: func(_ int, inv *trace.Invocation) (uint64, error) {
-			err := m.await(cfg.MaxCycles, func(done func(uint64)) { axcs[inv.AXC].Start(inv, port, done) })
+			err := m.await(func(done func(uint64)) { axcs[inv.AXC].Start(inv, port, done) })
 			if err != nil {
 				return 0, fmt.Errorf("%s: %w", inv.Function, err)
 			}
@@ -883,7 +838,7 @@ func runShared(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 	}
 	// Flush the tile cache so outputs land in the LLC.
 	client.FlushAll()
-	return m.run(cfg.MaxCycles, func() bool { return client.Outstanding() == 0 })
+	return m.run(func() bool { return client.Outstanding() == 0 })
 }
 
 // ---------------------------------------------------------------- FUSION
@@ -919,15 +874,15 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 
 			// HYDRA: arm the task deadline. Fills requested after it passes
 			// bypass L1X allocation (the deadline term of the filter).
-			if cfg.Kind == Hydra && cfg.DeadlineCycles > 0 {
-				tile.L1X.SetDeadline(m.eng.Now() + cfg.DeadlineCycles)
+			if m.kind == Hydra && cfg.DeadlineCycles > 0 {
+				tile.L1X.SetDeadline(satAdd(m.eng.Now(), cfg.DeadlineCycles))
 			}
 
 			// FUSION-Dx: install the trace-derived forwarding table for this
 			// producer phase (Section 3.2). Forwarding links exist only within
 			// a tile; cross-tile consumers fall back to the L1X writeback.
 			l0.ClearForwards()
-			if cfg.Kind == FusionDx {
+			if m.kind == FusionDx {
 				if f, ok := b.Forwards[i]; ok && tileOf(f.Consumer) == tileOf(inv.AXC) {
 					for _, la := range f.Lines {
 						l0.MarkForward(la, acc.AXCID(localOf(f.Consumer)))
@@ -955,7 +910,7 @@ func newTile(m *machine, cfg Config, t, nAXCs int) *acc.Tile {
 	}
 	tcfg.Agent = tileAgent + mesi.AgentID(t)
 	tcfg.PID = m.pid
-	tcfg.EnableDx = cfg.Kind == FusionDx
+	tcfg.EnableDx = m.kind == FusionDx
 	tcfg.L0X.WriteThrough = cfg.WriteThrough
 	tcfg.Injector = m.inj
 	if t > 0 {
@@ -964,7 +919,7 @@ func newTile(m *machine, cfg Config, t, nAXCs int) *acc.Tile {
 	}
 	tile := acc.NewTile(m.eng, m.fab, m.pt, tcfg, m.model, m.mt, m.st)
 	m.tiles = append(m.tiles, tile)
-	if cfg.Kind == Hydra {
+	if m.kind == Hydra {
 		tile.L1X.EnableBypassFilter(hydraBypassThreshold, m.model.PolicyCheck)
 	}
 	tile.SetObserver(cfg.Observer)
@@ -986,7 +941,7 @@ func newTile(m *machine, cfg Config, t, nAXCs int) *acc.Tile {
 // L0X placement.
 func runL0X(m *machine, cfg Config, ax *accel.Accelerator, l0 *acc.L0X, inv *trace.Invocation) error {
 	l0.SetLeaseTime(scaleLease(inv.LeaseTime, cfg.LeaseScale))
-	if err := m.await(cfg.MaxCycles, func(done func(uint64)) { ax.Start(inv, l0, done) }); err != nil {
+	if err := m.await(func(done func(uint64)) { ax.Start(inv, l0, done) }); err != nil {
 		return fmt.Errorf("%s: %w", inv.Function, err)
 	}
 	l0.Drain()
@@ -1007,7 +962,7 @@ func drainTiles(m *machine, b *workloads.Benchmark, cfg Config, tiles []*acc.Til
 	for _, tile := range tiles {
 		tile.Drain()
 	}
-	if err := m.run(cfg.MaxCycles, outstanding); err != nil {
+	if err := m.run(outstanding); err != nil {
 		return err
 	}
 	// Wait out any open epochs so FlushAll may evict everything.
@@ -1022,17 +977,20 @@ func drainTiles(m *machine, b *workloads.Benchmark, cfg Config, tiles []*acc.Til
 			maxLease = lt
 		}
 	}
-	idleUntil := m.eng.Now() + maxLease + 64
-	for m.eng.Now() < idleUntil {
+	idleUntil := satAdd(m.eng.Now(), satAdd(maxLease, 64))
+	err := m.runUntil(idleUntil, func() bool {
 		// This wait is intentional (leases must lapse before FlushAll), so
 		// keep the watchdog fed while nothing retires.
 		m.eng.Progress()
-		m.eng.Step()
+		return m.eng.Now() >= idleUntil
+	})
+	if err != nil {
+		return err
 	}
 	for _, tile := range tiles {
 		tile.L1X.FlushAll()
 	}
-	return m.run(cfg.MaxCycles, outstanding)
+	return m.run(outstanding)
 }
 
 // invariantChecker is the paranoid-mode ticker: it sweeps the ACC protocol

@@ -2,6 +2,7 @@ package systems
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -299,5 +300,28 @@ func TestDMADepthAblation(t *testing.T) {
 	verifyGolden(t, "fft", deep)
 	if deep.Cycles >= serial.Cycles {
 		t.Errorf("8-deep DMA (%d cycles) not faster than serial (%d)", deep.Cycles, serial.Cycles)
+	}
+}
+
+// TestHydraLargestDeadlineIsUnarmed: a task deadline past the last
+// representable cycle saturates there, so it never passes and fft/hydra
+// runs exactly as with the deadline unarmed. The start-plus-budget sum used
+// to wrap to a deadline behind the clock.
+func TestHydraLargestDeadlineIsUnarmed(t *testing.T) {
+	b := workloads.Get("fft")
+	unarmed, err := Run(b, DefaultConfig(Hydra))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(Hydra)
+	cfg.DeadlineCycles, cfg.MaxCycles = math.MaxUint64, math.MaxUint64
+	res, err := Run(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyGolden(t, "fft", res)
+	if res.Cycles != unarmed.Cycles || res.Stats.Get("l1x.bypass_deadline") != 0 {
+		t.Fatalf("deadline 2^64-1: %d cycles, %d deadline bypasses; unarmed: %d cycles",
+			res.Cycles, res.Stats.Get("l1x.bypass_deadline"), unarmed.Cycles)
 	}
 }

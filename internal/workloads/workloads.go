@@ -23,7 +23,9 @@
 package workloads
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 
 	"fusion/internal/mem"
 	"fusion/internal/sim"
@@ -115,10 +117,10 @@ func Names() []string {
 // kb is a size helper.
 func kb(n int) int { return n << 10 }
 
-// specs returns the full benchmark table. Region sizes are simulation-scale
-// (see the package comment); op mixes, MLP, and LT come straight from
-// Tables 1 and 3.
-func specs() map[string]benchSpec {
+// specs returns the full benchmark table, built once; callers only read
+// it. Region sizes are simulation-scale (see the package comment); op
+// mixes, MLP, and LT come straight from Tables 1 and 3.
+var specs = sync.OnceValue(func() map[string]benchSpec {
 	m := make(map[string]benchSpec)
 
 	// FFT (MachSuite): 6 butterfly stages over a small array, run
@@ -349,6 +351,26 @@ func specs() map[string]benchSpec {
 	}
 
 	return m
+})
+
+// Shape is what a paper benchmark declares of its accelerators: their
+// count (the program's NumAXCs) and the shortest and longest function lease
+// times (Table 3 LT).
+type Shape struct {
+	AXCs               int
+	MinLease, MaxLease uint64
+}
+
+// ShapeOf returns the shape of paper benchmark name, read from its
+// declaration without generating the program, and whether Names lists it.
+func ShapeOf(name string) (Shape, bool) {
+	spec, ok := specs()[name]
+	sh := Shape{MinLease: math.MaxUint64}
+	for _, fn := range spec.fns {
+		sh.AXCs = max(sh.AXCs, fn.axc+1)
+		sh.MinLease, sh.MaxLease = min(sh.MinLease, fn.lt), max(sh.MaxLease, fn.lt)
+	}
+	return sh, ok
 }
 
 // Benchmark holds a generated program plus the metadata the experiment
@@ -685,10 +707,3 @@ func ComputeForwards(b *Benchmark) {
 }
 
 func iround(f float64) int { return int(f + 0.5) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

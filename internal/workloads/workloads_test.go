@@ -189,6 +189,29 @@ func TestLeaseAndMLPTables(t *testing.T) {
 	}
 }
 
+// TestShapeMatchesProgram: ShapeOf, read from the declarations, agrees
+// with every generated program's accelerator count and lease times, and
+// knows exactly the names Names lists.
+func TestShapeMatchesProgram(t *testing.T) {
+	for _, name := range Names() {
+		sh, ok := ShapeOf(name)
+		if !ok {
+			t.Fatalf("no shape for %s", name)
+		}
+		b := Get(name)
+		want := Shape{AXCs: b.Program.NumAXCs(), MinLease: math.MaxUint64}
+		for _, lt := range b.LeaseTimes {
+			want.MinLease, want.MaxLease = min(want.MinLease, lt), max(want.MaxLease, lt)
+		}
+		if sh != want {
+			t.Errorf("%s: shape %+v, program %+v", name, sh, want)
+		}
+	}
+	if _, ok := ShapeOf("nope"); ok {
+		t.Error("unknown benchmark has a shape")
+	}
+}
+
 func TestHostTailReadsOutputs(t *testing.T) {
 	b := Get("track")
 	last := b.Program.Phases[len(b.Program.Phases)-1]
