@@ -171,7 +171,7 @@ func (d *DRAM) Tick(now uint64) {
 			d.cRowMiss.Inc()
 		}
 		if extra := d.inj.DRAMDelay(i); extra > 0 {
-			lat += extra
+			lat = sim.SatAdd(lat, extra)
 			d.cFaultSpikes.Inc()
 		}
 		d.eng.Progress() // a command issuing is forward progress
@@ -190,7 +190,7 @@ func (d *DRAM) Tick(now uint64) {
 		}
 		done := req.Done
 		if done != nil {
-			d.eng.ScheduleAt(now+lat, done)
+			d.eng.ScheduleAt(sim.SatAdd(now, lat), done)
 		}
 	}
 	// Sleep only with every queue empty: a queued command keeps the

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"fusion/internal/sim"
 )
 
 // Plan is a serializable description of the faults to inject. The zero
@@ -164,7 +166,7 @@ func (i *Injector) LinkDelay(link string, now uint64) uint64 {
 		w := now / p.LinkStallEvery
 		h := splitmix64(p.Seed ^ fnv1a(link) ^ splitmix64(w^0xb5297a4d))
 		if float64(h>>11)/(1<<53) < p.LinkStallProb {
-			end := w*p.LinkStallEvery + p.LinkStallLen
+			end := sim.SatAdd(w*p.LinkStallEvery, p.LinkStallLen)
 			if end > now {
 				extra += end - now
 				i.linkStalls++
@@ -174,7 +176,7 @@ func (i *Injector) LinkDelay(link string, now uint64) uint64 {
 	if p.LinkJitterProb > 0 && p.LinkJitterMax > 0 {
 		s := i.stream(link)
 		if s.chance(p.LinkJitterProb) {
-			extra += 1 + s.next()%p.LinkJitterMax
+			extra = sim.SatAdd(extra, 1+s.next()%p.LinkJitterMax)
 			i.linkJitters++
 		}
 	}

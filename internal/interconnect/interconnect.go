@@ -167,7 +167,7 @@ func (l *Link) Send(m Message) {
 	now := l.eng.Now()
 	start := now
 	if extra := l.inj.LinkDelay(l.name, now); extra > 0 {
-		start += extra
+		start = sim.SatAdd(start, extra)
 		l.cFaults.Inc()
 	}
 	if l.bwFlits > 0 {
@@ -178,9 +178,9 @@ func (l *Link) Send(m Message) {
 		if occupancy == 0 {
 			occupancy = 1
 		}
-		l.nextFree = start + occupancy
+		l.nextFree = sim.SatAdd(start, occupancy)
 	}
-	arrive := start + l.latency
+	arrive := sim.SatAdd(start, l.latency)
 	if arrive <= now {
 		arrive = now + 1 // a link always takes at least one cycle
 	}

@@ -325,10 +325,7 @@ func (e *Engine) skipTarget(limit uint64) (uint64, bool) {
 // could not have flipped at any skipped cycle.
 func (e *Engine) Run(maxCycles uint64, pred func() bool) (cycles uint64, done bool) {
 	start := e.now
-	limit := start + maxCycles
-	if limit < start {
-		limit = math.MaxUint64
-	}
+	limit := SatAdd(start, maxCycles)
 	for e.now < limit {
 		if pred != nil && pred() {
 			return e.now - start, true
@@ -337,7 +334,11 @@ func (e *Engine) Run(maxCycles uint64, pred func() bool) (cycles uint64, done bo
 			return e.now - start, false
 		}
 		if target, ok := e.skipTarget(limit); ok {
+			// Move the wheel's horizon with the clock, promoting what the
+			// next Step would, so an event scheduled before that Step is
+			// checked against the current horizon.
 			e.now = target
+			e.sched.advance(target)
 			continue
 		}
 		e.Step()
@@ -346,6 +347,16 @@ func (e *Engine) Run(maxCycles uint64, pred func() bool) (cycles uint64, done bo
 		return e.now - start, true
 	}
 	return e.now - start, false
+}
+
+// SatAdd is a + b, saturated at the last representable cycle, which no run
+// reaches: a delay or budget that would wrap past it ends there instead of
+// landing in the past.
+func SatAdd(a, b uint64) uint64 {
+	if a+b < a {
+		return math.MaxUint64
+	}
+	return a + b
 }
 
 // RunE is Run with structured failure recovery: a *ProtocolError raised by

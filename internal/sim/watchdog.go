@@ -55,10 +55,10 @@ func (w *Watchdog) Name() string { return "watchdog" }
 // stepped cycle to a healthy run. A window of 0 has no deadline, and one
 // past the last representable cycle saturates there, which is none either.
 func (w *Watchdog) deadline() uint64 {
-	if w.window == 0 || w.window >= math.MaxUint64-w.last {
+	if w.window == 0 {
 		return math.MaxUint64
 	}
-	return w.last + w.window + 1
+	return SatAdd(SatAdd(w.last, w.window), 1)
 }
 
 // Window returns the configured stall window in cycles.

@@ -124,6 +124,27 @@ func TestWheelFastForwardJump(t *testing.T) {
 	}
 }
 
+// TestFastForwardAdvancesWheel: a jump moves the wheel's horizon with the
+// clock, so an event scheduled between Run calls, one cycle after the
+// skipped-to cycle, lands in the near wheel rather than the overflow heap,
+// and still fires on time.
+func TestFastForwardAdvancesWheel(t *testing.T) {
+	e := NewEngine()
+	if _, done := e.Run(1000, nil); done || e.Now() != 1000 || e.Steps() != 0 {
+		t.Fatalf("idle Run(1000) left now=%d after %d steps, want a jump to 1000", e.Now(), e.Steps())
+	}
+	fired := uint64(0)
+	e.ScheduleCall(1, funcHandler(func(now uint64) { fired = now }), 0, 0)
+	if e.sched.now != 1000 || e.sched.wcount != 1 || len(e.sched.overflow.items) != 0 {
+		t.Fatalf("wheel now=%d, %d wheel and %d overflow events; want now=1000 and the event in the wheel",
+			e.sched.now, e.sched.wcount, len(e.sched.overflow.items))
+	}
+	e.Run(10, func() bool { return fired != 0 })
+	if fired != 1001 {
+		t.Fatalf("event fired at %d, want 1001", fired)
+	}
+}
+
 // tickScheduler schedules fn with zero delay during the tick phase of
 // cycle at, producing a bucket straggler: the event's cycle has already
 // drained, so it runs at the head of the next cycle's event phase.
@@ -198,6 +219,7 @@ func runQueue(q queue, d *diffTicker, limit uint64) {
 				if ok && at < limit {
 					now = at
 				}
+				q.advance(now)
 				continue
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fusion/internal/faults"
 	"fusion/internal/sim"
 	"fusion/internal/workloads"
 )
@@ -142,6 +143,23 @@ func TestBudgetExhaustionIsStructured(t *testing.T) {
 func TestMaxCyclesBoundsTheRun(t *testing.T) {
 	cfg := DefaultConfig(Fusion)
 	cfg.LeaseScale = 1000
+	cfg.MaxCycles = 2_000_000
+	res, err := Run(workloads.Get("fft"), cfg)
+	var pe *sim.ProtocolError
+	if !errors.As(err, &pe) || pe.Component != sim.ComponentBudget {
+		t.Fatalf("got %v (result %v), want a %s error", err, res != nil, sim.ComponentBudget)
+	}
+	if pe.Cycle > cfg.MaxCycles {
+		t.Fatalf("budget error at cycle %d, past MaxCycles %d", pe.Cycle, cfg.MaxCycles)
+	}
+}
+
+// TestHugeDRAMSpikeNeverSpeedsUp: a DRAM latency spike near 2^64 cycles
+// saturates instead of wrapping into a speed-up, so fft/fusion with every
+// command spiked never completes and stops at its cycle budget.
+func TestHugeDRAMSpikeNeverSpeedsUp(t *testing.T) {
+	cfg := DefaultConfig(Fusion)
+	cfg.Faults = &faults.Plan{Seed: 1, DRAMSpikeProb: 1, DRAMSpikeExtra: math.MaxUint64 - 100}
 	cfg.MaxCycles = 2_000_000
 	res, err := Run(workloads.Get("fft"), cfg)
 	var pe *sim.ProtocolError

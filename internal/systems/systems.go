@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -330,14 +329,6 @@ func (m *machine) runUntil(until uint64, pred func() bool) error {
 	}
 }
 
-// satAdd is a + b, saturated at the last representable cycle.
-func satAdd(a, b uint64) uint64 {
-	if a+b < a {
-		return math.MaxUint64
-	}
-	return a + b
-}
-
 // cancelPollCycles is how often a context-carrying run polls for
 // cancellation: every few thousand simulated cycles — a few milliseconds
 // of wall time — so cancellation and deadlines take effect promptly
@@ -367,7 +358,7 @@ func runOn(ctx context.Context, m *machine, b *workloads.Benchmark, cfg Config) 
 	if !ok {
 		return nil, fmt.Errorf("unknown system %q", cfg.System)
 	}
-	m.kind, m.end = kind, satAdd(m.eng.Now(), cfg.MaxCycles)
+	m.kind, m.end = kind, sim.SatAdd(m.eng.Now(), cfg.MaxCycles)
 	res := &Result{
 		Benchmark:   b.Program.Name,
 		System:      kind.String(),
@@ -875,7 +866,7 @@ func runFusion(m *machine, b *workloads.Benchmark, cfg Config, res *Result) erro
 			// HYDRA: arm the task deadline. Fills requested after it passes
 			// bypass L1X allocation (the deadline term of the filter).
 			if m.kind == Hydra && cfg.DeadlineCycles > 0 {
-				tile.L1X.SetDeadline(satAdd(m.eng.Now(), cfg.DeadlineCycles))
+				tile.L1X.SetDeadline(sim.SatAdd(m.eng.Now(), cfg.DeadlineCycles))
 			}
 
 			// FUSION-Dx: install the trace-derived forwarding table for this
@@ -977,7 +968,7 @@ func drainTiles(m *machine, b *workloads.Benchmark, cfg Config, tiles []*acc.Til
 			maxLease = lt
 		}
 	}
-	idleUntil := satAdd(m.eng.Now(), satAdd(maxLease, 64))
+	idleUntil := sim.SatAdd(m.eng.Now(), sim.SatAdd(maxLease, 64))
 	err := m.runUntil(idleUntil, func() bool {
 		// This wait is intentional (leases must lapse before FlushAll), so
 		// keep the watchdog fed while nothing retires.

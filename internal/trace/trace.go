@@ -13,6 +13,8 @@
 package trace
 
 import (
+	"slices"
+
 	"fusion/internal/flat"
 	"fusion/internal/mem"
 )
@@ -60,35 +62,78 @@ type invLines struct {
 // callers in systems and experiments make this a hot-ish path — the memo
 // is what keeps repeated phase setups from re-hashing the whole trace.
 func (inv *Invocation) Lines() ([]mem.VAddr, map[mem.VAddr]bool) {
-	if m := inv.memo; m != nil {
-		return m.lines, m.written
+	m := inv.memo
+	if m == nil {
+		m = newLineScan().scan(inv)
 	}
-	return inv.computeLines()
+	return m.lines, m.written
 }
 
-func (inv *Invocation) computeLines() (lines []mem.VAddr, written map[mem.VAddr]bool) {
-	seen := make(map[mem.VAddr]bool)
-	written = make(map[mem.VAddr]bool)
-	add := func(a mem.VAddr, w bool) {
-		la := a.LineAddr()
-		if !seen[la] {
-			seen[la] = true
-			lines = append(lines, la)
-		}
-		if w {
-			written[la] = true
-		}
-	}
+// lineScan computes Lines views. Its set and its two lists are scratch
+// space that Seal reuses across phases, so a view allocates only what it
+// keeps.
+type lineScan struct {
+	seen           *flat.Map[bool] // line -> written
+	lines, written []mem.VAddr     // first-touch and first-store order
+}
+
+func newLineScan() *lineScan { return &lineScan{seen: flat.New[bool](0)} }
+
+// scan computes inv's Lines view.
+func (s *lineScan) scan(inv *Invocation) *invLines {
+	s.seen.Clear()
+	s.lines, s.written = s.lines[:0], s.written[:0]
+	// Repeating the latest load's line or the latest store's line changes
+	// nothing, so such an access skips the set. 1 is no line's address.
+	lastLoad, lastStore := mem.VAddr(1), mem.VAddr(1)
 	for i := range inv.Iterations {
 		it := &inv.Iterations[i]
 		for _, a := range it.Loads {
-			add(a, false)
+			if la := a.LineAddr(); la != lastLoad {
+				lastLoad = la
+				s.touch(la, false)
+			}
 		}
 		for _, a := range it.Stores {
-			add(a, true)
+			if la := a.LineAddr(); la != lastStore {
+				lastStore = la
+				s.touch(la, true)
+			}
 		}
 	}
-	return lines, written
+	m := &invLines{lines: slices.Clone(s.lines), written: make(map[mem.VAddr]bool, len(s.written))}
+	for _, la := range s.written {
+		m.written[la] = true
+	}
+	return m
+}
+
+// touch records an access to line la, a store if w.
+func (s *lineScan) touch(la mem.VAddr, w bool) {
+	p := s.seen.Ptr(uint64(la))
+	if p == nil {
+		s.lines = append(s.lines, la)
+		p = s.seen.Put(uint64(la), false)
+	}
+	if w && !*p {
+		*p = true
+		s.written = append(s.written, la)
+	}
+}
+
+// TraceID identifies an invocation's Iterations storage: phases that
+// share one trace (a generated function's repeats) have equal IDs.
+type TraceID struct {
+	first *Iteration
+	n     int
+}
+
+// TraceID returns the identity of inv's Iterations storage.
+func (inv *Invocation) TraceID() TraceID {
+	if len(inv.Iterations) == 0 {
+		return TraceID{}
+	}
+	return TraceID{&inv.Iterations[0], len(inv.Iterations)}
 }
 
 // Ops returns total op counts (int, fp, ld, st) for the invocation.
@@ -131,16 +176,26 @@ type Phase struct {
 }
 
 // Seal memoizes every phase's Lines view and the program's WorkingSet.
-// Call once the trace is final (and before the program is shared across
-// concurrent runs); mutating any Iterations afterwards leaves the memo
-// stale. Sealing is idempotent.
+// Call once the trace is final, before the program is shared across
+// concurrent runs. Phases whose Iterations are the same slice (a generated
+// function's repeats) share one memo, computed once. A sealed program's
+// phases may share storage, so it must not be mutated: a change to one
+// phase's Iterations would reach every phase sharing them and leave the
+// memo stale. Sealing is idempotent.
 func (p *Program) Seal() {
+	scan := newLineScan()
+	memos := make(map[TraceID]*invLines)
 	for i := range p.Phases {
 		inv := &p.Phases[i].Inv
-		l, w := inv.computeLines()
-		inv.memo = &invLines{lines: l, written: w}
+		k := inv.TraceID()
+		m := memos[k]
+		if m == nil {
+			m = scan.scan(inv)
+			memos[k] = m
+		}
+		inv.memo = m
 	}
-	p.wsLines, p.sealed = p.workingSetLines(), true
+	p.wsLines, p.sealed = p.workingSetLines(scan.seen), true
 }
 
 // NumAXCs returns how many distinct accelerators the program uses.
@@ -159,24 +214,19 @@ func (p *Program) NumAXCs() int {
 func (p *Program) WorkingSet() (lines int, bytes int) {
 	lines = p.wsLines
 	if !p.sealed {
-		lines = p.workingSetLines()
+		lines = p.workingSetLines(flat.New[bool](0))
 	}
 	return lines, lines * mem.LineBytes
 }
 
-// workingSetLines counts the distinct lines over every phase's Lines in a
-// table sized for their total, so it never grows.
-func (p *Program) workingSetLines() int {
-	n := 0
-	for i := range p.Phases {
-		ls, _ := p.Phases[i].Inv.Lines()
-		n += len(ls)
-	}
-	seen := flat.New[struct{}](n)
+// workingSetLines counts the distinct lines over every phase's Lines in
+// seen, which it clears first.
+func (p *Program) workingSetLines(seen *flat.Map[bool]) int {
+	seen.Clear()
 	for i := range p.Phases {
 		ls, _ := p.Phases[i].Inv.Lines()
 		for _, l := range ls {
-			seen.Put(uint64(l), struct{}{})
+			seen.Put(uint64(l), false)
 		}
 	}
 	return seen.Len()

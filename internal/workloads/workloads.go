@@ -25,8 +25,10 @@ package workloads
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
+	"fusion/internal/flat"
 	"fusion/internal/mem"
 	"fusion/internal/sim"
 	"fusion/internal/trace"
@@ -405,7 +407,11 @@ func Get(name string) *Benchmark {
 	return build(spec)
 }
 
-// build expands a spec into a concrete program.
+// build expands a spec into a concrete program. A function with no
+// patRandom stream draws nothing from the rng, so all its repeats expand to
+// the same trace: the later repeats reuse the first one's invocation, and
+// its Iterations, while the rng sees the same draws in the same order as
+// when every repeat was expanded.
 func build(spec benchSpec) *Benchmark {
 	rng := rand.New(rand.NewSource(int64(len(spec.name)) * 10007))
 
@@ -420,7 +426,10 @@ func build(spec benchSpec) *Benchmark {
 	}
 
 	b := &Benchmark{
-		Program:    &trace.Program{Name: spec.name},
+		Program: &trace.Program{
+			Name:   spec.name,
+			Phases: make([]trace.Phase, 0, spec.repeat*len(spec.fns)+1),
+		},
 		LeaseTimes: make(map[string]uint64),
 		MLP:        make(map[string]int),
 		Forwards:   make(map[int]ForwardSet),
@@ -432,13 +441,17 @@ func build(spec benchSpec) *Benchmark {
 		}
 	}
 
+	x := &expander{regs: regs, rng: rng}
+	invs := make([]trace.Invocation, len(spec.fns))
 	for rep := 0; rep < spec.repeat; rep++ {
-		for _, fn := range spec.fns {
-			inv := genInvocation(fn, regs, rng)
+		for i, fn := range spec.fns {
+			if rep == 0 || fn.random() {
+				invs[i] = x.invocation(fn)
+			}
 			b.LeaseTimes[fn.name] = fn.lt
 			b.MLP[fn.name] = fn.mlp
 			b.Program.Phases = append(b.Program.Phases,
-				trace.Phase{Kind: trace.PhaseAccel, Inv: inv})
+				trace.Phase{Kind: trace.PhaseAccel, Inv: invs[i]})
 		}
 	}
 
@@ -452,8 +465,29 @@ func build(spec benchSpec) *Benchmark {
 	return b
 }
 
-// genInvocation expands one function into its iteration trace.
-func genInvocation(fn fnSpec, regs map[string]region, rng *rand.Rand) trace.Invocation {
+// random reports whether any of fn's streams draws its addresses from the
+// rng.
+func (fn *fnSpec) random() bool {
+	isRandom := func(s strm) bool { return s.pattern == patRandom }
+	return slices.ContainsFunc(fn.reads, isRandom) || slices.ContainsFunc(fn.writes, isRandom)
+}
+
+// expander expands the functions of one build. seqs holds the streams of
+// the set being expanded back to back, ends their end offsets, and stores
+// a store sequence before down-sampling: scratch space reused across the
+// build, which nothing the program keeps points into.
+type expander struct {
+	regs         map[string]region
+	rng          *rand.Rand
+	seqs, stores []mem.VAddr
+	ends         []int
+}
+
+// invocation expands one function into its iteration trace. Its loads and
+// stores share one allocation, and each iteration's streams are
+// consecutive runs of it, sub-sliced (full-capacity slices) rather than
+// copied: iteration traces dominate benchmark memory.
+func (x *expander) invocation(fn fnSpec) trace.Invocation {
 	total := float64(fn.opsPerIter)
 	sum := fn.mix.Int + fn.mix.FP + fn.mix.Ld + fn.mix.St
 	nLd := iround(total * fn.mix.Ld / sum)
@@ -467,140 +501,155 @@ func genInvocation(fn fnSpec, regs map[string]region, rng *rand.Rand) trace.Invo
 		nSt = 1
 	}
 
-	loads := expandStreams(fn.reads, regs, rng)
-	stores := expandStreams(fn.writes, regs, rng)
-
+	nLoads, nStores := x.setLen(fn.reads), x.setLen(fn.writes)
 	iters := 1
-	if nLd > 0 && len(loads) > 0 {
-		iters = (len(loads) + nLd - 1) / nLd
-	} else if nSt > 0 && len(stores) > 0 {
-		iters = (len(stores) + nSt - 1) / nSt
+	if nLd > 0 && nLoads > 0 {
+		iters = (nLoads + nLd - 1) / nLd
+	} else if nSt > 0 && nStores > 0 {
+		iters = (nStores + nSt - 1) / nSt
 	}
 
 	// Honor the op mix: downsample the store stream to the store budget,
 	// keeping its region coverage order (a sparser write stride).
-	if want := iters * nSt; want > 0 && len(stores) > want {
-		sampled := make([]mem.VAddr, 0, want)
-		for i := 0; i < want; i++ {
-			sampled = append(sampled, stores[i*len(stores)/want])
+	kept := nStores
+	if want := iters * nSt; want > 0 && nStores > want {
+		kept = want
+	}
+	addrs := make([]mem.VAddr, nLoads+kept)
+	loads, stores := addrs[:nLoads], addrs[nLoads:]
+	x.expand(fn.reads, loads)
+	if kept == nStores {
+		x.expand(fn.writes, stores)
+	} else {
+		x.stores = slices.Grow(x.stores[:0], nStores)[:nStores]
+		x.expand(fn.writes, x.stores)
+		for i := range stores {
+			stores[i] = x.stores[i*nStores/kept]
 		}
-		stores = sampled
 	}
 
-	inv := trace.Invocation{Function: fn.name, AXC: fn.axc, LeaseTime: fn.lt, Serial: fn.serial}
-	inv.Iterations = make([]trace.Iteration, 0, iters)
+	inv := trace.Invocation{Function: fn.name, AXC: fn.axc, LeaseTime: fn.lt, Serial: fn.serial,
+		Iterations: make([]trace.Iteration, iters)}
 	li, si := 0, 0
-	for i := 0; i < iters; i++ {
-		var it trace.Iteration
-		// Each iteration's streams are consecutive runs of the expanded
-		// address sequences; sub-slice them (full-capacity slices) instead
-		// of copying — iteration traces dominate benchmark memory.
+	for i := range inv.Iterations {
+		it := &inv.Iterations[i]
 		l0 := li
-		if li += nLd; li > len(loads) {
-			li = len(loads)
-		}
+		li = min(li+nLd, nLoads)
 		if li > l0 {
 			it.Loads = loads[l0:li:li]
 		}
 		// Spread stores evenly across iterations.
-		wantSt := (i + 1) * len(stores) / iters
-		if wantSt > si {
+		if wantSt := (i + 1) * kept / iters; wantSt > si {
 			it.Stores = stores[si:wantSt:wantSt]
+			si = wantSt
 		}
-		si = wantSt
 		it.IntOps = nInt
 		it.FPOps = nFp
-		inv.Iterations = append(inv.Iterations, it)
 	}
 	return inv
 }
 
-// expandStreams produces the interleaved address sequence of a stream set.
-func expandStreams(ss []strm, regs map[string]region, rng *rand.Rand) []mem.VAddr {
-	var seqs [][]mem.VAddr
+// stream resolves s's region and stride.
+func (x *expander) stream(s strm) (region, int) {
+	r, ok := x.regs[s.reg]
+	if !ok {
+		sim.Failf("workloads", 0, "", "unknown region %q in stream spec", s.reg)
+	}
+	stride := s.stride
+	if stride == 0 {
+		// Default: word-granularity streaming, 8 accesses per line — the
+		// spatial locality that lets the L0X filter ~80% of L1X accesses
+		// (Lesson 3).
+		stride = 8
+	}
+	return r, stride
+}
+
+// setLen returns the length of a stream set's interleaved address
+// sequence. Every pattern's per-pass length is deterministic, so a
+// sequence is sized exactly before it is generated instead of growing by
+// appends, whose copies would be most of a build's garbage.
+func (x *expander) setLen(ss []strm) int {
+	n := 0
 	for _, s := range ss {
-		r, ok := regs[s.reg]
-		if !ok {
-			sim.Failf("workloads", 0, "", "unknown region %q in stream spec", s.reg)
-		}
-		stride := s.stride
-		if stride == 0 {
-			// Default: word-granularity streaming, 8 accesses per line —
-			// the spatial locality that lets the L0X filter ~80% of L1X
-			// accesses (Lesson 3).
-			stride = 8
-		}
-		// Every pattern's per-pass length is deterministic, so size the
-		// sequence exactly up front: benchmark builds run once per simulated
-		// config, and append-doubling here was a measurable share of build
-		// garbage.
-		seq := make([]mem.VAddr, 0, max(1, s.passes)*passLen(s, r, stride))
-		for p := 0; p < max(1, s.passes); p++ {
-			switch s.pattern {
-			case patRandom:
-				n := r.size / stride
-				for i := 0; i < n; i++ {
-					off := rng.Intn(r.size) &^ 7
-					seq = append(seq, r.base+mem.VAddr(off))
-				}
-			case patStencil:
-				for off := 0; off < r.size; off += stride {
-					seq = append(seq, r.base+mem.VAddr(off))
-					// Neighbour taps: previous and next line.
-					if off >= mem.LineBytes {
-						seq = append(seq, r.base+mem.VAddr(off-mem.LineBytes))
-					}
-					if off+mem.LineBytes < r.size {
-						seq = append(seq, r.base+mem.VAddr(off+mem.LineBytes))
-					}
-				}
-			case patBlocked:
-				reuse := s.reuse
-				if reuse == 0 {
-					reuse = blockedReuse
-				}
-				for blk := 0; blk < r.size; blk += blockedBytes {
-					end := blk + blockedBytes
-					if end > r.size {
-						end = r.size
-					}
-					for rep := 0; rep < reuse; rep++ {
-						for off := blk; off < end; off += stride {
-							seq = append(seq, r.base+mem.VAddr(off))
-						}
-					}
-				}
-			default:
-				for off := 0; off < r.size; off += stride {
-					seq = append(seq, r.base+mem.VAddr(off))
-				}
-			}
-		}
+		r, stride := x.stream(s)
+		n += max(1, s.passes) * passLen(s, r, stride)
+	}
+	return n
+}
+
+// expand writes the round-robin interleaving of a stream set's address
+// sequences into out, which holds exactly setLen(ss) addresses.
+func (x *expander) expand(ss []strm, out []mem.VAddr) {
+	x.seqs, x.ends = slices.Grow(x.seqs[:0], len(out)), x.ends[:0]
+	longest := 0
+	for _, s := range ss {
+		start := len(x.seqs)
+		x.seqs = x.appendSeq(x.seqs, s)
 		if s.reverse {
-			for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
-				seq[i], seq[j] = seq[j], seq[i]
+			slices.Reverse(x.seqs[start:])
+		}
+		x.ends = append(x.ends, len(x.seqs))
+		longest = max(longest, len(x.seqs)-start)
+	}
+	k := 0
+	for j := 0; j < longest; j++ {
+		start := 0
+		for _, end := range x.ends {
+			if start+j < end {
+				out[k] = x.seqs[start+j]
+				k++
+			}
+			start = end
+		}
+	}
+}
+
+// appendSeq appends stream s's address sequence, pass after pass, to seq.
+func (x *expander) appendSeq(seq []mem.VAddr, s strm) []mem.VAddr {
+	r, stride := x.stream(s)
+	for p := 0; p < max(1, s.passes); p++ {
+		switch s.pattern {
+		case patRandom:
+			n := r.size / stride
+			for i := 0; i < n; i++ {
+				off := x.rng.Intn(r.size) &^ 7
+				seq = append(seq, r.base+mem.VAddr(off))
+			}
+		case patStencil:
+			for off := 0; off < r.size; off += stride {
+				seq = append(seq, r.base+mem.VAddr(off))
+				// Neighbour taps: previous and next line.
+				if off >= mem.LineBytes {
+					seq = append(seq, r.base+mem.VAddr(off-mem.LineBytes))
+				}
+				if off+mem.LineBytes < r.size {
+					seq = append(seq, r.base+mem.VAddr(off+mem.LineBytes))
+				}
+			}
+		case patBlocked:
+			reuse := s.reuse
+			if reuse == 0 {
+				reuse = blockedReuse
+			}
+			for blk := 0; blk < r.size; blk += blockedBytes {
+				end := blk + blockedBytes
+				if end > r.size {
+					end = r.size
+				}
+				for rep := 0; rep < reuse; rep++ {
+					for off := blk; off < end; off += stride {
+						seq = append(seq, r.base+mem.VAddr(off))
+					}
+				}
+			}
+		default:
+			for off := 0; off < r.size; off += stride {
+				seq = append(seq, r.base+mem.VAddr(off))
 			}
 		}
-		seqs = append(seqs, seq)
 	}
-	// Round-robin interleave the streams.
-	total := 0
-	for _, s := range seqs {
-		total += len(s)
-	}
-	out := make([]mem.VAddr, 0, total)
-	for len(seqs) > 0 {
-		live := seqs[:0]
-		for _, s := range seqs {
-			if len(s) == 0 {
-				continue
-			}
-			out = append(out, s[0])
-			live = append(live, s[1:])
-		}
-		seqs = live
-	}
-	return out
+	return seq
 }
 
 // passLen computes one pass's sequence length for a stream without
@@ -642,19 +691,25 @@ func passLen(s strm, r region, stride int) int {
 }
 
 // hostTail builds the final host phase: the host incrementally reads the
-// benchmark outputs (Figure 3: the host fetches tmp_2 as it runs step3).
+// benchmark outputs (Figure 3: the host fetches tmp_2 as it runs step3),
+// one line per iteration. The iterations' one-load slices are windows of
+// one slab.
 func hostTail(spec benchSpec, regs map[string]region) trace.Invocation {
-	inv := trace.Invocation{Function: spec.name + ".host_consume", AXC: -1}
+	n := 0
+	for _, out := range spec.outputs {
+		n += (regs[out].size + mem.LineBytes - 1) / mem.LineBytes
+	}
+	slab := make([]mem.VAddr, 0, n)
+	iters := make([]trace.Iteration, 0, n)
 	for _, out := range spec.outputs {
 		r := regs[out]
 		for off := 0; off < r.size; off += mem.LineBytes {
-			inv.Iterations = append(inv.Iterations, trace.Iteration{
-				Loads:  []mem.VAddr{r.base + mem.VAddr(off)},
-				IntOps: 2,
-			})
+			i := len(slab)
+			slab = append(slab, r.base+mem.VAddr(off))
+			iters = append(iters, trace.Iteration{Loads: slab[i : i+1 : i+1], IntOps: 2})
 		}
 	}
-	return inv
+	return trace.Invocation{Function: spec.name + ".host_consume", AXC: -1, Iterations: iters}
 }
 
 // maxForwardLines caps each phase's forward set. Forwarding is only useful
@@ -668,11 +723,18 @@ const maxForwardLines = 48
 // post-processing (Section 3.2): for each accelerator phase, the dirty
 // lines its successor phase (on a different AXC) loads, in the consumer's
 // first-touch order, capped at maxForwardLines. Call it after constructing
-// a custom Benchmark to enable FUSION-Dx forwarding.
+// a custom Benchmark to enable FUSION-Dx forwarding. A producer-consumer
+// pair with the same two traces on the same two AXCs as an earlier pair
+// (a repeated pipeline) reuses that pair's set.
 func ComputeForwards(b *Benchmark) {
 	if b.Forwards == nil {
 		b.Forwards = make(map[int]ForwardSet)
 	}
+	type pairKey struct {
+		p, q               trace.TraceID
+		producer, consumer int
+	}
+	done := make(map[pairKey]ForwardSet)
 	phases := b.Program.Phases
 	for i := 0; i+1 < len(phases); i++ {
 		p, q := &phases[i], &phases[i+1]
@@ -682,28 +744,42 @@ func ComputeForwards(b *Benchmark) {
 		if p.Inv.AXC == q.Inv.AXC {
 			continue
 		}
-		_, written := p.Inv.Lines()
-		var lines []mem.VAddr
-		seen := make(map[mem.VAddr]bool)
-		for j := range q.Inv.Iterations {
-			for _, a := range q.Inv.Iterations[j].Loads {
-				la := a.LineAddr()
-				if written[la] && !seen[la] {
-					seen[la] = true
-					lines = append(lines, la)
-					if len(lines) >= maxForwardLines {
-						break
-					}
-				}
-			}
-			if len(lines) >= maxForwardLines {
-				break
-			}
+		k := pairKey{p.Inv.TraceID(), q.Inv.TraceID(), p.Inv.AXC, q.Inv.AXC}
+		f, ok := done[k]
+		if !ok {
+			f = ForwardSet{Consumer: q.Inv.AXC, Lines: forwardLines(&p.Inv, &q.Inv)}
+			done[k] = f
 		}
-		if len(lines) > 0 {
-			b.Forwards[i] = ForwardSet{Consumer: q.Inv.AXC, Lines: lines}
+		if len(f.Lines) > 0 {
+			b.Forwards[i] = f
 		}
 	}
+}
+
+// forwardLines returns the lines producer p writes that consumer q loads,
+// in q's first-load order, capped at maxForwardLines.
+func forwardLines(p, q *trace.Invocation) []mem.VAddr {
+	_, written := p.Lines()
+	var lines []mem.VAddr
+	seen := flat.New[struct{}](maxForwardLines)
+	last := mem.VAddr(1) // the latest load's line, decided already; 1 is no line
+	for j := range q.Iterations {
+		for _, a := range q.Iterations[j].Loads {
+			la := a.LineAddr()
+			if la == last {
+				continue
+			}
+			last = la
+			if written[la] && seen.Ptr(uint64(la)) == nil {
+				seen.Put(uint64(la), struct{}{})
+				lines = append(lines, la)
+				if len(lines) >= maxForwardLines {
+					return lines
+				}
+			}
+		}
+	}
+	return lines
 }
 
 func iround(f float64) int { return int(f + 0.5) }

@@ -2,8 +2,15 @@ package workloads
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,25 +39,176 @@ func TestUnknownBenchmarkPanics(t *testing.T) {
 	Get("nope")
 }
 
+// TestGenerationDeterministic pins every generated program: the paper
+// benchmarks and the seeded random programs the benchmark harness runs
+// (seeds 1000-1007 and 2000-2007) must digest to the recorded values, so a
+// generator change that alters any phase, line set, forward set or table
+// fails here, not only one that makes two builds disagree.
 func TestGenerationDeterministic(t *testing.T) {
-	a, b := Get("fft"), Get("fft")
-	if len(a.Program.Phases) != len(b.Program.Phases) {
-		t.Fatal("phase counts differ")
+	want := map[string]string{
+		"fft":         "fd92a37ff603d78a6f3246130a6ec1c9e023568d0aedad47a58a214a46144d3d",
+		"disp":        "88c1121d08ebc4367d6a248d159e3f0d55e6a3a368a83d02011cc2961ea3c8a0",
+		"track":       "9069d1edce44ce37fd834678b3c866b40e40ec62ef68bc382a38b532312c790c",
+		"adpcm":       "89112d25039b302d59e0be33dd228494a8c3a8455d6878e3bb12c89e3ca482ce",
+		"susan":       "070e2d64b56b24d5e557bc24a7d52408cd57fb69baa9e90c0405b25552f7c350",
+		"filt":        "85a058a29018e426e4a3f51ccffc20e702b88a3144758f3e527303e34e33be58",
+		"hist":        "60799ccd8bfafffbc57364ab10bbbab8b764362021fdb8ffafcf92d8d8645bed",
+		"random-1000": "f4065dfec52ef938f3216ea874b03ba092c6a5fd430746e751786d6146b230c4",
+		"random-1001": "61598e5c0eb154b645c81788492fc82960777284c99e8e0012cc623cdebf7f72",
+		"random-1002": "d0d75b59d96bd208984a7461b333ca21e83fb9ecfcc561a2426f234ea3db9b4f",
+		"random-1003": "8ff9306d0e75aec803817445a808de789696e23168b0ca68c6b2d8e910368ecf",
+		"random-1004": "e6369077ea4715872b5d7a2c6cfd7a8f2c0d92597f559e1338eb873e23d1b983",
+		"random-1005": "5947bc71f5f7ff397c4001b0979303a67a13a35edf647d3e082c531bb9b4d5a5",
+		"random-1006": "61a3b3e2759764f5514879e59814ddc5dc51f14c8debe443cee03e6426ff0afd",
+		"random-1007": "05a70d1c820268e1204a726a8eb157cb526d6be6d4958a79f4cf191d55b3a828",
+		"random-2000": "7b864505f1586b1796b93931b82fbb47cf9d4a515d26bf4fbf73ad15c6a52ad8",
+		"random-2001": "d2c684bb2729f1a17f64130d2329e33bfa152d1446c9b1c5a217dec67c9f7d7b",
+		"random-2002": "932687668a63f6174055f0a32575c380614c2855ab1b41aee82ed0736563e897",
+		"random-2003": "abff8998e9428b22e610b7d68090254c71103587759b5811921be296964965d9",
+		"random-2004": "0cfcc45b41d35daf8a930213585199f114643071ed71e7bce801120a6fa5441d",
+		"random-2005": "fbca1972f737db4d3d1b63e082b6f466e54e6b3019b55dde4a6ee7cae9d2f15e",
+		"random-2006": "2c7ea073839d3e800e44d3218d786a5408695db753b15bfafb6dd21e225f3b8b",
+		"random-2007": "a1b8a3de2ed959f0ac284a1c2b2742593f47ee1160b4e4d3449696f1054dd75c",
 	}
-	for i := range a.Program.Phases {
-		ia, ib := a.Program.Phases[i].Inv, b.Program.Phases[i].Inv
-		if len(ia.Iterations) != len(ib.Iterations) {
-			t.Fatalf("phase %d iteration counts differ", i)
+	for _, name := range Names() {
+		d := benchmarkDigest(Get(name))
+		if again := benchmarkDigest(Get(name)); again != d {
+			t.Errorf("%s: two builds digest %s and %s", name, d, again)
 		}
-		for j := range ia.Iterations {
-			xa, xb := ia.Iterations[j], ib.Iterations[j]
-			for k := range xa.Loads {
-				if xa.Loads[k] != xb.Loads[k] {
-					t.Fatalf("phase %d iter %d load %d differs", i, j, k)
-				}
+		if d != want[name] {
+			t.Errorf("%s: digest %s, want %s", name, d, want[name])
+		}
+	}
+	for _, base := range []int64{1000, 2000} {
+		for s := base; s < base+8; s++ {
+			name := fmt.Sprintf("random-%d", s)
+			if d := benchmarkDigest(Random(s, DefaultRandomParams())); d != want[name] {
+				t.Errorf("%s: digest %s, want %s", name, d, want[name])
 			}
 		}
 	}
+}
+
+// TestRepeatsShareTrace: a repeat of a function that draws nothing from
+// the rng shares the first repeat's trace and Lines view (fft's step1 runs
+// as phases 0, 6, ...), and programs without such repeats share nothing.
+func TestRepeatsShareTrace(t *testing.T) {
+	fft := Get("fft").Program
+	first, again := &fft.Phases[0].Inv, &fft.Phases[6].Inv
+	if first.Function != "step1" || again.Function != "step1" {
+		t.Fatalf("phases 0 and 6 run %s and %s, want step1 twice", first.Function, again.Function)
+	}
+	if &first.Iterations[0] != &again.Iterations[0] {
+		t.Error("fft phase 6 does not share phase 0's iterations")
+	}
+	l0, w0 := first.Lines()
+	l6, w6 := again.Lines()
+	if &l0[0] != &l6[0] || reflect.ValueOf(w0).Pointer() != reflect.ValueOf(w6).Pointer() {
+		t.Error("fft phase 6 does not share phase 0's Lines view")
+	}
+
+	for name, b := range map[string]*Benchmark{
+		"disp": Get("disp"), "hist": Get("hist"),
+		"random-1000": Random(1000, DefaultRandomParams()),
+		"random-2003": Random(2003, DefaultRandomParams()),
+	} {
+		owner := map[uintptr]int{} // storage address -> first phase holding it
+		claim := func(i int, v any, n int) {
+			if n == 0 {
+				return // an empty value holds no storage of its own
+			}
+			p := reflect.ValueOf(v).Pointer()
+			if j, ok := owner[p]; ok {
+				t.Errorf("%s: phases %d and %d share storage", name, j, i)
+			}
+			owner[p] = i
+		}
+		for i := range b.Program.Phases {
+			inv := &b.Program.Phases[i].Inv
+			lines, written := inv.Lines()
+			claim(i, inv.Iterations, len(inv.Iterations))
+			claim(i, lines, len(lines))
+			claim(i, written, len(written))
+		}
+	}
+}
+
+// benchmarkDigest hashes everything a run reads of a benchmark: each
+// phase's kind, function, AXC, lease, Serial flag and iterations, its
+// Lines view and written set, the forward sets, the input lines, the lease
+// and MLP tables and the working set.
+func benchmarkDigest(b *Benchmark) string {
+	h := sha256.New()
+	var buf []byte
+	num := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	str := func(s string) { num(uint64(len(s))); buf = append(buf, s...) }
+	addrs := func(as []mem.VAddr) {
+		num(uint64(len(as)))
+		for _, a := range as {
+			num(uint64(a))
+		}
+	}
+	flush := func() { h.Write(buf); buf = buf[:0] }
+
+	p := b.Program
+	str(p.Name)
+	for i := range p.Phases {
+		ph := &p.Phases[i]
+		inv := &ph.Inv
+		num(uint64(ph.Kind))
+		str(inv.Function)
+		num(uint64(inv.AXC))
+		num(inv.LeaseTime)
+		if inv.Serial {
+			num(1)
+		} else {
+			num(0)
+		}
+		num(uint64(len(inv.Iterations)))
+		for j := range inv.Iterations {
+			it := &inv.Iterations[j]
+			num(uint64(it.IntOps))
+			num(uint64(it.FPOps))
+			addrs(it.Loads)
+			addrs(it.Stores)
+			if len(buf) > 1<<16 {
+				flush()
+			}
+		}
+		lines, written := inv.Lines()
+		addrs(lines)
+		addrs(sortedKeys(written))
+		flush()
+	}
+	for _, i := range sortedKeys(b.Forwards) {
+		f := b.Forwards[i]
+		num(uint64(i))
+		num(uint64(f.Consumer))
+		addrs(f.Lines)
+	}
+	addrs(b.InputLines)
+	for _, fn := range sortedKeys(b.LeaseTimes) {
+		str(fn)
+		num(b.LeaseTimes[fn])
+	}
+	for _, fn := range sortedKeys(b.MLP) {
+		str(fn)
+		num(uint64(b.MLP[fn]))
+	}
+	lines, bytes := p.WorkingSet()
+	num(uint64(lines))
+	num(uint64(bytes))
+	flush()
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
 }
 
 // Table 1 calibration: the generated op mix of each function must be close
