@@ -3,9 +3,10 @@ package systems
 // Absolute-result pin: the SHA-256 of every registered system's full report
 // (renderResult: cycles, every counter, every energy category, per-phase
 // and per-function cycles and energy, the final memory image) on the paper
-// benchmarks, plus fft under Large and WriteThrough and every paper
-// benchmark under a seeded fault plan, compared against a committed golden. A refactor that shifts any simulated number on any
-// system fails here and names the cell.
+// benchmarks, plus fft under Large and WriteThrough, every paper benchmark
+// under a seeded fault plan, and fft and susan with a paced, deeper DMA
+// engine, compared against a committed golden. A refactor that shifts any
+// simulated number on any system fails here and names the cell.
 //
 // After a deliberate result change, regenerate with
 //
@@ -41,7 +42,11 @@ type resultCell struct {
 // resultCells is every paper benchmark on every system at DefaultConfig,
 // then fft on every system under Large and WriteThrough, then every paper
 // benchmark on every system under a seeded fault plan, which jitters and
-// stalls every link and host route.
+// stalls every link and host route, then fft and susan on every system with
+// four DMA transfers in flight and a 4-cycle controller gap. That last
+// variant pins the gap-deferred DMA pump and, through susan's two uncached
+// ADAPTIVE tasks, the uncached port at depth > 1; the knobs act only on
+// SCRATCH and ADAPTIVE.
 func resultCells() []resultCell {
 	var cells []resultCell
 	for _, name := range workloads.Names() {
@@ -58,6 +63,7 @@ func resultCells() []resultCell {
 		{"large", fft, func(c *Config) { c.Large = true }},
 		{"writethrough", fft, func(c *Config) { c.WriteThrough = true }},
 		{"faultseed7", workloads.Names(), func(c *Config) { p := faults.RandomPlan(7); c.Faults = &p }},
+		{"dma4gap4", []string{"fft", "susan"}, func(c *Config) { c.DMAOutstanding, c.DMAGap = 4, 4 }},
 	}
 	for _, v := range variants {
 		for _, name := range v.benches {
