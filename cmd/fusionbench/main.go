@@ -187,8 +187,9 @@ type budgetEntry struct {
 
 // checkAllocBudget regenerates every budgeted artifact and fails if its
 // measured allocs/op or bytes/op exceed the budget by more than the
-// tolerance. An improvement well under budget passes (with a hint to
-// ratchet the budget down via -benchout).
+// tolerance. A value more than the tolerance under its budget passes with
+// status "ratchet": the budget should come down to a fresh -benchout
+// report.
 func checkAllocBudget(path string, workers int) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -213,21 +214,26 @@ func checkAllocBudget(path string, workers int) error {
 				path, want.Name, strings.Join(fusion.ExperimentNames(), ", "))
 		}
 	}
-	tol := 1 + b.TolerancePct/100
+	tol := b.TolerancePct / 100
 	var failures []string
+	ratchets := 0
 	for _, want := range b.Entries {
 		got, err := measureArtifact(want.Name, workers)
 		if err != nil {
 			return err
 		}
 		check := func(metric string, gotV, budgetV uint64) {
-			limit := uint64(float64(budgetV) * tol)
+			limit := uint64(float64(budgetV) * (1 + tol))
 			status := "ok"
-			if gotV > limit {
+			switch {
+			case gotV > limit:
 				status = "FAIL"
 				failures = append(failures, fmt.Sprintf(
 					"%s %s: %d > %d (budget %d +%.0f%%)",
 					want.Name, metric, gotV, limit, budgetV, b.TolerancePct))
+			case float64(gotV) < float64(budgetV)*(1-tol):
+				status = "ratchet"
+				ratchets++
 			}
 			fmt.Fprintf(os.Stderr, "  %-14s %-9s %14d budget %14d  %s\n",
 				want.Name, metric, gotV, budgetV, status)
@@ -240,5 +246,9 @@ func checkAllocBudget(path string, workers int) error {
 			strings.Join(failures, "\n  "))
 	}
 	fmt.Fprintln(os.Stderr, "allocation budget: all artifacts within budget")
+	if ratchets > 0 {
+		fmt.Fprintf(os.Stderr, "allocation budget: %d value(s) more than %.0f%% under budget; ratchet them from a -benchout report\n",
+			ratchets, b.TolerancePct)
+	}
 	return nil
 }

@@ -108,18 +108,21 @@ func TestDMAWriteInvalidatesDirtyOwner(t *testing.T) {
 	h.axcDo(t, 0, mem.Store, 0x5000)
 	dma := scratchpad.NewDMA(h.fab, 9, 1, 0, h.st)
 	pa := h.pt.Translate(1, 0x5000).LineAddr()
-	done := false
-	dma.WriteLine(pa, 1, true, func(uint64) { done = true })
-	h.run(t, 400000, func() bool { return done })
+	dma.WriteLine(pa, 1, true, nil, 0)
+	h.run(t, 400000, dma.Idle)
 	if h.tile.L1X.Peek(0x5000, 1) != nil {
 		t.Fatal("invalidated owner still holds the line")
 	}
 
-	var ver uint64
-	got := false
-	dma.ReadLine(pa, func(v uint64) { ver, got = v, true })
-	h.run(t, 400000, func() bool { return got })
-	if ver != 2 {
-		t.Fatalf("post-invalidate version = %d, want 2 (dirty v1 + delta)", ver)
+	var got dmaVersion
+	dma.ReadLine(pa, &got, 0)
+	h.run(t, 400000, dma.Idle)
+	if got != 2 {
+		t.Fatalf("post-invalidate version = %d, want 2 (dirty v1 + delta)", got)
 	}
 }
+
+// dmaVersion is a DMA sink that keeps the version its read delivered.
+type dmaVersion uint64
+
+func (v *dmaVersion) DMADone(_, ver uint64) { *v = dmaVersion(ver) }

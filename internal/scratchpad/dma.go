@@ -9,53 +9,54 @@ import (
 	"fusion/internal/stats"
 )
 
+// DMASink receives the completions of the transfers queued for it. tag is
+// the value the caller queued the transfer with; ver is the line's coherent
+// version for a read and 0 for a write ack, which carries no version.
+type DMASink interface {
+	DMADone(tag, ver uint64)
+}
+
 // DMA is the oracle coherent DMA engine. It lives at the host LLC as a
 // non-caching fabric agent: reads pull the most up-to-date data through the
 // directory (downgrading an owner if necessary, as ARM's ACP and IBM's
 // coherent attach do, Section 2.1) and writes invalidate stale copies
 // before committing at the LLC.
+//
+// Every transfer is a record: it waits in the queue, is issued into the
+// pending list, and completes into its sink when the directory answers.
+// A line has at most one transfer pending; a second one fails.
 type DMA struct {
 	agent  mesi.AgentID
 	fabric *mesi.Fabric
-	pool   *mesi.MsgPool    // the fabric's
-	pumpFn func(now uint64) // cached retry callback
+	pool   *mesi.MsgPool // the fabric's
 
 	cReads  *stats.Counter
 	cWrites *stats.Counter
 
 	maxOutstanding int
-	outstanding    int
 	// gap is the controller's per-transfer occupancy: after issuing one
 	// transfer the state machine is busy for gap cycles before the next.
 	gap       uint64
 	nextIssue uint64
-	queue     []dmaOp
+	pumpAt    uint64 // cycle of the last pump event scheduled
 
-	// pending transfers are bounded by maxOutstanding (a handful), so
-	// linearly-scanned slices with swap-delete replace the former maps.
-	pendingReads  []pendingRead
-	pendingWrites []pendingWrite
-	freeOnVer     [][]func(uint64) // recycled callback slices
+	// queue[head:] wait for issue, in arrival order; the slice rewinds
+	// when it drains, so steady state reuses one backing array.
+	queue []transfer
+	head  int
+	// pending are the issued transfers, at most maxOutstanding (a
+	// handful), so a linear scan with swap-delete finds a line's.
+	pending []transfer
 }
 
-type dmaOp struct {
+// transfer is one line read or write.
+type transfer struct {
+	pa    mem.PAddr
+	ver   uint64 // writes: the version, or the increment if delta
+	to    DMASink
+	tag   uint64
 	write bool
-	pa    mem.PAddr
-	ver   uint64
 	delta bool
-	onVer func(ver uint64) // reads: data arrival callback
-	done  func(now uint64) // writes: ack callback
-}
-
-// pendingRead collects the callbacks of (possibly merged) reads of one line.
-type pendingRead struct {
-	pa    mem.PAddr
-	onVer []func(uint64)
-}
-
-type pendingWrite struct {
-	pa   mem.PAddr
-	done func(now uint64)
 }
 
 // NewDMA registers the engine as agent id on the fabric. gap is the
@@ -70,22 +71,24 @@ func NewDMA(fabric *mesi.Fabric, id mesi.AgentID, maxOutstanding int, gap uint64
 		cReads:         st.Counter("dma.reads"),
 		cWrites:        st.Counter("dma.writes"),
 	}
-	d.pumpFn = func(uint64) { d.pump() }
 	fabric.Register(id, d.Handle)
 	return d
 }
 
-// ReadLine fetches one line; onVer fires with the coherent data version.
-func (d *DMA) ReadLine(pa mem.PAddr, onVer func(ver uint64)) {
-	d.queue = append(d.queue, dmaOp{pa: pa.LineAddr(), onVer: onVer})
+// ReadLine fetches one line; to.DMADone(tag, ver) receives its coherent
+// version. A nil to drops the completion.
+func (d *DMA) ReadLine(pa mem.PAddr, to DMASink, tag uint64) {
+	d.queue = append(d.queue, transfer{pa: pa.LineAddr(), to: to, tag: tag})
 	d.cReads.Inc()
 	d.pump()
 }
 
-// WriteLine commits one line at the LLC; done fires on the ack. delta marks
-// ver as an increment for write-allocated lines (see scratchpad.DirtyLine).
-func (d *DMA) WriteLine(pa mem.PAddr, ver uint64, delta bool, done func(now uint64)) {
-	d.queue = append(d.queue, dmaOp{write: true, pa: pa.LineAddr(), ver: ver, delta: delta, done: done})
+// WriteLine commits one line at the LLC; to.DMADone(tag, 0) receives the
+// ack. delta marks ver as an increment for write-allocated lines (see
+// scratchpad.DirtyLine). A nil to drops the completion.
+func (d *DMA) WriteLine(pa mem.PAddr, ver uint64, delta bool, to DMASink, tag uint64) {
+	d.queue = append(d.queue, transfer{pa: pa.LineAddr(), ver: ver, to: to, tag: tag,
+		write: true, delta: delta})
 	d.cWrites.Inc()
 	d.pump()
 }
@@ -93,117 +96,80 @@ func (d *DMA) WriteLine(pa mem.PAddr, ver uint64, delta bool, done func(now uint
 // Transfers counts the line reads and writes issued so far.
 func (d *DMA) Transfers() int64 { return d.cReads.Value() + d.cWrites.Value() }
 
-// Idle reports whether all issued transfers have completed.
+// Idle reports whether all queued transfers have completed.
 func (d *DMA) Idle() bool {
-	return d.outstanding == 0 && len(d.queue) == 0
+	return len(d.pending) == 0 && len(d.queue) == 0
 }
 
 // pump issues queued transfers up to the outstanding limit, pacing issues
-// by the controller gap.
+// by the controller gap. A transfer the gap holds back is issued by a pump
+// event at nextIssue, scheduled once per cycle: a second pump in that cycle
+// would find nextIssue in the future, the queue empty or the limit reached,
+// and every event that changes one of those calls pump itself, so dropping
+// it cannot change which transfer issues when.
 func (d *DMA) pump() {
-	for d.outstanding < d.maxOutstanding && len(d.queue) > 0 {
+	for len(d.pending) < d.maxOutstanding && len(d.queue) > 0 {
 		now := d.fabric.Now()
 		if now < d.nextIssue {
-			d.fabric.Engine().ScheduleAt(d.nextIssue, d.pumpFn)
+			if d.pumpAt != d.nextIssue {
+				d.pumpAt = d.nextIssue
+				d.fabric.Engine().ScheduleCallAt(d.nextIssue, d, 0, 0)
+			}
 			return
 		}
+		t := d.queue[d.head]
+		if d.find(t.pa) >= 0 {
+			sim.Failf("dma", now, d.DumpState(), "overlapping transfers to %s", t.pa)
+		}
 		d.nextIssue = now + d.gap
-		op := d.queue[0]
-		d.queue = d.queue[1:]
-		d.outstanding++
-		if op.write {
-			if d.writeFind(op.pa) >= 0 {
-				sim.Failf("dma", d.fabric.Now(), d.DumpState(), "overlapping writes to %s", op.pa)
-			}
-			d.pendingWrites = append(d.pendingWrites, pendingWrite{op.pa, op.done})
-			w := d.pool.Get()
-			w.Type, w.Addr, w.Src, w.Dst = mesi.MsgDMAWrite, op.pa, d.agent, mesi.DirID
-			w.Ver, w.Delta = op.ver, op.delta
-			d.fabric.Send(w)
-			continue
+		if d.head++; d.head == len(d.queue) {
+			d.queue, d.head = d.queue[:0], 0
 		}
-		i := d.readFind(op.pa)
-		if i < 0 {
-			var ov []func(uint64)
-			if n := len(d.freeOnVer); n > 0 {
-				ov = d.freeOnVer[n-1]
-				d.freeOnVer = d.freeOnVer[:n-1]
-			}
-			d.pendingReads = append(d.pendingReads, pendingRead{pa: op.pa, onVer: ov})
-			i = len(d.pendingReads) - 1
-			r := d.pool.Get()
-			r.Type, r.Addr, r.Src, r.Dst = mesi.MsgDMARead, op.pa, d.agent, mesi.DirID
-			d.fabric.Send(r)
-		} else {
-			// Merged duplicate read; it resolves with the first response.
-			d.outstanding--
+		d.pending = append(d.pending, t)
+		m := d.pool.Get()
+		m.Type, m.Addr, m.Src, m.Dst = mesi.MsgDMARead, t.pa, d.agent, mesi.DirID
+		if t.write {
+			m.Type, m.Ver, m.Delta = mesi.MsgDMAWrite, t.ver, t.delta
 		}
-		d.pendingReads[i].onVer = append(d.pendingReads[i].onVer, op.onVer)
+		d.fabric.Send(m)
 	}
 }
+
+// HandleEvent runs a gap-deferred pump (sim.EventHandler).
+func (d *DMA) HandleEvent(uint64, uint8, uint64) { d.pump() }
 
 // Handle receives directory responses and releases them after the (fully
 // synchronous) handling. A read for a line owned modified by a cache arrives
-// as a plain Data message from the owner (3-hop), so both forms resolve the
-// same pending read.
+// as a plain Data message from the owner (3-hop), so both forms complete the
+// same pending read. A response must match its line's pending transfer.
 func (d *DMA) Handle(m *mesi.Msg) {
 	defer d.pool.Put(m)
+	write := false
 	switch m.Type {
 	case mesi.MsgDMAReadResp, mesi.MsgData, mesi.MsgDataE, mesi.MsgDataM:
-		pa := m.Addr.LineAddr()
-		i := d.readFind(pa)
-		if i < 0 {
-			sim.Failf("dma", d.fabric.Now(), d.DumpState(), "unexpected data for %s", pa)
-		}
-		ov := d.pendingReads[i].onVer
-		last := len(d.pendingReads) - 1
-		d.pendingReads[i] = d.pendingReads[last]
-		d.pendingReads[last] = pendingRead{}
-		d.pendingReads = d.pendingReads[:last]
-		d.outstanding--
-		for j, f := range ov {
-			f(m.Ver)
-			ov[j] = nil
-		}
-		d.freeOnVer = append(d.freeOnVer, ov[:0])
-		d.pump()
 	case mesi.MsgDMAWriteAck:
-		pa := m.Addr.LineAddr()
-		i := d.writeFind(pa)
-		if i < 0 {
-			sim.Failf("dma", d.fabric.Now(), d.DumpState(), "unexpected write ack for %s", pa)
-		}
-		done := d.pendingWrites[i].done
-		last := len(d.pendingWrites) - 1
-		d.pendingWrites[i] = d.pendingWrites[last]
-		d.pendingWrites[last] = pendingWrite{}
-		d.pendingWrites = d.pendingWrites[:last]
-		d.outstanding--
-		if done != nil {
-			done(d.fabric.Now())
-		}
-		d.pump()
-	case mesi.MsgInvAck:
-		// A DMARead raced with nothing we track; ignore defensively.
+		write = true
 	default:
 		sim.Failf("dma", d.fabric.Now(), d.DumpState(), "unexpected %s", m)
 	}
-}
-
-// readFind returns the index of pa's pending read, or -1.
-func (d *DMA) readFind(pa mem.PAddr) int {
-	for i := range d.pendingReads {
-		if d.pendingReads[i].pa == pa {
-			return i
-		}
+	i := d.find(m.Addr.LineAddr())
+	if i < 0 || d.pending[i].write != write {
+		sim.Failf("dma", d.fabric.Now(), d.DumpState(), "%s matches no pending transfer", m)
 	}
-	return -1
+	t := d.pending[i]
+	last := len(d.pending) - 1
+	d.pending[i] = d.pending[last]
+	d.pending = d.pending[:last]
+	if t.to != nil {
+		t.to.DMADone(t.tag, m.Ver)
+	}
+	d.pump()
 }
 
-// writeFind returns the index of pa's pending write, or -1.
-func (d *DMA) writeFind(pa mem.PAddr) int {
-	for i := range d.pendingWrites {
-		if d.pendingWrites[i].pa == pa {
+// find returns the index of pa's pending transfer, or -1.
+func (d *DMA) find(pa mem.PAddr) int {
+	for i := range d.pending {
+		if d.pending[i].pa == pa {
 			return i
 		}
 	}
@@ -213,9 +179,8 @@ func (d *DMA) writeFind(pa mem.PAddr) int {
 // DumpState summarizes in-flight DMA transfers for failure diagnostics.
 // Empty when the engine is idle.
 func (d *DMA) DumpState() string {
-	if d.Idle() && len(d.pendingReads) == 0 && len(d.pendingWrites) == 0 {
+	if d.Idle() {
 		return ""
 	}
-	return fmt.Sprintf("dma: %d outstanding, %d queued, %d pending reads, %d pending writes\n",
-		d.outstanding, len(d.queue), len(d.pendingReads), len(d.pendingWrites))
+	return fmt.Sprintf("dma: %d pending, %d queued\n", len(d.pending), len(d.queue)-d.head)
 }

@@ -106,6 +106,10 @@ func (s *Scratchpad) Fill(va mem.VAddr, ver uint64) {
 	}
 }
 
+// DMADone makes the scratchpad the sink of its DMA-in: a read queued with
+// tag va fills va with the version it delivered.
+func (s *Scratchpad) DMADone(va, ver uint64) { s.Fill(mem.VAddr(va), ver) }
+
 // Access implements accel.MemPort. A miss is an oracle violation and panics.
 func (s *Scratchpad) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) bool {
 	a := uint64(va.LineAddr())

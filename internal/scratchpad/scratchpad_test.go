@@ -1,6 +1,8 @@
 package scratchpad
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"fusion/internal/dram"
@@ -190,26 +192,36 @@ func TestDMASharesFabricPool(t *testing.T) {
 	}
 }
 
+// sink records the DMA completions it receives.
+type sink struct {
+	n        int
+	tag, ver uint64
+}
+
+func (s *sink) DMADone(tag, ver uint64) { s.n, s.tag, s.ver = s.n+1, tag, ver }
+
 func TestDMAReadsCoherentData(t *testing.T) {
 	eng, _, _, host, dma, _ := newDMAHarness(t)
 	// Host dirties a line.
 	done := false
 	host.Access(mem.Store, 0x1000, func(uint64) { done = true })
 	eng.Run(100000, func() bool { return done })
-	var got uint64
-	seen := false
-	dma.ReadLine(0x1000, func(v uint64) { got = v; seen = true })
-	eng.Run(100000, func() bool { return seen })
-	if got != 1 {
-		t.Fatalf("DMA read v%d, want v1 (owner's modified data)", got)
+	var got sink
+	dma.ReadLine(0x1000, &got, 7)
+	eng.Run(100000, func() bool { return got.n == 1 })
+	if got.tag != 7 || got.ver != 1 {
+		t.Fatalf("DMA read (tag %d, v%d), want (tag 7, v1): the owner's modified data", got.tag, got.ver)
 	}
 }
 
 func TestDMAWriteVisibleToHost(t *testing.T) {
 	eng, _, dir, host, dma, _ := newDMAHarness(t)
-	acked := false
-	dma.WriteLine(0x2000, 9, false, func(uint64) { acked = true })
-	eng.Run(100000, func() bool { return acked })
+	ack := sink{ver: 1}
+	dma.WriteLine(0x2000, 9, false, &ack, 0)
+	eng.Run(100000, func() bool { return ack.n == 1 })
+	if ack.ver != 0 {
+		t.Fatalf("write ack carried v%d, want 0", ack.ver)
+	}
 	if dma.Transfers() != 1 {
 		t.Fatalf("Transfers = %d, want 1", dma.Transfers())
 	}
@@ -227,14 +239,14 @@ func TestDMAWriteVisibleToHost(t *testing.T) {
 func TestDMABoundedOutstanding(t *testing.T) {
 	eng, _, _, _, dma, _ := newDMAHarness(t)
 	const n = 40
-	got := 0
+	var got sink
 	for i := 0; i < n; i++ {
-		dma.ReadLine(mem.PAddr(i*64), func(uint64) { got++ })
+		dma.ReadLine(mem.PAddr(i*64), &got, uint64(i))
 	}
-	if dma.outstanding > dma.maxOutstanding {
-		t.Fatalf("outstanding %d exceeds cap %d", dma.outstanding, dma.maxOutstanding)
+	if len(dma.pending) > dma.maxOutstanding {
+		t.Fatalf("pending %d exceeds cap %d", len(dma.pending), dma.maxOutstanding)
 	}
-	eng.Run(2000000, func() bool { return got == n })
+	eng.Run(2000000, func() bool { return got.n == n })
 	if !dma.Idle() {
 		t.Fatal("DMA not idle after completion")
 	}
@@ -242,28 +254,78 @@ func TestDMABoundedOutstanding(t *testing.T) {
 
 func TestDMAFullRoundTrip(t *testing.T) {
 	// DMA in, compute in scratchpad, DMA out; versions flow end to end.
+	// The scratchpad is the DMA-in sink; nobody waits on the drain.
 	eng, _, dir, _, dma, _ := newDMAHarness(t)
 	s, _, _ := newPad(eng)
 	dir.Preload(0x3000, 5)
 
-	loaded := false
-	dma.ReadLine(0x3000, func(v uint64) {
-		s.Fill(0x3000, v)
-		loaded = true
-	})
-	eng.Run(100000, func() bool { return loaded })
+	dma.ReadLine(0x3000, s, 0x3000)
+	eng.Run(100000, dma.Idle)
+	if v, ok := s.Version(0x3000); !ok || v != 5 {
+		t.Fatalf("filled version = %d (resident %v), want 5", v, ok)
+	}
 
 	stored := false
 	s.Access(mem.Store, 0x3000, func(uint64) { stored = true })
 	eng.Run(100, func() bool { return stored })
 
-	drained := false
 	for _, dl := range s.DirtyLines() {
-		dma.WriteLine(mem.PAddr(dl.Addr), dl.Ver, dl.Delta, func(uint64) { drained = true })
+		dma.WriteLine(mem.PAddr(dl.Addr), dl.Ver, dl.Delta, nil, 0)
 	}
-	eng.Run(100000, func() bool { return drained })
+	eng.Run(100000, dma.Idle)
 	if dir.Version(0x3000) != 6 {
 		t.Fatalf("final version = %d, want 6", dir.Version(0x3000))
+	}
+}
+
+// TestDMAFailureArms: a response that matches no pending transfer of its
+// kind, a message the engine never expects, and a second transfer to a
+// line with one pending each fail as a protocol error from the engine,
+// whose state names the pending and queued counts.
+func TestDMAFailureArms(t *testing.T) {
+	respond := func(dma *DMA, typ mesi.MsgType, pa mem.PAddr) {
+		m := dma.pool.Get()
+		m.Type, m.Addr, m.Src, m.Dst = typ, pa, mesi.DirID, dma.agent
+		dma.Handle(m)
+	}
+	cases := []struct {
+		name  string
+		start func(dma *DMA)
+		msg   string
+		state string
+	}{
+		{"data with no pending read", func(dma *DMA) {
+			dma.ReadLine(0x2000, nil, 0)
+			respond(dma, mesi.MsgDMAReadResp, 0x1000)
+		}, "matches no pending transfer", "1 pending, 0 queued"},
+		{"write ack for a pending read", func(dma *DMA) {
+			dma.ReadLine(0x1000, nil, 0)
+			respond(dma, mesi.MsgDMAWriteAck, 0x1000)
+		}, "matches no pending transfer", "1 pending, 0 queued"},
+		{"InvAck", func(dma *DMA) {
+			dma.ReadLine(0x1000, nil, 0)
+			respond(dma, mesi.MsgInvAck, 0x1000)
+		}, "unexpected InvAck", "1 pending, 0 queued"},
+		{"second read of a pending line", func(dma *DMA) {
+			dma.ReadLine(0x1000, nil, 0)
+			dma.ReadLine(0x1000, nil, 0)
+		}, "overlapping transfers", "1 pending, 1 queued"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng, _, _, _, dma, _ := newDMAHarness(t)
+			eng.Schedule(0, func(uint64) { c.start(dma) })
+			_, _, err := eng.RunE(10, nil)
+			var pe *sim.ProtocolError
+			if !errors.As(err, &pe) {
+				t.Fatalf("RunE = %v, want a *sim.ProtocolError", err)
+			}
+			if pe.Component != "dma" || !strings.Contains(pe.Message, c.msg) ||
+				!strings.Contains(pe.State, c.state) {
+				t.Fatalf("error %q from %q with state %q, want %q from dma with state %q",
+					pe.Message, pe.Component, pe.State, c.msg, c.state)
+			}
+		})
 	}
 }
 

@@ -33,93 +33,80 @@ import (
 	"fusion/internal/workloads"
 )
 
-// uncachedOp is one queued access of an uncachedPort line.
+// uncachedOp is one access of an uncachedPort line.
 type uncachedOp struct {
 	kind mem.AccessKind
 	va   mem.VAddr
 	done func(now uint64)
 }
 
-// lineQueue is a line's serialization state: busy while one op is in
-// flight, with the ops queued behind it. Entries are never deleted — a
-// drained line parks as {busy: false, q: q[:0]}, so steady state never
-// reallocates.
-type lineQueue struct {
-	busy bool
-	q    []uncachedOp
-}
-
 // uncachedPort implements accel.MemPort for the uncached placement: loads
 // pull the coherent version through the directory, stores commit at the
 // LLC as version deltas. Operations on one line are serialized — the DMA
-// engine rejects overlapping writes, and serialization keeps the strict
-// observation stream in version order.
+// engine fails a second transfer to a line with one pending, and
+// serialization keeps the strict observation stream in version order. The
+// port is the sink of its transfers, each tagged with its line.
 type uncachedPort struct {
 	m    *machine
 	dma  *scratchpad.DMA
 	name string
 	obsv obs.Observer
-	// inflight holds each line's serialization state.
-	inflight  *flat.Map[lineQueue]
+	// lines holds each line's ops in arrival order; the head is in flight.
+	// Entries are never deleted — a drained line parks as an empty queue,
+	// so steady state never reallocates.
+	lines     *flat.Map[[]uncachedOp]
 	cAccesses *stats.Counter
 }
 
 func (p *uncachedPort) Access(kind mem.AccessKind, va mem.VAddr, done func(uint64)) bool {
 	p.cAccesses.Inc()
 	la := uint64(va.LineAddr())
-	op := uncachedOp{kind: kind, va: va, done: done}
-	if l := p.inflight.Ptr(la); l != nil {
-		if l.busy {
-			l.q = append(l.q, op)
-			return true
-		}
-		l.busy = true
-	} else {
-		p.inflight.Put(la, lineQueue{busy: true})
+	q := p.lines.Ptr(la)
+	if q == nil {
+		q = p.lines.Put(la, nil)
 	}
-	p.issue(la, op)
+	*q = append(*q, uncachedOp{kind: kind, va: va, done: done})
+	if len(*q) == 1 {
+		p.issue(la, kind)
+	}
 	return true
 }
 
-func (p *uncachedPort) issue(la uint64, op uncachedOp) {
+// issue hands line la's head op, of the given kind, to the DMA engine.
+func (p *uncachedPort) issue(la uint64, kind mem.AccessKind) {
 	pa := p.m.translate(mem.VAddr(la))
-	if op.kind == mem.Store {
+	if kind == mem.Store {
 		// One store = one +1 version delta accumulated at the LLC, the
 		// same commit rule the scratchpad drain uses for write-allocated
 		// lines.
-		p.dma.WriteLine(pa, 1, true, func(now uint64) {
-			if p.obsv != nil {
-				p.obsv.Record(obs.Event{Cycle: now, Agent: p.name,
-					Addr: uint64(op.va), Ver: 1, Kind: obs.Store, Delta: true})
-			}
-			op.done(now)
-			p.next(la)
-		})
+		p.dma.WriteLine(pa, 1, true, p, la)
 		return
 	}
-	p.dma.ReadLine(pa, func(ver uint64) {
-		now := p.m.eng.Now()
-		if p.obsv != nil {
-			// Lease zero: an uncached read is a strict observation — it
-			// must see the latest globally-ordered version.
-			p.obsv.Record(obs.Event{Cycle: now, Agent: p.name,
-				Addr: uint64(op.va), Ver: ver, Kind: obs.Load})
-		}
-		op.done(now)
-		p.next(la)
-	})
+	p.dma.ReadLine(pa, p, la)
 }
 
-func (p *uncachedPort) next(la uint64) {
-	l := p.inflight.Ptr(la)
-	if len(l.q) == 0 {
-		l.busy = false
-		return
+// DMADone completes line la's head op — a load that read version ver, or a
+// store whose delta committed — and issues the line's next op.
+func (p *uncachedPort) DMADone(la, ver uint64) {
+	op := (*p.lines.Ptr(la))[0]
+	now := p.m.eng.Now()
+	if p.obsv != nil {
+		// Lease zero: an uncached load is a strict observation — it must
+		// see the latest globally-ordered version. A store records its +1
+		// delta.
+		e := obs.Event{Cycle: now, Agent: p.name, Addr: uint64(op.va),
+			Ver: ver, Kind: obs.Load}
+		if op.kind == mem.Store {
+			e.Ver, e.Kind, e.Delta = 1, obs.Store, true
+		}
+		p.obsv.Record(e)
 	}
-	op := l.q[0]
-	copy(l.q, l.q[1:])
-	l.q = l.q[:len(l.q)-1]
-	p.issue(la, op)
+	op.done(now)
+	q := p.lines.Ptr(la)
+	*q = (*q)[:copy(*q, (*q)[1:])]
+	if len(*q) > 0 {
+		p.issue(la, (*q)[0].kind)
+	}
 }
 
 // --------------------------------------------------------------- ADAPTIVE
@@ -147,7 +134,7 @@ func runAdaptive(m *machine, b *workloads.Benchmark, cfg Config, res *Result) er
 		ports[axc] = &uncachedPort{m: m, dma: dma,
 			name:      fmt.Sprintf("uncached%d", axc),
 			obsv:      cfg.Observer,
-			inflight:  flat.New[lineQueue](256),
+			lines:     flat.New[[]uncachedOp](256),
 			cAccesses: cUncached,
 		}
 	}

@@ -696,17 +696,14 @@ func runScratchWindows(m *machine, cfg Config, ax *accel.Accelerator,
 	windows := scratchpad.Windows(inv, pad.CapacityLines(), live)
 	var dmaCycles uint64
 	for _, w := range windows {
-		// DMA-in: push the window's read set into the scratchpad.
+		// DMA-in: push the window's read set into the scratchpad. Nothing
+		// else is in flight at a window boundary, so the window waits for
+		// the engine to drain.
 		t0 := m.eng.Now()
-		remaining := len(w.ReadSet)
 		for _, va := range w.ReadSet {
-			va := va
-			dma.ReadLine(m.translate(va), func(ver uint64) {
-				pad.Fill(va, ver)
-				remaining--
-			})
+			dma.ReadLine(m.translate(va), pad, uint64(va))
 		}
-		if err := m.run(func() bool { return remaining == 0 }); err != nil {
+		if err := m.run(dma.Idle); err != nil {
 			return dmaCycles, fmt.Errorf("%s window DMA-in: %w", inv.Function, err)
 		}
 		dmaCycles += m.eng.Now() - t0
@@ -723,12 +720,10 @@ func runScratchWindows(m *machine, cfg Config, ax *accel.Accelerator,
 
 		// DMA-out: drain dirty lines back to the LLC.
 		t0 = m.eng.Now()
-		dirty := pad.DirtyLines()
-		pendingWB := len(dirty)
-		for _, dl := range dirty {
-			dma.WriteLine(m.translate(dl.Addr), dl.Ver, dl.Delta, func(uint64) { pendingWB-- })
+		for _, dl := range pad.DirtyLines() {
+			dma.WriteLine(m.translate(dl.Addr), dl.Ver, dl.Delta, nil, 0)
 		}
-		if err := m.run(func() bool { return pendingWB == 0 }); err != nil {
+		if err := m.run(dma.Idle); err != nil {
 			return dmaCycles, fmt.Errorf("%s window DMA-out: %w", inv.Function, err)
 		}
 		dmaCycles += m.eng.Now() - t0

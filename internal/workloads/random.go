@@ -8,6 +8,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fusion/internal/mem"
 	"fusion/internal/trace"
@@ -105,19 +106,21 @@ func Random(seed int64, p RandomParams) *Benchmark {
 		if iters > 600 {
 			iters = 600 // bound the run time
 		}
+		// Each iteration's loads and stores are full-capacity windows of
+		// the streams, so the phase allocates no per-iteration slices.
+		inv.Iterations = make([]trace.Iteration, iters)
 		li, si := 0, 0
-		for i := 0; i < iters; i++ {
-			var it trace.Iteration
-			for j := 0; j < nLd && li < len(loadStream); j++ {
-				it.Loads = append(it.Loads, loadStream[li])
-				li++
+		for i := range inv.Iterations {
+			it := &inv.Iterations[i]
+			if n := min(nLd, len(loadStream)-li); n > 0 {
+				it.Loads = loadStream[li : li+n : li+n]
+				li += n
 			}
-			for j := 0; j < nSt && si < len(storeStream); j++ {
-				it.Stores = append(it.Stores, storeStream[si])
-				si++
+			if n := min(nSt, len(storeStream)-si); n > 0 {
+				it.Stores = storeStream[si : si+n : si+n]
+				si += n
 			}
 			it.IntOps, it.FPOps = nInt, nFp
-			inv.Iterations = append(inv.Iterations, it)
 		}
 		b.LeaseTimes[fnName] = lease
 		b.MLP[fnName] = 1 + rng.Intn(6)
@@ -173,6 +176,7 @@ func randStream(rng *rand.Rand, regs []region) []mem.VAddr {
 	var out []mem.VAddr
 	for _, r := range regs {
 		stride := []int{8, 16, 32, 64}[rng.Intn(4)]
+		out = slices.Grow(out, (r.size+stride-1)/stride)
 		for off := 0; off < r.size; off += stride {
 			a := off
 			if rng.Intn(16) == 0 {
