@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fusion/internal/accel"
 	"fusion/internal/cache"
 	"fusion/internal/dram"
 	"fusion/internal/energy"
@@ -47,6 +48,30 @@ func newHarness(t *testing.T, numAXCs int, dx bool) *harness {
 	tile := NewTile(eng, fab, pt, cfg, model, mt, st)
 	return &harness{eng: eng, fab: fab, dir: dir, tile: tile, host: host,
 		pt: pt, st: st, mt: mt}
+}
+
+// The L0X is a fixed-latency port.
+var _ accel.TimedPort = (*L0X)(nil)
+
+// TestL0XAccessTimed: a miss reports latency 0 and completes through done;
+// a hit reports the hit latency and neither schedules an event nor calls
+// done.
+func TestL0XAccessTimed(t *testing.T) {
+	h := newHarness(t, 1, false)
+	l0 := h.tile.L0Xs[0]
+	l0.SetLeaseTime(1 << 30)
+	fired := false
+	if lat, ok := l0.AccessTimed(mem.Load, 0x1000, func(uint64) { fired = true }); !ok || lat != 0 {
+		t.Fatalf("miss: latency %d, accepted %v; want 0, true", lat, ok)
+	}
+	h.run(t, 200000, func() bool { return fired })
+	pending := h.eng.Pending()
+	lat, ok := l0.AccessTimed(mem.Load, 0x1008, func(uint64) { t.Error("the hit called done") })
+	if !ok || lat != l0.cfg.HitLatency || lat == 0 || h.eng.Pending() != pending {
+		t.Fatalf("hit: latency %d, accepted %v, %d events pending (was %d); want %d, true, unchanged",
+			lat, ok, h.eng.Pending(), pending, l0.cfg.HitLatency)
+	}
+	h.advance(4)
 }
 
 func (h *harness) run(t *testing.T, max uint64, pred func() bool) {

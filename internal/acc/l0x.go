@@ -204,6 +204,18 @@ func (c *L0X) HandleEvent(now uint64, op uint8, arg uint64) {
 // fires at retirement. Returns false when the MSHR is full (the accelerator
 // stalls and retries, which is how its MLP bounds memory pressure).
 func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) bool {
+	lat, ok := c.AccessTimed(kind, va, done)
+	if lat > 0 {
+		c.eng.Schedule(lat, done)
+	}
+	return ok
+}
+
+// AccessTimed is Access for a datapath that completes fixed-latency
+// accesses itself (accel.TimedPort): a hit reports the hit latency and
+// leaves done uncalled; a miss, merged or not, reports 0 and completes
+// through done when its lease arrives.
+func (c *L0X) AccessTimed(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) (uint64, bool) {
 	a := uint64(va.LineAddr())
 	now := c.eng.Now()
 	c.access()
@@ -219,12 +231,10 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 			if c.obsv != nil {
 				c.observe(obs.Load, va, l.Ver, maxU64(l.LTime, l.WTime))
 			}
-			c.hit(done)
-			return true
+			return c.hit(done), true
 		case kind == mem.Store && writable:
 			c.store(l, va)
-			c.hit(done)
-			return true
+			return c.hit(done), true
 		default:
 			// Lease expired (self-invalidated) or insufficient: miss path.
 			if l.LTime <= now && l.WTime <= now {
@@ -240,11 +250,11 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 	if slot := c.mshr.Slot(a); slot >= 0 {
 		t := &c.txns[slot]
 		t.waiters = append(t.waiters, l0waiter{kind, va, done})
-		return true
+		return 0, true
 	}
 	if c.mshr.Full() {
 		c.cMSHRFull.Inc()
-		return false
+		return 0, false
 	}
 	t := &c.txns[c.mshr.Allocate(a)]
 	*t = l0txn{addr: a, write: kind == mem.Store,
@@ -261,12 +271,17 @@ func (c *L0X) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) b
 	req.Type, req.Addr, req.PID, req.Src = mt, mem.VAddr(a), c.pid, c.id
 	req.Lease = c.cfg.LeaseTime // duration; the L1X anchors it at grant time
 	c.toL1X.Send(req)
-	return true
+	return 0, true
 }
 
-func (c *L0X) hit(done func(uint64)) {
+// hit counts a hit and returns its latency. A zero latency cannot be
+// reported (0 means done fires), so such a hit schedules done itself.
+func (c *L0X) hit(done func(uint64)) uint64 {
 	c.cHits.Inc()
-	c.eng.Schedule(c.cfg.HitLatency, done)
+	if c.cfg.HitLatency == 0 {
+		c.eng.Schedule(0, done)
+	}
+	return c.cfg.HitLatency
 }
 
 // store performs one accelerator store into line l's open write epoch: it

@@ -40,6 +40,17 @@ type MemPort interface {
 	Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) bool
 }
 
+// TimedPort is a MemPort that can report an access's fixed completion
+// latency instead of scheduling done: an L0X hit, a scratchpad access.
+// AccessTimed accepts or refuses the access as Access would. An accepted
+// access with a latency lat > 0 completes lat cycles after it issued and
+// the port never calls done; a latency of 0 means the port completes the
+// access through done, as Access does.
+type TimedPort interface {
+	MemPort
+	AccessTimed(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) (lat uint64, ok bool)
+}
+
 // Config sets the datapath resources of one fixed-function accelerator.
 type Config struct {
 	IntALUs       int // integer ops retired per cycle
@@ -87,7 +98,7 @@ type memCb struct {
 }
 
 func (cb *memCb) done(now uint64) {
-	a, st := cb.a, cb.st
+	a := cb.a
 	// Wake the datapath and charge the cycles it slept through at the
 	// outstanding count they saw, before this completion changes it: up to
 	// now if its tick in this cycle is still to come, through now if a
@@ -97,8 +108,16 @@ func (cb *memCb) done(now uint64) {
 		end = now + 1
 	}
 	a.settle(end)
+	a.accessDone(cb.st, cb.line, cb.load)
+	a.freeCbs = append(a.freeCbs, cb)
+}
+
+// accessDone applies one completed access of iteration st to line: the
+// iteration's load or store count, its stage bit, and the line's
+// outstanding count.
+func (a *Accelerator) accessDone(st *iterState, line uint64, load bool) {
 	bit := uint64(1) << uint(st.idx-a.head)
-	if cb.load {
+	if load {
 		st.loadsDone++
 		if st.loadsDone == len(st.it.Loads) {
 			a.ready |= bit
@@ -109,8 +128,7 @@ func (cb *memCb) done(now uint64) {
 			a.complete |= bit
 		}
 	}
-	a.release(cb.line)
-	a.freeCbs = append(a.freeCbs, cb)
+	a.release(line)
 }
 
 // Accelerator executes invocations against a MemPort. It is a sim.Ticker.
@@ -122,6 +140,7 @@ type Accelerator struct {
 
 	inv    *trace.Invocation
 	port   MemPort
+	timed  TimedPort // port, when it reports fixed latencies
 	onDone func(now uint64)
 
 	// slots is the in-flight ring: iteration i lives in slots[i%depth].
@@ -134,6 +153,10 @@ type Accelerator struct {
 	count    int
 	nextIter int
 	freeCbs  []*memCb
+	// due[dhead:] are the fixed-latency completions still to apply, in due
+	// order: one invocation has one port with one latency.
+	due   []dueDone
+	dhead int
 
 	// Stage bitmaps over the in-flight window, bit k = iteration head+k.
 	issueLd   uint64 // loads left to issue
@@ -172,6 +195,15 @@ type Accelerator struct {
 	busyCycles uint64
 	mlpSamples uint64
 	mlpSum     uint64
+}
+
+// dueDone is one fixed-latency completion: the access to line of
+// iteration idx, a load or a store, completes at cycle at.
+type dueDone struct {
+	at   uint64
+	line uint64
+	idx  int
+	load bool
 }
 
 // lineCount is one outstanding line and its in-flight access count.
@@ -249,12 +281,14 @@ func (a *Accelerator) Start(inv *trace.Invocation, port MemPort, onDone func(now
 	}
 	a.inv = inv
 	a.port = port
+	a.timed, _ = port.(TimedPort)
 	a.onDone = onDone
 	a.head, a.ring, a.count, a.nextIter = 0, 0, 0, 0
 	a.issueLd, a.issueSt, a.mlpWait, a.ready = 0, 0, 0, 0
 	a.computing, a.computed, a.complete = 0, 0, 0
 	a.nextEnd = math.MaxUint64
 	a.outstanding = a.outstanding[:0]
+	a.due, a.dhead = a.due[:0], 0
 	a.startCycle = a.eng.Now()
 	a.chargeFrom = math.MaxUint64
 	a.cInvocations.Inc()
@@ -296,6 +330,15 @@ func (a *Accelerator) settle(end uint64) {
 		a.mlpSum += n * k
 	}
 	a.chargeFrom = end
+}
+
+// nextDue returns the cycle of the earliest fixed-latency completion still
+// to apply, MaxUint64 if none is.
+func (a *Accelerator) nextDue() uint64 {
+	if a.dhead == len(a.due) {
+		return math.MaxUint64
+	}
+	return a.due[a.dhead].at
 }
 
 // owed returns the cycles before the engine's current cycle whose
@@ -349,6 +392,23 @@ func (a *Accelerator) Tick(now uint64) {
 	}
 	if a.chargeFrom > now {
 		a.chargeFrom = now // first tick of the invocation
+	}
+	if a.nextDue() <= now {
+		// Apply the fixed-latency completions due by now as their events
+		// would have, at the start of this cycle: charge the cycles up to
+		// now at the count before them. Nothing reads the datapath between
+		// the event phase and this tick, so the result is the same.
+		a.settle(now)
+		for a.nextDue() <= now {
+			d := &a.due[a.dhead]
+			a.dhead++
+			a.accessDone(a.slot(d.idx-a.head), d.line, d.load)
+		}
+		if a.dhead == len(a.due) {
+			a.due, a.dhead = a.due[:0], 0
+		} else if a.dhead > 64 && a.dhead*2 > len(a.due) {
+			a.due, a.dhead = a.due[:copy(a.due, a.due[a.dhead:])], 0
+		}
 	}
 	a.settle(now + 1)
 
@@ -416,13 +476,15 @@ func (a *Accelerator) Tick(now uint64) {
 		// Emergent MLP in thousandths — the measured counterpart of
 		// Table 1's MLP column (cumulative over invocations).
 		a.cMLPMilli.Set(int64(a.AvgMLP() * 1000))
-		a.inv, a.port, a.onDone = nil, nil, nil
+		a.inv, a.port, a.timed, a.onDone = nil, nil, nil, nil
 		a.eng.Sleep(a.tick, math.MaxUint64) // before done, which may Start the next invocation
 		if done != nil {
 			done(now)
 		}
 	} else if a.stalled() {
-		a.eng.Sleep(a.tick, a.nextEnd) // MaxUint64 while nothing computes
+		// Until the next compute finish or fixed-latency completion:
+		// MaxUint64 while neither is pending.
+		a.eng.Sleep(a.tick, min(a.nextEnd, a.nextDue()))
 	}
 }
 
@@ -431,6 +493,7 @@ func (a *Accelerator) Tick(now uint64) {
 // iteration stops at port back-pressure (retried next cycle) or at the MLP
 // cap, which parks it in mlpWait until a line retires. The walk re-reads
 // the bitmaps after every iteration, as a completion may run inside Access.
+// An access the port completes after a fixed latency joins the due FIFO.
 func (a *Accelerator) issueStage(stage *uint64, load bool, ports int) int {
 	issued := 0
 	for k := 0; issued < ports; k++ {
@@ -452,9 +515,26 @@ func (a *Accelerator) issueStage(stage *uint64, load bool, ports int) int {
 				break
 			}
 			cb := a.getCb(st, line, load)
-			if !a.port.Access(kind, addr, cb.fn) {
-				a.freeCbs = append(a.freeCbs, cb)
+			var lat uint64
+			var ok bool
+			if a.timed != nil {
+				lat, ok = a.timed.AccessTimed(kind, addr, cb.fn)
+			} else {
+				ok = a.port.Access(kind, addr, cb.fn)
+			}
+			if !ok || lat > 0 {
+				a.freeCbs = append(a.freeCbs, cb) // the port keeps no callback
+			}
+			if !ok {
 				break // port back-pressure; retry next cycle
+			}
+			if lat > 0 {
+				at := a.eng.Now() + lat
+				if n := len(a.due); n > a.dhead && at < a.due[n-1].at {
+					sim.Failf(a.name, a.eng.Now(), "",
+						"completion due at %d behind one due at %d", at, a.due[n-1].at)
+				}
+				a.due = append(a.due, dueDone{at: at, line: line, idx: st.idx, load: load})
 			}
 			a.outInc(line)
 			*next++

@@ -1,10 +1,12 @@
 package accel
 
-// Equivalence of the event-driven datapath under the engine's fast-forward:
-// an invocation run with eng.Run (which skips the cycles a stalled datapath
-// sleeps through) must report exactly what a manual eng.Step loop with
-// idle-skip off (which never skips and ticks the datapath every cycle)
-// reports.
+// Equivalence of the event-driven datapath under the engine's fast-forward
+// and of its fixed-latency completions: an invocation run with eng.Run
+// (which skips the cycles a stalled datapath sleeps through), or through a
+// port whose fixed latency the datapath applies itself, must report exactly
+// what a manual eng.Step loop with idle-skip off (which never skips and
+// ticks the datapath every cycle) reports when every access completes
+// through its done callback.
 
 import (
 	"fmt"
@@ -15,10 +17,14 @@ import (
 
 	"fusion/internal/energy"
 	"fusion/internal/mem"
+	"fusion/internal/scratchpad"
 	"fusion/internal/sim"
 	"fusion/internal/stats"
 	"fusion/internal/trace"
 )
+
+// The fixed-latency memories are TimedPorts.
+var _ TimedPort = (*scratchpad.Scratchpad)(nil)
 
 // randomIters builds n iterations of 0-3 loads and 0-2 stores over a few
 // dozen lines, so accesses merge in the outstanding window, with 0-23
@@ -38,6 +44,38 @@ func randomIters(seed int64, n int) []trace.Iteration {
 	}
 	return out
 }
+
+// timedPort is a fixed-latency TimedPort, the shape of an L0X hit or a
+// scratchpad access, that refuses its first reject accesses (back-pressure).
+// Its Access schedules done at the latency it reports.
+type timedPort struct {
+	eng     *sim.Engine
+	latency uint64
+	reject  int
+}
+
+func (p *timedPort) AccessTimed(_ mem.AccessKind, _ mem.VAddr, done func(uint64)) (uint64, bool) {
+	if p.reject > 0 {
+		p.reject--
+		return 0, false
+	}
+	if p.latency == 0 {
+		p.eng.Schedule(0, done) // a zero latency completes through done
+	}
+	return p.latency, true
+}
+
+func (p *timedPort) Access(kind mem.AccessKind, va mem.VAddr, done func(uint64)) bool {
+	lat, ok := p.AccessTimed(kind, va, done)
+	if lat > 0 {
+		p.eng.Schedule(lat, done)
+	}
+	return ok
+}
+
+// callbackPort hides a TimedPort's AccessTimed, so that the datapath
+// completes every access through its done callback.
+type callbackPort struct{ MemPort }
 
 // tickPort completes each access latency cycles after it issues, from its
 // own Tick. Registered after the accelerator, it delivers completions once
@@ -132,8 +170,9 @@ type report struct {
 // runReport runs tc's invocation to completion, by eng.Run when skip is set
 // and otherwise by a manual Step loop with idle-skip off and a sampler
 // ticking ahead of the datapath, reading the accounting once at a cycle in
-// mid-invocation.
-func runReport(t *testing.T, tc *skipCase, skip bool) report {
+// mid-invocation. The port is a timedPort, hidden behind a callbackPort
+// when callback is set.
+func runReport(t *testing.T, tc *skipCase, skip, callback bool) report {
 	t.Helper()
 	const mid, limit = 37, 1 << 20
 	eng := sim.NewEngine()
@@ -145,9 +184,13 @@ func runReport(t *testing.T, tc *skipCase, skip bool) report {
 	st, mt := stats.NewSet(), energy.NewMeter()
 	a := New(eng, "axc0", tc.cfg, energy.Default(), mt, st)
 	probe.a = a
-	var port MemPort = &fakePort{eng: eng, latency: tc.latency, rejectFirst: tc.reject}
-	if tc.fromTick {
+	tp := &timedPort{eng: eng, latency: tc.latency, reject: tc.reject}
+	var port MemPort = tp
+	switch {
+	case tc.fromTick:
 		port = newTickPort(eng, tc.latency)
+	case callback:
+		port = callbackPort{tp}
 	}
 	var r report
 	fired := false
@@ -167,8 +210,8 @@ func runReport(t *testing.T, tc *skipCase, skip bool) report {
 	if !fired {
 		t.Fatalf("invocation never completed (skip=%v)", skip)
 	}
-	if fp, ok := port.(*fakePort); ok && fp.rejectFirst != 0 {
-		t.Fatalf("port still owes %d rejections", fp.rejectFirst)
+	if tp.reject != 0 {
+		t.Fatalf("port still owes %d rejections", tp.reject)
 	}
 	r.busy, r.mlp = a.BusyCycles(), math.Float64bits(a.AvgMLP())
 	var b strings.Builder
@@ -199,18 +242,24 @@ func TestSkipMatchesStepping(t *testing.T) {
 		{name: "default", cfg: DefaultConfig(), inv: inv(iters(24, 2, 1, 4)), latency: 5},
 		{name: "latency-0", cfg: DefaultConfig(), inv: inv(iters(24, 2, 1, 4))},
 		{name: "latency-1", cfg: DefaultConfig(), inv: inv(randomIters(1, 40)), latency: 1},
+		{name: "latency-2", cfg: DefaultConfig(), inv: inv(randomIters(8, 40)), latency: 2},
 		{name: "long-latency", cfg: DefaultConfig(), inv: inv(iters(24, 2, 1, 4)), latency: 80, skips: true},
 		{name: "mlp-1", cfg: mlp1, inv: inv(iters(16, 3, 1, 4)), latency: 30, skips: true},
+		{name: "mlp-1-latency-1", cfg: mlp1, inv: inv(randomIters(9, 40)), latency: 1},
+		{name: "mlp-1-latency-2", cfg: mlp1, inv: serial(randomIters(10, 30)), latency: 2},
+		{name: "serial-latency-1", cfg: DefaultConfig(), inv: serial(iters(20, 2, 1, 3)), latency: 1},
 		{name: "mlp-cap-merging", cfg: mlp2, inv: inv(randomIters(2, 60)), latency: 17},
 		{name: "serial", cfg: DefaultConfig(), inv: serial(iters(20, 1, 1, 4)), latency: 20, skips: true},
 		{name: "serial-random", cfg: DefaultConfig(), inv: serial(randomIters(3, 40)), latency: 9},
 		{name: "compute-heavy", cfg: DefaultConfig(), inv: inv(iters(8, 1, 1, 400)), latency: 3, skips: true},
 		{name: "compute-heavy-depth-1", cfg: depth1, inv: inv(iters(8, 1, 1, 120)), latency: 3, skips: true},
+		{name: "compute-heavy-latency-80", cfg: mlp2, inv: inv(iters(12, 2, 1, 200)), latency: 80, skips: true},
 		{name: "zero-load", cfg: DefaultConfig(), inv: inv(iters(16, 0, 2, 12)), latency: 6},
 		{name: "zero-load-zero-store", cfg: DefaultConfig(), inv: inv(iters(8, 0, 0, 9))},
 		{name: "no-iterations", cfg: DefaultConfig()},
 		{name: "back-pressure", cfg: DefaultConfig(), inv: inv(iters(6, 2, 1, 1)), latency: 12, reject: 7},
 		{name: "back-pressure-random", cfg: mlp2, inv: inv(randomIters(4, 30)), latency: 25, reject: 40},
+		{name: "back-pressure-latency-1", cfg: mlp1, inv: inv(randomIters(11, 30)), latency: 1, reject: 9},
 		{name: "deep-window", cfg: deep, inv: inv(randomIters(5, 200)), latency: 40},
 		{name: "tick-port", cfg: DefaultConfig(), inv: inv(randomIters(6, 60)), latency: 14, fromTick: true},
 		{name: "tick-port-latency-0", cfg: mlp2, inv: serial(randomIters(7, 40)), fromTick: true},
@@ -231,40 +280,89 @@ func TestSkipMatchesStepping(t *testing.T) {
 	for i := range cases {
 		tc := &cases[i]
 		t.Run(tc.name, func(t *testing.T) {
-			skip, step := runReport(t, tc, true), runReport(t, tc, false)
-			if skip.doneAt != step.doneAt {
-				t.Errorf("completion cycle %d under skipping, %d stepping", skip.doneAt, step.doneAt)
-			}
-			if skip.busy != step.busy || skip.midBusy != step.midBusy {
-				t.Errorf("BusyCycles %d (mid %d) under skipping, %d (mid %d) stepping",
-					skip.busy, skip.midBusy, step.busy, step.midBusy)
-			}
-			if skip.mlp != step.mlp || skip.midMLP != step.midMLP {
-				t.Errorf("AvgMLP %v (mid %v) under skipping, %v (mid %v) stepping",
-					math.Float64frombits(skip.mlp), math.Float64frombits(skip.midMLP),
-					math.Float64frombits(step.mlp), math.Float64frombits(step.midMLP))
-			}
-			if skip.counters != step.counters {
-				t.Errorf("counters differ:\nskip:\n%s\nstep:\n%s", skip.counters, step.counters)
-			}
-			if skip.pj != step.pj {
-				t.Errorf("energy differs:\nskip:\n%s\nstep:\n%s", skip.pj, step.pj)
-			}
-			// Per-cycle stepping charges exactly what the sampler saw.
+			// The reference steps every cycle and completes every access
+			// through done.
+			step := runReport(t, tc, false, true)
 			ref := step.probe
 			refMLP := 0.0
 			if ref.mlpSamples > 0 {
 				refMLP = float64(ref.mlpSum) / float64(ref.mlpSamples)
 			}
+			// Per-cycle stepping charges exactly what the sampler saw.
 			if step.busy != ref.busy || step.mlp != math.Float64bits(refMLP) {
 				t.Errorf("stepping charged %d busy cycles at AvgMLP %v; the sampler saw %d at %v",
 					step.busy, math.Float64frombits(step.mlp), ref.busy, refMLP)
 			}
-			if tc.skips && skip.steps*2 > skip.doneAt {
-				t.Errorf("stepped %d of %d cycles; the stalled datapath was not skipped",
-					skip.steps, skip.doneAt)
+			for _, v := range []struct {
+				name           string
+				skip, callback bool
+			}{
+				{"skipping through done", true, true},
+				{"skipping with fixed latencies", true, false},
+				{"stepping with fixed latencies", false, false},
+			} {
+				if tc.fromTick && !v.callback {
+					continue // a tickPort completes through done only
+				}
+				got := runReport(t, tc, v.skip, v.callback)
+				compareReports(t, v.name, got, step)
+				if tc.skips && v.skip && got.steps*2 > got.doneAt {
+					t.Errorf("%s: stepped %d of %d cycles; the stalled datapath was not skipped",
+						v.name, got.steps, got.doneAt)
+				}
 			}
 		})
+	}
+}
+
+// compareReports fails the test unless got, run as name says, reports
+// exactly what the reference, stepped through done, reports.
+func compareReports(t *testing.T, name string, got, ref report) {
+	t.Helper()
+	if got.doneAt != ref.doneAt {
+		t.Errorf("completion cycle %d %s, %d stepping through done", got.doneAt, name, ref.doneAt)
+	}
+	if got.busy != ref.busy || got.midBusy != ref.midBusy {
+		t.Errorf("BusyCycles %d (mid %d) %s, %d (mid %d) stepping through done",
+			got.busy, got.midBusy, name, ref.busy, ref.midBusy)
+	}
+	if got.mlp != ref.mlp || got.midMLP != ref.midMLP {
+		t.Errorf("AvgMLP %v (mid %v) %s, %v (mid %v) stepping through done",
+			math.Float64frombits(got.mlp), math.Float64frombits(got.midMLP), name,
+			math.Float64frombits(ref.mlp), math.Float64frombits(ref.midMLP))
+	}
+	if got.counters != ref.counters {
+		t.Errorf("counters differ %s:\n%s\nstepping through done:\n%s", name, got.counters, ref.counters)
+	}
+	if got.pj != ref.pj {
+		t.Errorf("energy differs %s:\n%s\nstepping through done:\n%s", name, got.pj, ref.pj)
+	}
+}
+
+// TestScratchpadCompletesInDatapath: a scratchpad reports its fixed access
+// latency, so an invocation on it completes every access inside the
+// datapath and the engine holds no event after any step.
+func TestScratchpadCompletesInDatapath(t *testing.T) {
+	eng := sim.NewEngine()
+	pad := scratchpad.New(eng, "spad0", scratchpad.Config{SizeBytes: 4 << 10, AccessLat: 1},
+		nil, stats.NewSet())
+	its := iters(16, 2, 1, 4)
+	for _, it := range its {
+		for _, va := range it.Loads {
+			pad.Fill(va, 1)
+		}
+	}
+	a := New(eng, "axc0", DefaultConfig(), energy.Default(), nil, stats.NewSet())
+	fired := false
+	a.Start(&trace.Invocation{Iterations: its}, pad, func(uint64) { fired = true })
+	for !fired && eng.Now() < 10_000 {
+		eng.Step()
+		if n := eng.Pending(); n != 0 {
+			t.Fatalf("%d events pending after the step to cycle %d", n, eng.Now())
+		}
+	}
+	if !fired {
+		t.Fatal("invocation never completed")
 	}
 }
 

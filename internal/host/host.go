@@ -49,11 +49,15 @@ const (
 // address on its first issue attempt and keeps the result in pa, so the
 // retries an L1 with full MSHRs forces do not walk the page table again.
 // Translating at dispatch instead would hand out physical frames in a
-// different order.
+// different order. refused marks a load or store the L1 refused as a clean
+// miss when its free count stood at frees; it is not re-issued while the
+// count stays there (see issue).
 type hostOp struct {
 	kind       opKind
 	done       bool
 	translated bool // pa holds addr's translation
+	refused    bool
+	frees      uint32
 	addr       mem.VAddr
 	pa         mem.PAddr
 	iter       int
@@ -163,8 +167,9 @@ func (c *Core) Busy() bool { return c.inv != nil }
 // completion or a compute op retires: nothing can dispatch, the head
 // cannot commit, no int or FP op is ready, and every ready load or store
 // waits on a full LQ or SQ. A ready access with queue room keeps the core
-// awake, so L1 MSHR back-pressure still retries every cycle. A stalled
-// Tick only counts a busy cycle, which settles lazily.
+// awake, so an L1 MSHR refusal is counted every cycle (re-offered to the
+// L1 or charged, see issue). A stalled Tick only counts a busy cycle,
+// which settles lazily.
 func (c *Core) stalled() bool {
 	if c.head == len(c.ops) || c.head < c.dispatch && c.ops[c.head].done ||
 		c.dispatch < len(c.ops) && c.inROB < c.cfg.ROB || c.readyALU > 0 {
@@ -322,6 +327,27 @@ func (c *Core) getCb(idx int, load bool) *memCb {
 	return cb
 }
 
+// issue offers load or store op i to the L1 and reports whether the L1
+// accepted it. An op the L1 refused as a clean miss is not offered again
+// until the L1 frees an MSHR, since until then the L1 would refuse it again
+// with no effect but its counters and energy: such an op only adds one to
+// *refused, for the caller to charge. A refusal that touched a resident
+// line (a store upgrading a Shared line refreshes its LRU stamp) is offered
+// again every cycle.
+func (c *Core) issue(op *hostOp, i int, kind mem.AccessKind, refused *int) bool {
+	if op.refused && op.frees == c.l1.Frees() {
+		*refused++
+		return false
+	}
+	cb := c.getCb(i, kind == mem.Load)
+	if c.l1.Access(kind, c.physical(op), cb.fn) {
+		return true
+	}
+	c.freeCbs = append(c.freeCbs, cb)
+	op.refused, op.frees = !c.l1.RefusalTouched(), c.l1.Frees()
+	return false
+}
+
 // physical returns the physical address of load or store op, translating
 // it on the first call.
 func (c *Core) physical(op *hostOp) mem.PAddr {
@@ -352,6 +378,7 @@ func (c *Core) Tick(now uint64) {
 	// Issue: walk the ready ops oldest-first, respecting per-cycle
 	// functional-unit and queue limits.
 	alu, fpu, memOps := c.cfg.IntALUs, c.cfg.FPUs, c.cfg.Width
+	refused := 0 // clean-miss refusals not re-offered to the L1
 	for i := c.head; alu != 0 || fpu != 0 || memOps != 0; i++ {
 		if i = c.nextReady(i); i == c.dispatch {
 			break
@@ -376,9 +403,7 @@ func (c *Core) Tick(now uint64) {
 			if memOps == 0 || c.inLQ >= c.cfg.LQ {
 				continue
 			}
-			cb := c.getCb(i, true)
-			if !c.l1.Access(mem.Load, c.physical(op), cb.fn) {
-				c.freeCbs = append(c.freeCbs, cb)
+			if !c.issue(op, i, mem.Load, &refused) {
 				continue // L1 MSHR full; retry next cycle
 			}
 			memOps--
@@ -389,9 +414,7 @@ func (c *Core) Tick(now uint64) {
 			if memOps == 0 || c.inSQ >= c.cfg.SQ {
 				continue
 			}
-			cb := c.getCb(i, false)
-			if !c.l1.Access(mem.Store, c.physical(op), cb.fn) {
-				c.freeCbs = append(c.freeCbs, cb)
+			if !c.issue(op, i, mem.Store, &refused) {
 				continue
 			}
 			memOps--
@@ -400,6 +423,14 @@ func (c *Core) Tick(now uint64) {
 			c.cStores.Inc()
 		}
 		c.ready[i>>6] &^= 1 << (i & 63)
+	}
+	// Charge the refusals the walk skipped in this tick. They add to the
+	// L1's counters and to its energy category, and every add into that
+	// category is the same per-access constant, so charging them here
+	// instead of at their place in the walk leaves the meter's bits as the
+	// calls would have.
+	if refused > 0 {
+		c.l1.ChargeRefusals(refused)
 	}
 
 	// Commit in order.

@@ -2,6 +2,7 @@ package host
 
 import (
 	"testing"
+	"unsafe"
 
 	"fusion/internal/dram"
 	"fusion/internal/energy"
@@ -208,4 +209,12 @@ func TestStartWhileBusyPanics(t *testing.T) {
 		}
 	}()
 	h.core.Start(inv, nil, nil)
+}
+
+// TestHostOpSize: a phase allocates one hostOp per instruction, the core's
+// largest allocation, so the refusal mark fits in the op's padding.
+func TestHostOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(hostOp{}); n != 32 {
+		t.Fatalf("hostOp is %d bytes, want 32", n)
+	}
 }

@@ -53,10 +53,13 @@ func fpIters(n, fp int) []trace.Iteration {
 
 // coreSampler is a ticker, registered ahead of the core under per-cycle
 // stepping, that counts the cycles stepped with a phase loaded: an
-// independent reference for BusyCycles.
+// independent reference for BusyCycles. With reissue set it also clears
+// every op's refusal mark, so that the core offers the L1 every refused
+// access again on every cycle.
 type coreSampler struct {
-	c    *Core
-	busy uint64
+	c       *Core
+	busy    uint64
+	reissue bool
 }
 
 func (p *coreSampler) Name() string { return "sampler" }
@@ -64,6 +67,11 @@ func (p *coreSampler) Name() string { return "sampler" }
 func (p *coreSampler) Tick(uint64) {
 	if p.c.inv != nil {
 		p.busy++
+	}
+	if p.reissue {
+		for i := p.c.head; i < p.c.dispatch; i++ {
+			p.c.ops[i].refused = false
+		}
 	}
 }
 
@@ -75,6 +83,54 @@ type hostCase struct {
 	mshrs int // L1 MSHRs; 0 keeps the default
 	inv   trace.Invocation
 	skips bool // the fast-forward must skip at least half the first phase
+	peer  []peerOp
+	ways  int // when set, the L1 is one set of this many ways
+}
+
+// peerOp is one access of a second L1 on the fabric, made before the first
+// phase starts when at is 0 and otherwise at cycles after it started. The
+// peer shares lines with the host L1 (which then holds them Shared) and
+// invalidates them.
+type peerOp struct {
+	at   uint64
+	kind mem.AccessKind
+	va   mem.VAddr
+}
+
+// sharedLine is the line the peer L1 shares with the host L1.
+const sharedLine = mem.VAddr(1 << 16)
+
+// lruIters loads sharedLine, then a line y, then stores to sharedLine once
+// a second load of y completes, and loads a line z, whose miss comes before
+// the store and refuses it. Integer ops then fill the ROB, so that a third
+// load of y dispatches, and hits, only after the store's first refusal.
+// Each refusal refreshes sharedLine's LRU stamp, so in a one-set, two-way
+// L1 z's fill evicts y, not sharedLine.
+func lruIters() []trace.Iteration {
+	const y, z = sharedLine + 1<<12, sharedLine + 2<<12
+	return []trace.Iteration{
+		{Loads: []mem.VAddr{sharedLine}},
+		{Loads: []mem.VAddr{y}},
+		{Loads: []mem.VAddr{y}, Stores: []mem.VAddr{sharedLine}},
+		{Loads: []mem.VAddr{z}},
+		{IntOps: 92},
+		{Loads: []mem.VAddr{y}},
+	}
+}
+
+// invalidateAt is when the peer's store to sharedLine is made: its
+// invalidation reaches the host L1 about 20 cycles later, inside the 34 to
+// 281 cycles after the phase started in which the host's store is refused
+// with its line Shared; from then on it is refused as a clean miss.
+const invalidateAt = 100
+
+// sharedStoreIters loads sharedLine, computes, and stores to it, which
+// upgrades the host's Shared copy, while the loads of the n iterations
+// after it keep a 1-MSHR L1 busy, so the store is refused with its line
+// resident.
+func sharedStoreIters(n int) []trace.Iteration {
+	return append([]trace.Iteration{{Loads: []mem.VAddr{sharedLine}, IntOps: 2,
+		Stores: []mem.VAddr{sharedLine}}}, seqIters(n, 1, 0, 0)...)
 }
 
 // hostReport is everything the two phases expose.
@@ -82,6 +138,7 @@ type hostReport struct {
 	doneAt, midBusy, busy [2]uint64 // per phase; midBusy read mid-phase
 	firstSteps            uint64    // cycles stepped during the first phase
 	refused               int64     // L1 accesses refused for a full MSHR
+	invalidations         int64     // invalidations the host L1 received
 	translations          int       // calls of the translate function
 	counters, pj          string
 	probe                 coreSampler
@@ -89,12 +146,13 @@ type hostReport struct {
 
 // runHost runs tc's phase twice, by eng.Run when skip is set and otherwise
 // by a manual Step loop with idle-skip off and a sampler ticking ahead of
-// the core, reading BusyCycles once mid-phase.
-func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
+// the core, reading BusyCycles once mid-phase. With reissue set (stepping
+// only), the core re-offers every refused access every cycle.
+func runHost(t *testing.T, tc *hostCase, skip, reissue bool) hostReport {
 	t.Helper()
 	const mid, limit = 41, 1 << 22
 	eng := sim.NewEngine()
-	probe := &coreSampler{}
+	probe := &coreSampler{reissue: reissue}
 	if !skip {
 		eng.SetIdleSkip(false)
 		eng.Register(probe)
@@ -107,10 +165,24 @@ func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
 	if tc.mshrs > 0 {
 		l1cfg.MSHRs = tc.mshrs
 	}
+	if tc.ways > 0 {
+		l1cfg.Cache.Ways, l1cfg.Cache.SizeBytes = tc.ways, tc.ways*l1cfg.Cache.LineBytes
+	}
 	l1 := mesi.NewClient(fab, 1, l1cfg, model, mt, st)
 	c := New(eng, "hostcore", tc.cfg, l1, st)
 	probe.c = c
 	pt := vm.NewPageTable()
+	var peer *mesi.Client
+	if len(tc.peer) > 0 {
+		pcfg := mesi.DefaultHostL1Config(model)
+		pcfg.Name, pcfg.EnergyCategory = "peerl1", energy.CatL1X
+		peer = mesi.NewClient(fab, 2, pcfg, model, mt, st)
+	}
+	peerAccess := func(op peerOp) {
+		if !peer.Access(op.kind, pt.Translate(1, op.va), func(uint64) {}) {
+			t.Fatalf("the peer L1 refused %v", op)
+		}
+	}
 	var r hostReport
 	translate := func(va mem.VAddr) mem.PAddr {
 		r.translations++
@@ -123,6 +195,19 @@ func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
 		}
 		for eng.Now() < until && (pred == nil || !pred()) {
 			eng.Step()
+		}
+	}
+	for _, op := range tc.peer {
+		if op.at == 0 {
+			peerAccess(op)
+		}
+	}
+	if peer != nil {
+		advance(limit, func() bool { return peer.Outstanding() == 0 })
+		for _, op := range tc.peer {
+			if op.at > 0 {
+				eng.Schedule(op.at, func(uint64) { peerAccess(op) })
+			}
 		}
 	}
 	for ph := 0; ph < 2; ph++ {
@@ -142,6 +227,7 @@ func runHost(t *testing.T, tc *hostCase, skip bool) hostReport {
 		r.busy[ph] = c.BusyCycles()
 	}
 	r.refused = st.Get(l1cfg.Name + ".mshr_full")
+	r.invalidations = st.Get(l1cfg.Name + ".invalidations")
 	var b strings.Builder
 	st.Dump(&b)
 	r.counters = b.String()
@@ -175,6 +261,12 @@ func TestSkipMatchesStepping(t *testing.T) {
 		{name: "no-iterations", cfg: DefaultConfig()},
 		{name: "empty-iterations", cfg: DefaultConfig(), inv: inv(make([]trace.Iteration, 5))},
 		{name: "random", cfg: DefaultConfig(), inv: inv(randomIters(2, 120)), skips: true},
+		{name: "refused-store-to-shared", cfg: DefaultConfig(), mshrs: 1, inv: inv(sharedStoreIters(6)),
+			peer: []peerOp{{kind: mem.Load, va: sharedLine}}},
+		{name: "invalidation-on-refused-line", cfg: DefaultConfig(), mshrs: 1, inv: inv(sharedStoreIters(6)),
+			peer: []peerOp{{kind: mem.Load, va: sharedLine}, {at: invalidateAt, kind: mem.Store, va: sharedLine}}},
+		{name: "refused-store-keeps-its-line", cfg: DefaultConfig(), mshrs: 1, ways: 2, inv: inv(lruIters()),
+			peer: []peerOp{{kind: mem.Load, va: sharedLine}}},
 	}
 	for seed := int64(10); seed < 18; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -186,7 +278,14 @@ func TestSkipMatchesStepping(t *testing.T) {
 	for i := range cases {
 		tc := &cases[i]
 		t.Run(tc.name, func(t *testing.T) {
-			skip, step := runHost(t, tc, true), runHost(t, tc, false)
+			skip, step := runHost(t, tc, true, false), runHost(t, tc, false, false)
+			// Charging the refusals of a clean miss instead of re-offering
+			// the access changes nothing.
+			if ref := runHost(t, tc, false, true); step.doneAt != ref.doneAt ||
+				step.counters != ref.counters || step.pj != ref.pj {
+				t.Errorf("refusals charged: done at %v,\n%s%s\nre-offered: done at %v,\n%s%s",
+					step.doneAt, step.counters, step.pj, ref.doneAt, ref.counters, ref.pj)
+			}
 			if skip.doneAt != step.doneAt {
 				t.Errorf("commit cycles %v under skipping, %v stepping", skip.doneAt, step.doneAt)
 			}
@@ -207,6 +306,11 @@ func TestSkipMatchesStepping(t *testing.T) {
 			}
 			if tc.mshrs == 1 && step.refused == 0 {
 				t.Error("the 1-MSHR L1 refused no access; the case exercises no back-pressure")
+			}
+			for _, op := range tc.peer {
+				if op.kind == mem.Store && step.invalidations == 0 {
+					t.Error("the peer's store did not invalidate the host's copy")
+				}
 			}
 			// Each load or store translates once per phase, however often
 			// a full L1 refuses it.

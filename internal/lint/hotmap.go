@@ -17,6 +17,7 @@ var hotMethodNames = map[string]bool{
 	"HandleMESI":  true,
 	"HandleEvent": true,
 	"Access":      true,
+	"AccessTimed": true,
 	"Send":        true,
 }
 

@@ -25,6 +25,12 @@ func (c *ctrl) Handle(a uint64) {
 	delete(c.txns, a) // want "map delete in hot function Handle"
 }
 
+// AccessTimed is the fixed-latency twin of Access: it runs once per
+// accelerator load or store.
+func (c *ctrl) AccessTimed(a uint64) (uint64, bool) {
+	return uint64(c.txns[a]), true // want "map index in hot function AccessTimed"
+}
+
 // Deliver's closures run per event and are just as hot.
 func (c *ctrl) Deliver(m int) {
 	fire := func() {

@@ -45,6 +45,10 @@ type Client struct {
 	hitLatency uint64
 
 	txns []txn // by MSHR slot; read only while the slot is allocated
+	// frees counts MSHR frees; touched records whether the last refused
+	// Access found its line resident (see Frees and RefusalTouched).
+	frees   uint32
+	touched bool
 	// evicting holds dirty or exclusive lines between PutM/PutE and
 	// PutAck, so a racing forward or invalidation is still answered.
 	evicting cache.EvictBuffer
@@ -142,6 +146,27 @@ func (c *Client) access() {
 	c.cAccesses.Inc()
 }
 
+// Frees counts the MSHR entries the client has freed so far. An Access
+// refused with its line absent (a clean miss, RefusalTouched false) changes
+// nothing but counters and energy, and the same call is refused again until
+// the count moves: only a free lets the client allocate an MSHR or install
+// a line.
+func (c *Client) Frees() uint32 { return c.frees }
+
+// RefusalTouched reports whether the last refused Access found its line
+// resident: a store to a Shared line, which refreshed the line's LRU stamp
+// before the MSHR check refused it.
+func (c *Client) RefusalTouched() bool { return c.touched }
+
+// ChargeRefusals charges n refused clean-miss accesses exactly as n such
+// Access calls would: n accesses, n MSHR-full refusals and n energy adds.
+func (c *Client) ChargeRefusals(n int) {
+	for i := 0; i < n; i++ {
+		c.access()
+	}
+	c.cMSHRFull.Add(int64(n))
+}
+
 // Access performs a processor load or store. done fires when the access
 // retires. It returns false when the MSHR is full and the access must be
 // retried (back-pressure into the core's load/store queue).
@@ -149,7 +174,8 @@ func (c *Client) Access(kind mem.AccessKind, addr mem.PAddr, done func(now uint6
 	a := uint64(addr.LineAddr())
 	c.access()
 
-	if l := c.arr.Lookup(a); l != nil {
+	l := c.arr.Lookup(a)
+	if l != nil {
 		switch {
 		case kind == mem.Load:
 			if c.obsv != nil {
@@ -182,6 +208,7 @@ func (c *Client) Access(kind mem.AccessKind, addr mem.PAddr, done func(now uint6
 	}
 	if c.mshr.Full() {
 		c.cMSHRFull.Inc()
+		c.touched = l != nil
 		return false
 	}
 	t := &c.txns[c.mshr.Allocate(a)]
@@ -347,6 +374,7 @@ func (c *Client) maybeComplete(t *txn) {
 	// The record stays readable until Access allocates the slot again: the
 	// waiter loop below only schedules work.
 	c.mshr.Free(a)
+	c.frees++
 	c.fabric.Engine().Progress() // miss resolved: heartbeat
 	unb := c.pool.Get()
 	unb.Type, unb.Addr, unb.Src, unb.Dst = MsgUnblock, mem.PAddr(a), c.id, DirID

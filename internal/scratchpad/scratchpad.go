@@ -12,7 +12,7 @@
 package scratchpad
 
 import (
-	"sort"
+	"slices"
 
 	"fusion/internal/energy"
 	"fusion/internal/flat"
@@ -57,6 +57,7 @@ type Scratchpad struct {
 	cfg   Config
 	eng   *sim.Engine
 	lines *flat.Map[padLine]
+	addrs []uint64 // DirtyLines' sort buffer
 	meter *energy.Meter
 	obsv  obs.Observer
 	mut   *Mutations
@@ -112,6 +113,17 @@ func (s *Scratchpad) DMADone(va, ver uint64) { s.Fill(mem.VAddr(va), ver) }
 
 // Access implements accel.MemPort. A miss is an oracle violation and panics.
 func (s *Scratchpad) Access(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) bool {
+	if lat, _ := s.AccessTimed(kind, va, done); lat > 0 {
+		s.eng.Schedule(lat, done)
+	}
+	return true
+}
+
+// AccessTimed implements accel.TimedPort: every access completes after the
+// access latency, which it reports instead of scheduling done. A zero
+// latency cannot be reported (0 means done fires), so such an access
+// schedules done itself.
+func (s *Scratchpad) AccessTimed(kind mem.AccessKind, va mem.VAddr, done func(now uint64)) (uint64, bool) {
 	a := uint64(va.LineAddr())
 	l := s.lines.Ptr(a)
 	if l == nil {
@@ -144,8 +156,10 @@ func (s *Scratchpad) Access(kind mem.AccessKind, va mem.VAddr, done func(now uin
 		s.obsv.Record(obs.Event{Cycle: s.eng.Now(), Agent: s.name,
 			Addr: uint64(va), Ver: l.base + l.delta, Kind: k, Delta: !l.baseKnown})
 	}
-	s.eng.Schedule(s.cfg.AccessLat, done)
-	return true
+	if s.cfg.AccessLat == 0 {
+		s.eng.Schedule(0, done)
+	}
+	return s.cfg.AccessLat, true
 }
 
 // Version returns the current version of a resident line (base + stores).
@@ -157,14 +171,15 @@ func (s *Scratchpad) Version(va mem.VAddr) (uint64, bool) {
 	return l.base + l.delta, true
 }
 
-// DirtyLines returns the resident dirty lines in deterministic order
-// (sorted by address) with their writeback payloads.
-func (s *Scratchpad) DirtyLines() []DirtyLine {
-	addrs := make([]uint64, 0, s.lines.Len())
-	s.lines.ForEach(func(a uint64, _ *padLine) { addrs = append(addrs, a) })
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	out := make([]DirtyLine, 0, len(addrs))
-	for _, a := range addrs {
+// DirtyLines appends the resident dirty lines to out in deterministic
+// order (sorted by address) with their writeback payloads, and returns the
+// extended slice. It sorts in a buffer the scratchpad keeps, so a caller
+// that reuses out allocates nothing once both have grown.
+func (s *Scratchpad) DirtyLines(out []DirtyLine) []DirtyLine {
+	s.addrs = s.addrs[:0]
+	s.lines.ForEach(func(a uint64, _ *padLine) { s.addrs = append(s.addrs, a) })
+	slices.Sort(s.addrs)
+	for _, a := range s.addrs {
 		l := s.lines.Ptr(a)
 		if !l.dirty {
 			continue

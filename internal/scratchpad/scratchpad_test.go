@@ -47,7 +47,7 @@ func TestScratchpadStoreDirtiesAndBumps(t *testing.T) {
 	s, _, _ := newPad(eng)
 	s.Fill(0x2000, 3)
 	s.Access(mem.Store, 0x2000, func(uint64) {})
-	d := s.DirtyLines()
+	d := s.DirtyLines(nil)
 	if len(d) != 1 || d[0].Addr != 0x2000 || d[0].Ver != 4 {
 		t.Fatalf("dirty = %+v", d)
 	}
@@ -79,7 +79,7 @@ func TestScratchpadClearAndDirtyOrder(t *testing.T) {
 	for _, a := range []mem.VAddr{0x300, 0x100, 0x200} {
 		s.Access(mem.Store, a, func(uint64) {})
 	}
-	d := s.DirtyLines()
+	d := s.DirtyLines(nil)
 	if len(d) != 3 || d[0].Addr >= d[1].Addr || d[1].Addr >= d[2].Addr {
 		t.Fatalf("dirty lines not sorted: %+v", d)
 	}
@@ -269,7 +269,7 @@ func TestDMAFullRoundTrip(t *testing.T) {
 	s.Access(mem.Store, 0x3000, func(uint64) { stored = true })
 	eng.Run(100, func() bool { return stored })
 
-	for _, dl := range s.DirtyLines() {
+	for _, dl := range s.DirtyLines(nil) {
 		dma.WriteLine(mem.PAddr(dl.Addr), dl.Ver, dl.Delta, nil, 0)
 	}
 	eng.Run(100000, dma.Idle)

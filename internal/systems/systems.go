@@ -236,10 +236,25 @@ type machine struct {
 	tiles  []*acc.Tile
 	dma    *scratchpad.DMA
 	shared *sharedPort
+
+	// Reused by every phase and window, so they allocate nothing per call:
+	// await's completion flag, set by done and read by hasFired; the
+	// translate method value; the window invocation a scratchpad runs,
+	// which its accelerator holds only until the window's await returns;
+	// and the window's dirty lines.
+	fired       bool
+	done        func(uint64)
+	hasFired    func() bool
+	translateFn func(mem.VAddr) mem.PAddr
+	sub         trace.Invocation
+	dirty       []scratchpad.DirtyLine
 }
 
 func newMachine() *machine {
 	m := &machine{pid: 1}
+	m.done = func(uint64) { m.fired = true }
+	m.hasFired = func() bool { return m.fired }
+	m.translateFn = m.translate
 	m.eng = sim.NewEngine()
 	m.st = stats.NewSet()
 	m.mt = energy.NewMeter()
@@ -598,7 +613,7 @@ func runPhases(m *machine, b *workloads.Benchmark, cfg Config, res *Result, h ph
 		r := PhaseResult{Function: inv.Function, AXC: -1}
 		c0, e0 := m.eng.Now(), m.mt.Total()
 		if host {
-			err := m.await(func(done func(uint64)) { m.core.Start(inv, m.translate, done) })
+			err := m.await(func(done func(uint64)) { m.core.Start(inv, m.translateFn, done) })
 			if err != nil {
 				return fmt.Errorf("host phase %s: %w", inv.Function, err)
 			}
@@ -618,12 +633,13 @@ func runPhases(m *machine, b *workloads.Benchmark, cfg Config, res *Result, h ph
 	return nil
 }
 
-// await calls start with a completion callback and runs the engine until
-// that callback fires.
+// await calls start with the machine's completion callback and runs the
+// engine until that callback fires. One flag serves every await: each
+// returns before the next starts.
 func (m *machine) await(start func(done func(uint64))) error {
-	fired := false
-	start(func(uint64) { fired = true })
-	return m.run(func() bool { return fired })
+	m.fired = false
+	start(m.done)
+	return m.run(m.hasFired)
 }
 
 // ---------------------------------------------------------------- SCRATCH
@@ -709,18 +725,19 @@ func runScratchWindows(m *machine, cfg Config, ax *accel.Accelerator,
 		dmaCycles += m.eng.Now() - t0
 
 		// Execute the window.
-		sub := trace.Invocation{
+		m.sub = trace.Invocation{
 			Function:   inv.Function,
 			AXC:        inv.AXC,
 			Iterations: inv.Iterations[w.Start:w.End],
 		}
-		if err := m.await(func(done func(uint64)) { ax.Start(&sub, pad, done) }); err != nil {
+		if err := m.await(func(done func(uint64)) { ax.Start(&m.sub, pad, done) }); err != nil {
 			return dmaCycles, fmt.Errorf("%s window exec: %w", inv.Function, err)
 		}
 
 		// DMA-out: drain dirty lines back to the LLC.
 		t0 = m.eng.Now()
-		for _, dl := range pad.DirtyLines() {
+		m.dirty = pad.DirtyLines(m.dirty[:0])
+		for _, dl := range m.dirty {
 			dma.WriteLine(m.translate(dl.Addr), dl.Ver, dl.Delta, nil, 0)
 		}
 		if err := m.run(dma.Idle); err != nil {
